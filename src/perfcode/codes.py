@@ -20,6 +20,7 @@ from typing import Iterable
 from .group import FiniteGroup, Subgroup
 from .subgroups import (
     coset_decomposition,
+    is_normal,
     normalizer,
     sylow_2_overgroup,
     sylow_2_subgroup,
@@ -156,10 +157,19 @@ def find_inverse_closed_transversal(
 ) -> Transversal | None:
     """An inverse-closed right transversal of H containing the identity, if any.
 
-    Complete backtracking over coset representatives in canonical coset
-    order.  Choosing t forces t^-1 to represent its own coset, so within a
-    self-paired coset only involutions are eligible; involutions are tried
-    first, which finds witnesses quickly and makes dead ends fail fast.
+    Inversion maps the right cosets in a double coset HxH onto the left
+    cosets of Hx^-1H, so it links right cosets only within one pair
+    {HxH, Hx^-1H}.  The pairs are therefore independent: the search splits
+    the right cosets into these components and solves each one on its own,
+    returning None as soon as one has no solution.  A component holds at
+    most min(2|H|, |G:H|) cosets, which bounds the recursion depth.
+
+    Within a component, backtracking runs over coset representatives in
+    canonical coset order.  Choosing t forces t^-1 to represent its own
+    coset, so within a self-paired coset only involutions are eligible;
+    involutions are tried first, which finds witnesses quickly and makes
+    dead ends fail fast.  Since the components are independent, the witness
+    is the first one in canonical coset order over all of G.
     """
     dec = coset_decomposition(G, H)
     k = len(dec.representatives)
@@ -173,12 +183,12 @@ def find_inverse_closed_transversal(
     chosen: list[int | None] = [None] * k
     chosen[0] = 0
 
-    def search(start: int) -> bool:
-        i = start
-        while i < k and chosen[i] is not None:
-            i += 1
-        if i == k:
+    def search(cosets: list[int], pos: int) -> bool:
+        while pos < len(cosets) and chosen[cosets[pos]] is not None:
+            pos += 1
+        if pos == len(cosets):
             return True
+        i = cosets[pos]
         for cand in candidates[i]:
             partner = inv[cand]
             j = dec.coset_of(partner)
@@ -195,15 +205,23 @@ def find_inverse_closed_transversal(
             chosen[i] = cand
             if forced is not None:
                 chosen[forced] = partner
-            if search(i + 1):
+            if search(cosets, pos + 1):
                 return True
             chosen[i] = None
             if forced is not None:
                 chosen[forced] = None
         return False
 
-    if not search(0):
-        return None
+    for start in range(k):
+        if chosen[start] is not None:
+            continue
+        # the inverses of one coset of HxH meet every right coset of
+        # Hx^-1H, and the inverses of one of those meet every coset of HxH
+        component = {dec.coset_of(inv[g]) for g in dec.blocks[start]}
+        mirror = next(iter(component))
+        component.update(dec.coset_of(inv[g]) for g in dec.blocks[mirror])
+        if not search(sorted(component), 0):
+            return None
     reps = tuple(g for g in chosen if g is not None)
     return Transversal(representatives=reps, inverse_closed=True)
 
@@ -339,7 +357,7 @@ def omega_criterion(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
     when every coset of H in N_G(H) that squares into H contains an
     involution.  For other subgroups use ``sylow_reduction`` or ``decide``.
     """
-    if not _is_2_group_order(len(H)) and not _normal_in_full(G, H):
+    if not _is_2_group_order(len(H)) and not is_normal(G, H):
         raise ValueError(
             "omega criterion requires a 2-group or a normal subgroup; "
             "use sylow_reduction/decide for general subgroups"
@@ -347,11 +365,6 @@ def omega_criterion(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
     N = normalizer(G, H)
     quotient, lifted = omega_coset_sets(G, N, H)
     return CodeVerdict(quotient == lifted, Criterion.OMEGA_QUOTIENT)
-
-
-def _normal_in_full(G: FiniteGroup, H: Subgroup) -> bool:
-    members = H.elements
-    return all(G.conjugate(h, g) in members for g in G.elements() for h in members)
 
 
 @dataclass(frozen=True)
@@ -411,13 +424,13 @@ def decide(G: FiniteGroup, H: Subgroup, *, with_witness: bool = False) -> CodeVe
     equivalent statement is evaluated: the involution-coset comparison for
     the Sylow 2-part of H inside the Sylow 2-subgroup of its normalizer.
     On a positive verdict ``with_witness`` attaches an inverse-closed
-    transversal; a negative verdict is re-derived by the square-coset scan
-    so a concrete counterexample can be reported.
+    transversal, and raises ``RuntimeError`` if the search finds none (the
+    criteria would then disagree); a negative verdict is re-derived by the
+    square-coset scan so a concrete counterexample can be reported.
     """
     if len(H) % 2 == 1:
         if with_witness:
-            witness = find_inverse_closed_transversal(G, H)
-            return CodeVerdict(True, Criterion.TRANSVERSAL, witness=witness)
+            return _witnessed(G, H)
         return CodeVerdict(True, Criterion.ODD_ORDER)
     H2 = sylow_2_subgroup(G, H)
     N = normalizer(G, H2)
@@ -425,10 +438,20 @@ def decide(G: FiniteGroup, H: Subgroup, *, with_witness: bool = False) -> CodeVe
     quotient, lifted = omega_coset_sets(G, N2, H2)
     if quotient == lifted:
         if with_witness:
-            witness = find_inverse_closed_transversal(G, H)
-            return CodeVerdict(True, Criterion.TRANSVERSAL, witness=witness)
+            return _witnessed(G, H)
         return CodeVerdict(True, Criterion.OMEGA_QUOTIENT)
     return square_coset_condition(G, H)
+
+
+def _witnessed(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
+    """Positive verdict carrying a transversal; a missing one is a bug."""
+    witness = find_inverse_closed_transversal(G, H)
+    if witness is None:
+        raise RuntimeError(
+            f"positive verdict for subgroup {H.indices()} of {G.name or 'G'} "
+            "but no inverse-closed transversal was found"
+        )
+    return CodeVerdict(True, Criterion.TRANSVERSAL, witness=witness)
 
 
 def search_connection_set(

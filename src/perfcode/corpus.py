@@ -9,6 +9,7 @@ from enum import Enum
 
 from . import construct
 from .codes import (
+    GRAPH_SEARCH_CAP,
     connection_set_from_transversal,
     decide,
     double_coset_condition,
@@ -28,8 +29,6 @@ from .extraspecial import (
 )
 from .group import FiniteGroup, Subgroup, full_subgroup, subgroup_as_group
 from .subgroups import all_subgroups, is_normal, minimal_conjugate, sylow_2_subgroup
-
-GRAPH_ORACLE_CAP = 16
 
 DEFAULT_CRITERIA = (
     "decide",
@@ -160,7 +159,7 @@ def _row_verdicts(G: FiniteGroup, H: Subgroup, criteria: tuple[str, ...], tags: 
         verdicts["reduction-omega-n2"] = red.omega_sylow_quotient
         verdicts["reduction-omega-n"] = red.omega_full_quotient
         verdicts["reduction-h-in-g"] = red.h_code_in_g
-    if "graph" in criteria and G.order <= GRAPH_ORACLE_CAP:
+    if "graph" in criteria and G.order <= GRAPH_SEARCH_CAP:
         verdicts["graph"] = search_connection_set(G, H) is not None
     if "extraspecial" in tags:
         verdicts["extraspecial-classification"] = classify_extraspecial(
@@ -183,7 +182,9 @@ def cross_check(
 
     Groups larger than ``max_order`` are skipped.  Disagreements are counted,
     never resolved: the criteria are provably equivalent, so any disagreement
-    is an implementation bug.  Rows are produced in canonical order, so the
+    is an implementation bug.  A row with fewer than two verdicts is
+    ``unchecked``: it does not agree, is counted apart from disagreements,
+    and takes its consensus from ``decide``.  Rows are produced in canonical order, so the
     stable report sections are identical byte-for-byte across runs.
     """
     selected = tuple(criteria) if criteria else DEFAULT_CRITERIA
@@ -195,6 +196,7 @@ def cross_check(
     groups_run = 0
     perfect = 0
     disagreements = 0
+    unchecked = 0
     for entry in corpus:
         G = entry.group
         if G.order > max_order:
@@ -214,11 +216,19 @@ def cross_check(
             start = time.perf_counter()
             verdicts = _row_verdicts(G, H, selected, entry.tags)
             timings.append((time.perf_counter() - start) * 1000.0)
-            agree = len(set(verdicts.values())) <= 1
-            consensus = verdicts.get("decide", next(iter(verdicts.values()), False))
+            checked = len(verdicts) >= 2
+            agree = checked and len(set(verdicts.values())) == 1
+            if "decide" in verdicts:
+                consensus = verdicts["decide"]
+            elif checked:
+                consensus = next(iter(verdicts.values()))
+            else:
+                consensus = decide(G, H).is_perfect_code
             if consensus:
                 perfect += 1
-            if not agree:
+            if not checked:
+                unchecked += 1
+            elif not agree:
                 disagreements += 1
             rows.append(
                 {
@@ -234,6 +244,7 @@ def cross_check(
         "rows": len(rows),
         "perfect_codes": perfect,
         "disagreements": disagreements,
+        "unchecked": unchecked,
         "criteria": list(selected),
         "max_order": max_order,
     }
@@ -301,6 +312,7 @@ def report_emit(
             f"- subgroup rows: {s['rows']}",
             f"- perfect codes: {s['perfect_codes']}",
             f"- disagreements: {s['disagreements']}",
+            f"- unchecked: {s['unchecked']}",
             f"- criteria: {', '.join(s['criteria'])}",
             "",
             "## Criterion agreement",
@@ -319,8 +331,9 @@ def report_emit(
                 "decide", next(iter(row["verdicts"].values()), False)
             )
             sub = ",".join(str(i) for i in row["subgroup"])
+            agree = str(row["agree"]).lower() if len(row["verdicts"]) >= 2 else "unchecked"
             lines.append(
-                f"| {row['group']} | {{{sub}}} | {str(consensus).lower()} | {str(row['agree']).lower()} |"
+                f"| {row['group']} | {{{sub}}} | {str(consensus).lower()} | {agree} |"
             )
         if include_timings:
             lines += [

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import random
+import sys
+import time
+
 import pytest
 
 from oracles import brute_inverse_closed_transversal_exists
-from perfcode import construct
+from perfcode import codes, construct
 from perfcode.codes import (
     Criterion,
     connection_set,
@@ -20,7 +24,14 @@ from perfcode.codes import (
     Transversal,
     verdict_to_json,
 )
-from perfcode.group import closure, conjugate_subgroup, full_subgroup, trivial_subgroup
+from perfcode.group import (
+    FiniteGroup,
+    Subgroup,
+    closure,
+    conjugate_subgroup,
+    full_subgroup,
+    trivial_subgroup,
+)
 from perfcode.subgroups import all_subgroups, normalizer
 
 
@@ -87,21 +98,73 @@ def test_transversal_for_transposition_subgroup(s4, s4_elem):
     assert is_perfect_code_in_cayley_graph(s4, S, H)
 
 
+def _relabelled(G: FiniteGroup, seed: int) -> FiniteGroup:
+    """An isomorphic copy of G with seeded random element labels."""
+    perm = list(range(G.order))
+    random.Random(seed).shuffle(perm)
+    rows = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            rows[perm[a]][perm[b]] = perm[G.table[a][b]]
+    return FiniteGroup.from_table(rows, name=f"{G.name}~{seed}")
+
+
 def test_transversal_search_matches_brute_oracle():
-    for G in (
+    base = (
         construct.dihedral(8),
         construct.quaternion8(),
         construct.cyclic(8),
         construct.cyclic(12),
         construct.dihedral(16),
         construct.dicyclic(16),
-    ):
+    )
+    relabelled = tuple(_relabelled(G, seed) for seed in (1, 2) for G in base)
+    for G in base + relabelled:
         for H in all_subgroups(G):
-            fast = find_inverse_closed_transversal(G, H) is not None
-            assert fast == brute_inverse_closed_transversal_exists(G, H), (
+            T = find_inverse_closed_transversal(G, H)
+            assert (T is not None) == brute_inverse_closed_transversal_exists(G, H), (
                 G.name,
                 H.indices(),
             )
+            if T is not None:
+                S = connection_set_from_transversal(G, H, T)
+                assert is_perfect_code_in_cayley_graph(G, S, H), (G.name, H.indices())
+
+
+def test_transversal_dead_end_is_local_to_its_double_coset_pair():
+    # an order-4 subgroup of G(2,1) x Z3 (order 96) that is not a code; a
+    # search across all cosets at once backtracks for seconds before failing
+    G = construct.build_named("product(gm1(2),cyclic(3))")
+    H = Subgroup(frozenset({0, 6, 60, 66}))
+    assert any(K.elements == H.elements for K in all_subgroups(G))
+    assert not decide(G, H).is_perfect_code
+    start = time.perf_counter()
+    assert find_inverse_closed_transversal(G, H) is None
+    assert time.perf_counter() - start < 0.5
+
+
+def _stack_depth() -> int:
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_transversal_recursion_depth_is_bounded_by_pair_size():
+    # the trivial subgroup of Z256 has 256 cosets but no double-coset pair
+    # larger than two, so the search needs only a few frames
+    G = construct.cyclic(256)
+    H = trivial_subgroup()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        T = find_inverse_closed_transversal(G, H)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert T is not None
+    assert T.as_set() == frozenset(G.elements())
 
 
 def test_connection_set_from_transversal_roundtrip_a4(s4, s4_elem):
@@ -289,6 +352,16 @@ def test_decide_with_witness(s4, s4_elem):
     assert verdict.criterion is Criterion.TRANSVERSAL
     S = connection_set_from_transversal(s4, H, verdict.witness)
     assert is_perfect_code_in_cayley_graph(s4, S, H)
+
+
+def test_decide_with_witness_raises_when_search_finds_none(monkeypatch, s4, s4_elem):
+    monkeypatch.setattr(codes, "find_inverse_closed_transversal", lambda G, H: None)
+    even = closure(s4, [s4_elem[(1, 0, 2, 3)]])
+    odd = closure(s4, [s4_elem[(1, 2, 0, 3)]])
+    for H in (even, odd):
+        assert decide(s4, H).is_perfect_code
+        with pytest.raises(RuntimeError, match="no inverse-closed transversal"):
+            decide(s4, H, with_witness=True)
 
 
 def test_decide_is_conjugation_invariant(s4, d8):

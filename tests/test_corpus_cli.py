@@ -105,6 +105,26 @@ def test_cross_check_graph_criterion_on_tiny_groups(d8, q8):
     assert all("graph" in r["verdicts"] for r in report.rows)
 
 
+def test_cross_check_rows_with_one_verdict_are_unchecked(corpus):
+    full = cross_check(corpus, max_order=24)
+    omega = cross_check(corpus, criteria=("omega-quotient",), max_order=24)
+    assert omega.summary["rows"] == full.summary["rows"]
+    assert omega.summary["perfect_codes"] == full.summary["perfect_codes"]
+    assert omega.summary["disagreements"] == 0
+    assert full.summary["unchecked"] == 0
+    # only the classification verdicts of tagged groups join omega-quotient
+    thin = [r for r in omega.rows if len(r["verdicts"]) < 2]
+    assert omega.summary["unchecked"] == len(thin) > 0
+    assert not any(r["agree"] for r in thin)
+    # the order-3 subgroups of A4 get no verdict at all
+    a4_rows = [r for r in thin if r["group"] == "A4" and len(r["subgroup"]) == 3]
+    assert len(a4_rows) == 4
+    assert all(r["verdicts"] == {} for r in a4_rows)
+    text = report_emit(omega, "md")
+    assert f"- unchecked: {len(thin)}" in text
+    assert "| unchecked |" in text
+
+
 def test_report_emit_empty_corpus():
     report = cross_check([], max_order=8)
     doc = json.loads(report_emit(report, "json"))
