@@ -26,15 +26,8 @@ from .extraspecial import (
     classify_sylow_extraspecial,
     is_extraspecial,
 )
-from .group import (
-    FiniteGroup,
-    closure,
-    full_subgroup,
-    group_to_json,
-    load_group,
-    subgroup_as_group,
-)
-from .subgroups import all_subgroups, sylow_2_subgroup
+from .group import FiniteGroup, closure, group_to_json, load_group
+from .subgroups import all_subgroups
 
 
 def _parse_subgroup(G: FiniteGroup, text: str):
@@ -75,13 +68,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if is_extraspecial(G).is_extraspecial:
         verdict = classify_extraspecial(G, H)
     else:
-        G2 = sylow_2_subgroup(G, full_subgroup(G))
-        sylow_group, _ = subgroup_as_group(G, G2)
-        if not is_extraspecial(sylow_group).is_extraspecial:
-            raise ValueError(
-                "classification needs an extraspecial group or an extraspecial "
-                "Sylow 2-subgroup"
-            )
         verdict = classify_sylow_extraspecial(G, H)
     print(json.dumps(verdict_to_json(G, H, verdict), indent=2))
     return 0

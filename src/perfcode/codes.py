@@ -328,9 +328,9 @@ def omega_coset_sets(
     """
     if not H.elements <= N.elements:
         raise ValueError("H must be contained in N")
-    members = H.elements
-    if any(G.conjugate(h, g) not in members for g in N.elements for h in members):
+    if not is_normal(G, H, N):
         raise ValueError("H must be normal in N")
+    members = H.elements
     t = G.table
     dec = coset_decomposition(G, H, N)
     quotient = frozenset(
@@ -397,11 +397,16 @@ class SylowReduction:
         )
 
 
-def sylow_reduction(G: FiniteGroup, H: Subgroup) -> SylowReduction:
-    """Evaluate all four equivalent statements for (G, H)."""
+def _sylow_chain(G: FiniteGroup, H: Subgroup) -> tuple[Subgroup, Subgroup, Subgroup]:
+    """H2 = a Sylow 2-subgroup of H, N = N_G(H2) and N2 = a Sylow 2-subgroup of N."""
     H2 = sylow_2_subgroup(G, H)
     N = normalizer(G, H2)
-    N2 = sylow_2_subgroup(G, N)
+    return H2, N, sylow_2_subgroup(G, N)
+
+
+def sylow_reduction(G: FiniteGroup, H: Subgroup) -> SylowReduction:
+    """Evaluate all four equivalent statements for (G, H)."""
+    H2, N, N2 = _sylow_chain(G, H)
     P = sylow_2_overgroup(G, N2)
     q2, l2 = omega_coset_sets(G, N2, H2)
     qn, ln = omega_coset_sets(G, N, H2)
@@ -432,9 +437,7 @@ def decide(G: FiniteGroup, H: Subgroup, *, with_witness: bool = False) -> CodeVe
         if with_witness:
             return _witnessed(G, H)
         return CodeVerdict(True, Criterion.ODD_ORDER)
-    H2 = sylow_2_subgroup(G, H)
-    N = normalizer(G, H2)
-    N2 = sylow_2_subgroup(G, N)
+    H2, _, N2 = _sylow_chain(G, H)
     quotient, lifted = omega_coset_sets(G, N2, H2)
     if quotient == lifted:
         if with_witness:

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import re
-from itertools import permutations, product
+from itertools import product
 
-from .group import FiniteGroup
+from .group import FiniteGroup, group_from_permutations
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -76,47 +76,27 @@ def quaternion8() -> FiniteGroup:
     return dicyclic(8)
 
 
-def _perm_table(elems: list[tuple[int, ...]], name: str) -> FiniteGroup:
-    elems = sorted(elems)
-    index = {p: i for i, p in enumerate(elems)}
-    degree = len(elems[0])
-    rows = [
-        [index[tuple(q[p[i]] for i in range(degree))] for q in elems]
-        for p in elems
-    ]
-    return FiniteGroup.from_table(rows, name=name)
-
-
 def symmetric(n: int) -> FiniteGroup:
-    """S_n on the points 0..n-1, elements indexed lexicographically."""
+    """S_n on 0..n-1, generated by (0 1 ... n-1) and (0 1), elements indexed
+    lexicographically."""
     if not 1 <= n <= 5:
         raise ValueError(f"symmetric degree must be in 1..5, got {n}")
-    return _perm_table([tuple(p) for p in permutations(range(n))], name=f"S{n}")
-
-
-def _perm_sign(p: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    cycle = list(range(1, n)) + [0]
+    swap = [1, 0] + list(range(2, n)) if n > 1 else [0]
+    return group_from_permutations([cycle, swap], degree=n, name=f"S{n}")
 
 
 def alternating(n: int) -> FiniteGroup:
-    """A_n on the points 0..n-1, elements indexed lexicographically."""
+    """A_n on 0..n-1, generated by the 3-cycles (0 1 k), elements indexed
+    lexicographically."""
     if not 3 <= n <= 5:
         raise ValueError(f"alternating degree must be in 3..5, got {n}")
-    elems = [tuple(p) for p in permutations(range(n)) if _perm_sign(tuple(p)) == 1]
-    return _perm_table(elems, name=f"A{n}")
+    gens = []
+    for k in range(2, n):
+        images = list(range(n))
+        images[0], images[1], images[k] = 1, k, 0
+        gens.append(images)
+    return group_from_permutations(gens, degree=n, name=f"A{n}")
 
 
 def special_linear_2_3() -> FiniteGroup:

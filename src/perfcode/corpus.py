@@ -26,9 +26,10 @@ from .extraspecial import (
     classify_extraspecial,
     classify_sylow_extraspecial,
     is_extraspecial,
+    sylow_2_classification,
 )
-from .group import FiniteGroup, Subgroup, full_subgroup, subgroup_as_group
-from .subgroups import all_subgroups, is_normal, minimal_conjugate, sylow_2_subgroup
+from .group import FiniteGroup, Subgroup
+from .subgroups import all_subgroups, is_normal, minimal_conjugate
 
 DEFAULT_CRITERIA = (
     "decide",
@@ -69,11 +70,8 @@ def auto_tags(G: FiniteGroup) -> frozenset[str]:
         tags.add("code-perfect")
     if is_extraspecial(G).is_extraspecial:
         tags.add("extraspecial")
-    if G.order % 2 == 0:
-        G2 = sylow_2_subgroup(G, full_subgroup(G))
-        sylow_group, _ = subgroup_as_group(G, G2)
-        if is_extraspecial(sylow_group).is_extraspecial:
-            tags.add("sylow2-extraspecial")
+    if G.order % 2 == 0 and sylow_2_classification(G).is_extraspecial:
+        tags.add("sylow2-extraspecial")
     return frozenset(tags)
 
 
@@ -184,8 +182,9 @@ def cross_check(
     never resolved: the criteria are provably equivalent, so any disagreement
     is an implementation bug.  A row with fewer than two verdicts is
     ``unchecked``: it does not agree, is counted apart from disagreements,
-    and takes its consensus from ``decide``.  Rows are produced in canonical order, so the
-    stable report sections are identical byte-for-byte across runs.
+    and takes its consensus from ``decide``.  Each row records its consensus
+    as ``perfect_code``.  Rows are produced in canonical order, so the stable
+    report sections are identical byte-for-byte across runs.
     """
     selected = tuple(criteria) if criteria else DEFAULT_CRITERIA
     for name in selected:
@@ -194,7 +193,6 @@ def cross_check(
     rows: list[dict] = []
     timings: list[float] = []
     groups_run = 0
-    perfect = 0
     disagreements = 0
     unchecked = 0
     for entry in corpus:
@@ -224,8 +222,6 @@ def cross_check(
                 consensus = next(iter(verdicts.values()))
             else:
                 consensus = decide(G, H).is_perfect_code
-            if consensus:
-                perfect += 1
             if not checked:
                 unchecked += 1
             elif not agree:
@@ -236,13 +232,14 @@ def cross_check(
                     "order": G.order,
                     "subgroup": H.indices(),
                     "verdicts": verdicts,
+                    "perfect_code": consensus,
                     "agree": agree,
                 }
             )
     summary = {
         "groups": groups_run,
         "rows": len(rows),
-        "perfect_codes": perfect,
+        "perfect_codes": sum(row["perfect_code"] for row in rows),
         "disagreements": disagreements,
         "unchecked": unchecked,
         "criteria": list(selected),
@@ -327,13 +324,10 @@ def report_emit(
             lines.append(f"- {title}: {agreeing}/{present} rows agree")
         lines += ["", "## Rows", "", "| group | subgroup | perfect code | agree |", "| --- | --- | --- | --- |"]
         for row in report.rows:
-            consensus = row["verdicts"].get(
-                "decide", next(iter(row["verdicts"].values()), False)
-            )
             sub = ",".join(str(i) for i in row["subgroup"])
             agree = str(row["agree"]).lower() if len(row["verdicts"]) >= 2 else "unchecked"
             lines.append(
-                f"| {row['group']} | {{{sub}}} | {str(consensus).lower()} | {agree} |"
+                f"| {row['group']} | {{{sub}}} | {str(row['perfect_code']).lower()} | {agree} |"
             )
         if include_timings:
             lines += [

@@ -18,6 +18,7 @@ from .group import (
     full_subgroup,
     omega1,
     order_cap,
+    per_group,
     subgroup_as_group,
 )
 from .subgroups import (
@@ -147,6 +148,7 @@ def _family_involution_counts(m: int) -> dict[int, Family]:
     return counts
 
 
+@per_group
 def is_extraspecial(G: FiniteGroup) -> ExtraspecialClassification:
     """Classify G: centre of order 2 with every square central, in a 2-group.
 
@@ -179,6 +181,13 @@ def is_extraspecial(G: FiniteGroup) -> ExtraspecialClassification:
         else:
             raise RuntimeError(f"group {G.name or '?'} matches neither family at m={m}")
     return ExtraspecialClassification(True, m=m, family=family)
+
+
+@per_group
+def sylow_2_classification(G: FiniteGroup) -> ExtraspecialClassification:
+    """``is_extraspecial`` of the Sylow 2-subgroup of G, taken as a group."""
+    sylow_group, _ = subgroup_as_group(G, sylow_2_subgroup(G, full_subgroup(G)))
+    return is_extraspecial(sylow_group)
 
 
 def _gf2_rank(rows: list[int]) -> int:
@@ -251,11 +260,10 @@ def classify_sylow_extraspecial(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
     the Sylow order, or H2 is abelian of the maximal-abelian size
     (|H2|^2 = 2|G2|) in a GM1-family Sylow subgroup.
     """
-    G2 = sylow_2_subgroup(G, full_subgroup(G))
-    sylow_group, _ = subgroup_as_group(G, G2)
-    cls = is_extraspecial(sylow_group)
+    cls = sylow_2_classification(G)
     if not cls.is_extraspecial:
         raise ValueError("classification requires an extraspecial Sylow 2-subgroup")
+    G2 = sylow_2_subgroup(G, full_subgroup(G))
     if len(H) % 2 == 1:
         return CodeVerdict(True, Criterion.SYLOW_EXTRASPECIAL)
     H2 = sylow_2_subgroup(G, H)

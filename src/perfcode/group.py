@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import wraps
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,8 +35,10 @@ class FiniteGroup:
 
     ``table[a][b]`` is the product a*b, ``inverse[a]`` the inverse of ``a``,
     and ``element_orders[a]`` the least k >= 1 with a^k = identity.  All
-    tables are precomputed at construction and never mutated, so instances
-    are safe to share between threads.
+    tables are precomputed at construction and never mutated.  Derived
+    structure goes into a private store that ``per_group`` functions fill
+    lazily and that dies with the group; a stored value never changes, so
+    threads sharing a group at worst compute one value twice.
     """
 
     order: int
@@ -43,6 +46,7 @@ class FiniteGroup:
     inverse: tuple[int, ...]
     element_orders: tuple[int, ...]
     name: str | None = None
+    _store: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_table(
@@ -94,10 +98,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
-
     def __repr__(self) -> str:
         label = self.name or "?"
         return f"FiniteGroup({label}, order={self.order})"
@@ -128,10 +128,31 @@ class Subgroup:
         return sorted(self.elements)
 
     def bitmask(self) -> int:
-        return sum(1 << g for g in self.elements)
+        return bitmask(self.elements)
 
     def __repr__(self) -> str:
         return f"Subgroup({self.indices()})"
+
+
+def bitmask(elems: Iterable[int]) -> int:
+    """The element set as an int with bit g set for each member g."""
+    return sum(1 << g for g in elems)
+
+
+def per_group(fn):
+    """Memoize ``fn(G, *args, **kwargs)`` in G's store, keyed on the function
+    object and the arguments after G: each value is computed once per group
+    and lives exactly as long as the group does."""
+
+    @wraps(fn)
+    def memoized(G: FiniteGroup, *args, **kwargs):
+        key = (fn, args, tuple(kwargs.items()))
+        store = G._store
+        if key not in store:
+            store[key] = fn(G, *args, **kwargs)
+        return store[key]
+
+    return memoized
 
 
 def trivial_subgroup() -> Subgroup:
@@ -227,18 +248,31 @@ def load_group(
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ValueError("group name must be a string")
+    for key in ("order", "degree"):
+        if key in doc and type(doc[key]) is not int:
+            raise ValueError(f"group {key} must be an integer, got {doc[key]!r}")
     if "table" in doc:
-        rows = doc["table"]
-        if "order" in doc and int(doc["order"]) != len(rows):
+        rows = _int_rows(doc["table"], "table row")
+        if "order" in doc and doc["order"] != len(rows):
             raise ValueError(
                 f"declared order {doc['order']} does not match table size {len(rows)}"
             )
         return FiniteGroup.from_table(rows, name=name, max_order=max_order)
     if "generators" in doc:
-        gens = doc["generators"]
+        gens = _int_rows(doc["generators"], "generator")
         degree = doc.get("degree")
         return group_from_permutations(gens, degree=degree, name=name, max_order=max_order)
     raise ValueError("group document needs either a 'table' or 'generators' key")
+
+
+def _int_rows(value, what: str) -> list[list[int]]:
+    """A JSON list of lists of integers (bools excluded), or ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"the {what}s must form a list, got {type(value).__name__}")
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or not set(map(type, row)) <= {int}:
+            raise ValueError(f"{what} {i} must be a list of integers")
+    return value
 
 
 def group_from_permutations(

@@ -6,13 +6,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .group import (
     FiniteGroup,
     Subgroup,
+    bitmask,
     closure_elements,
     commutator,
+    per_group,
     trivial_subgroup,
 )
 
@@ -29,11 +31,7 @@ def two_part(n: int) -> int:
     return t
 
 
-def _mask(elems: frozenset[int]) -> int:
-    return sum(1 << g for g in elems)
-
-
-@lru_cache(maxsize=None)
+@per_group
 def all_subgroups(
     G: FiniteGroup,
     within: Subgroup | None = None,
@@ -65,7 +63,7 @@ def all_subgroups(
                     subs.add(joined)
                     fresh.append(joined)
         frontier = fresh
-    ordered = sorted(subs, key=lambda s: (len(s), _mask(s)))
+    ordered = sorted(subs, key=lambda s: (len(s), bitmask(s)))
     return tuple(Subgroup(s) for s in ordered)
 
 
@@ -83,7 +81,7 @@ def is_normal(G: FiniteGroup, H: Subgroup, within: Subgroup | None = None) -> bo
     return all(G.conjugate(h, g) in members for g in domain for h in members)
 
 
-@lru_cache(maxsize=None)
+@per_group
 def normalizer(
     G: FiniteGroup, K: Subgroup, within: Subgroup | None = None
 ) -> Subgroup:
@@ -96,7 +94,7 @@ def normalizer(
     return Subgroup(result)
 
 
-@lru_cache(maxsize=None)
+@per_group
 def centralizer(
     G: FiniteGroup, H: Subgroup, within: Subgroup | None = None
 ) -> Subgroup:
@@ -115,52 +113,42 @@ def center(G: FiniteGroup, H: Subgroup) -> Subgroup:
     return centralizer(G, H, within=H)
 
 
-@lru_cache(maxsize=None)
+@per_group
 def sylow_2_subgroup(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """A Sylow 2-subgroup of H, deterministically chosen.
 
-    One Sylow 2-subgroup is grown by repeated index-2 extension inside its
-    normalizer; among its H-conjugates (all Sylow 2-subgroups of H, by
-    Sylow's theorem) the one with least bitmask is returned.
+    One Sylow 2-subgroup is grown from the trivial subgroup inside H (see
+    ``_grow_2_subgroup``); among its H-conjugates (all Sylow 2-subgroups of
+    H, by Sylow's theorem) the one with least bitmask is returned.
     """
     target = two_part(len(H))
     if target == 1:
         return trivial_subgroup()
-    t = G.table
-    current = frozenset({0})
-    while len(current) < target:
-        norm = [
-            h
-            for h in H.elements
-            if all(G.conjugate(q, h) in current for q in current)
-        ]
-        x = min(h for h in norm if h not in current and t[h][h] in current)
-        current = current | frozenset(t[q][x] for q in current)
-    best = min(
-        (frozenset(G.conjugate(q, h) for q in current) for h in H.elements),
-        key=_mask,
-    )
-    return Subgroup(best)
+    current = _grow_2_subgroup(G, frozenset({0}), target, H)
+    return Subgroup(_least_conjugate(G, current, H.elements))
 
 
 def sylow_2_overgroup(G: FiniteGroup, Q: Subgroup) -> Subgroup:
-    """A Sylow 2-subgroup of G containing the 2-subgroup Q.
-
-    Grows Q by index-2 steps inside its normalizer until the full 2-part of
-    |G| is reached; each step picks the least eligible element, so the result
-    is deterministic.
-    """
+    """The Sylow 2-subgroup of G grown from the 2-subgroup Q by ``_grow_2_subgroup``."""
     size = len(Q)
     if size & (size - 1):
         raise ValueError("starting subgroup must be a 2-group")
-    target = two_part(G.order)
+    return Subgroup(_grow_2_subgroup(G, Q.elements, two_part(G.order), None))
+
+
+def _grow_2_subgroup(
+    G: FiniteGroup, current: frozenset[int], target: int, within: Subgroup | None
+) -> frozenset[int]:
+    """Grow the 2-subgroup ``current`` to order ``target`` by index-2 steps,
+    each adjoining the least g of its normalizer in ``within`` (default: G)
+    that lies outside it and squares into it (by Sylow's theorem one exists
+    while current is below the 2-part of that ambient group)."""
     t = G.table
-    current = Q.elements
     while len(current) < target:
-        norm = normalizer(G, Subgroup(current)).elements
+        norm = normalizer(G, Subgroup(current), within).elements
         x = min(g for g in norm if g not in current and t[g][g] in current)
         current = current | frozenset(t[q][x] for q in current)
-    return Subgroup(current)
+    return current
 
 
 def derived_subgroup(G: FiniteGroup, H: Subgroup) -> Subgroup:
@@ -198,7 +186,7 @@ class CosetDecomposition:
         return self.blocks[i]
 
 
-@lru_cache(maxsize=None)
+@per_group
 def coset_decomposition(
     G: FiniteGroup, H: Subgroup, within: Subgroup | None = None
 ) -> CosetDecomposition:
@@ -300,14 +288,17 @@ def is_maximal_abelian(G: FiniteGroup, H: Subgroup) -> bool:
 
 def minimal_conjugate(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """The least-bitmask member of the conjugacy class of H."""
-    best = min(
-        (frozenset(G.conjugate(h, x) for h in H.elements) for x in G.elements()),
-        key=_mask,
+    return Subgroup(_least_conjugate(G, H.elements, G.elements()))
+
+
+def _least_conjugate(G: FiniteGroup, members: frozenset[int], domain) -> frozenset[int]:
+    """The least-bitmask conjugate of ``members`` by an element of ``domain``."""
+    return min(
+        (frozenset(G.conjugate(h, x) for h in members) for x in domain), key=bitmask
     )
-    return Subgroup(best)
 
 
-@lru_cache(maxsize=None)
+@per_group
 def conjugacy_class_sizes(G: FiniteGroup) -> tuple[int, ...]:
     sizes = [0] * G.order
     seen = [False] * G.order

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
-from perfcode import cli, construct
+from perfcode import cli, construct, extraspecial
 from perfcode.codes import decide, search_connection_set
 from perfcode.corpus import (
     CrossCheckReport,
@@ -122,7 +124,38 @@ def test_cross_check_rows_with_one_verdict_are_unchecked(corpus):
     assert all(r["verdicts"] == {} for r in a4_rows)
     text = report_emit(omega, "md")
     assert f"- unchecked: {len(thin)}" in text
-    assert "| unchecked |" in text
+    # odd order: the consensus counted in perfect_codes is "code"
+    for row in a4_rows:
+        assert row["perfect_code"] is True
+        sub = ",".join(str(i) for i in row["subgroup"])
+        assert f"| A4 | {{{sub}}} | true | unchecked |" in text
+    assert omega.summary["perfect_codes"] == sum(r["perfect_code"] for r in omega.rows)
+
+
+def test_cross_check_keeps_no_group_alive():
+    G = construct.build_named("product(s4,cyclic(2))")
+    report = cross_check([make_entry(G)], max_order=48)
+    assert report.summary["rows"] > 0
+    ref = weakref.ref(G)
+    del G
+    gc.collect()
+    assert ref() is None
+
+
+def test_sylow_subgroup_is_classified_once_per_group(monkeypatch):
+    calls = []
+    original = extraspecial.subgroup_as_group
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(extraspecial, "subgroup_as_group", counted)
+    G = construct.build_named("product(gm1(2),cyclic(3))")
+    report = cross_check([make_entry(G)], criteria=("decide",), max_order=96)
+    assert report.summary["disagreements"] == 0
+    assert all("sylow-extraspecial-classification" in r["verdicts"] for r in report.rows)
+    assert len(calls) <= 1
 
 
 def test_report_emit_empty_corpus():
@@ -191,6 +224,30 @@ def test_cli_validate_bad_file(tmp_path, capsys):
     path.write_text('{"order": 2, "table": [[0, 1], [1, 1]]}', encoding="utf-8")
     assert cli.main(["validate", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"table": 5}',
+        '{"table": [1, 2]}',
+        '{"order": null, "table": [[0]]}',
+        '{"order": "1", "table": [[0]]}',
+        '{"generators": 3}',
+        '{"generators": [5]}',
+        '{"table": [[0.5]]}',
+        '{"table": [[false]]}',
+        '{"degree": 2.0, "generators": [[1, 0]]}',
+        '{"generators": [[1, 0.0]]}',
+    ],
+)
+def test_cli_validate_malformed_file(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_cli_subgroups(tmp_path, capsys, d8):

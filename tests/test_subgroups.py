@@ -149,6 +149,14 @@ def test_normalizer_of_transposition_subgroup(s4, s4_elem):
     assert N.elements == frozenset(expected)
 
 
+def test_normalizer_is_stored_per_group(s4, s4_elem):
+    H = closure(s4, [s4_elem[(1, 0, 2, 3)]])
+    assert normalizer(s4, H) is normalizer(s4, H)
+    twin = construct.symmetric(4)
+    assert normalizer(twin, H) is not normalizer(s4, H)
+    assert normalizer(twin, H) == normalizer(s4, H)
+
+
 def test_normalizer_of_double_transposition_subgroup(s4, s4_elem):
     H = closure(s4, [s4_elem[(1, 0, 3, 2)]])
     N = normalizer(s4, H)
