@@ -5,7 +5,7 @@ extraspecial groups and for groups whose Sylow 2-subgroup is extraspecial."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, reduce
 
@@ -14,8 +14,8 @@ from .construct import dihedral, quaternion8
 from .group import (
     FiniteGroup,
     Subgroup,
-    closure_elements,
     full_subgroup,
+    generate,
     omega1,
     order_cap,
     per_group,
@@ -132,8 +132,7 @@ def build_family(m: int, family: Family) -> FiniteGroup:
     result = reduce(central_product, factors)
     if m == 1:
         return result
-    label = f"G({m},{1 if family is Family.GM1 else 2})"
-    return FiniteGroup.from_table([list(r) for r in result.table], name=label)
+    return replace(result, name=f"G({m},{1 if family is Family.GM1 else 2})")
 
 
 @lru_cache(maxsize=None)
@@ -212,13 +211,7 @@ def symplectic_form(G: FiniteGroup) -> SymplecticForm:
     cls = is_extraspecial(G)
     if not cls.is_extraspecial:
         raise ValueError("symplectic form is only defined for extraspecial 2-groups")
-    c = _central_involution(G)
-    basis: list[int] = []
-    span = frozenset({0, c})
-    for g in G.elements():
-        if g not in span:
-            basis.append(g)
-            span = closure_elements(G, tuple(basis) + (c,))
+    basis = generate(G, (_central_involution(G), *G.elements()))[1][1:]
     dim = len(basis)
     t = G.table
     matrix = tuple(
@@ -227,7 +220,7 @@ def symplectic_form(G: FiniteGroup) -> SymplecticForm:
     rows = [sum(bit << j for j, bit in enumerate(row)) for row in matrix]
     if _gf2_rank(rows) != dim:
         raise ValueError("degenerate commutator form: construction bug")
-    return SymplecticForm(dimension=dim, matrix=matrix, basis_lifts=tuple(basis))
+    return SymplecticForm(dimension=dim, matrix=matrix, basis_lifts=basis)
 
 
 def classify_extraspecial(G: FiniteGroup, H: Subgroup) -> CodeVerdict:

@@ -310,7 +310,7 @@ def group_from_permutations(
         nxt = []
         for p in frontier:
             for q in gens:
-                r = tuple(q[p[i]] for i in range(degree))
+                r = tuple([q[i] for i in p])
                 if r not in seen:
                     if len(seen) >= cap:
                         raise ValueError(
@@ -322,7 +322,7 @@ def group_from_permutations(
     elements = sorted(seen)
     index = {p: i for i, p in enumerate(elements)}
     rows = [
-        [index[tuple(q[p[i]] for i in range(degree))] for q in elements]
+        [index[tuple([q[i] for i in p])] for q in elements]
         for p in elements
     ]
     return FiniteGroup.from_table(rows, name=name, max_order=cap)
@@ -360,21 +360,43 @@ def squares(G: FiniteGroup) -> frozenset[int]:
 
 def closure_elements(G: FiniteGroup, gens: Iterable[int]) -> frozenset[int]:
     """Element set of the subgroup generated by ``gens``."""
-    table = G.table
-    gl = [g for g in gens if g != 0]
-    members = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row = table[x]
-            for g in gl:
-                y = row[g]
-                if y not in members:
-                    members.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(members)
+    return frozenset(generate(G, gens)[0])
+
+
+def generate(G: FiniteGroup, gens: Iterable[int]) -> tuple[list[int], tuple[int, ...]]:
+    """Elements of the subgroup generated by ``gens``, and the generators
+    that enlarged it: each is the first of ``gens`` outside the span of
+    those before it."""
+    mask, elems, used = 1, [0], ()
+    for g in gens:
+        if not mask >> g & 1:
+            mask, elems = join_element(G, mask, elems, used, g)
+            used += (g,)
+    return elems, used
+
+
+def join_element(
+    G: FiniteGroup, mask: int, elems: list[int], gens: tuple[int, ...], g: int
+) -> tuple[int, list[int]]:
+    """Bitmask and elements of <K, g>, for K = <gens> with the given bitmask
+    and elements, by Dimino's coset extension (Butler, LNCS 559, 1991): a
+    product r s of a coset representative r and a generator s outside the
+    union so far adds its whole right coset K r s.  The union ends closed
+    under right multiplication by every generator, so it is the join."""
+    t = G.table
+    joined = list(elems)
+    reps = [0]
+    for r in reps:
+        row = t[r]
+        for s in gens + (g,):
+            x = row[s]
+            if not mask >> x & 1:
+                reps.append(x)
+                for k in elems:
+                    y = t[k][x]
+                    joined.append(y)
+                    mask |= 1 << y
+    return mask, joined
 
 
 def closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:

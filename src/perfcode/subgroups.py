@@ -14,6 +14,8 @@ from .group import (
     bitmask,
     closure_elements,
     commutator,
+    generate,
+    join_element,
     per_group,
     trivial_subgroup,
 )
@@ -31,40 +33,71 @@ def two_part(n: int) -> int:
     return t
 
 
-@per_group
 def all_subgroups(
     G: FiniteGroup,
     within: Subgroup | None = None,
     max_order: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[Subgroup, ...]:
-    """Every subgroup of ``within`` (default: of G), each exactly once.
+    """Every subgroup of ``within`` (default: of G), each exactly once and
+    with its generators recorded, ordered by cardinality then bitmask: the
+    trivial subgroup comes first and the whole of ``within`` last.  The
+    lattice is stored once per (G, within); ``max_order`` only caps it."""
+    size = len(within) if within is not None else G.order
+    if size > max_order:
+        raise ValueError(f"subgroup enumeration supports order <= {max_order}, got {size}")
+    return _lattice(G, within)
 
-    Starts from the cyclic subgroups and repeatedly joins them until no new
-    subgroup appears; results are ordered by cardinality then bitmask, so the
-    trivial subgroup comes first and the full group last.
+
+@per_group
+def _lattice(G: FiniteGroup, within: Subgroup | None) -> tuple[Subgroup, ...]:
+    """Join each subgroup found with each cyclic subgroup of prime-power
+    order, which together generate every subgroup, until no new one appears.
+
+    Subgroups are keyed by bitmask.  Bit i of ``cyclic_bit[g]`` is set when g
+    generates the i-th cyclic subgroup.  When a join has prime index over K
+    no subgroup lies strictly between them, so joining K with any other
+    cyclic subgroup of that join is skipped.
     """
-    domain = within.elements if within is not None else frozenset(range(G.order))
-    if len(domain) > max_order:
-        raise ValueError(
-            f"subgroup enumeration supports order <= {max_order}, got {len(domain)}"
-        )
-    cyclics = {closure_elements(G, (g,)) for g in domain}
-    subs = set(cyclics)
-    subs.add(frozenset({0}))
-    frontier = list(subs)
-    while frontier:
-        fresh = []
-        for current in frontier:
-            for cyc in cyclics:
-                if cyc <= current:
-                    continue
-                joined = closure_elements(G, current | cyc)
-                if joined not in subs:
-                    subs.add(joined)
-                    fresh.append(joined)
-        frontier = fresh
-    ordered = sorted(subs, key=lambda s: (len(s), bitmask(s)))
-    return tuple(Subgroup(s) for s in ordered)
+    orders = G.element_orders
+    cyclic_gens: list[int] = []
+    cyclic_bit = [0] * G.order
+    for g in within.elements if within is not None else G.elements():
+        if not cyclic_bit[g] and len(_prime_factors(orders[g])) == 1:
+            for y in closure_elements(G, (g,)):
+                if orders[y] == orders[g]:
+                    cyclic_bit[y] = 1 << len(cyclic_gens)
+            cyclic_gens.append(g)
+
+    def cyclics_in(elems: list[int]) -> int:
+        bits = 0
+        for y in elems:
+            bits |= cyclic_bit[y]
+        return bits
+
+    subs: dict[int, tuple[list[int], tuple[int, ...]]] = {1: ([0], ())}
+    queue = [1]
+    for m in queue:
+        elems, gens = subs[m]
+        todo = (1 << len(cyclic_gens)) - 1 & ~cyclics_in(elems)
+        while todo:
+            i = (todo & -todo).bit_length() - 1
+            todo ^= 1 << i
+            jm, joined = join_element(G, m, elems, gens, cyclic_gens[i])
+            index = len(joined) // len(elems)
+            if _prime_factors(index) == [index]:
+                todo &= ~cyclics_in(joined)
+            if jm not in subs:
+                subs[jm] = (joined, gens + (cyclic_gens[i],))
+                queue.append(jm)
+    return tuple(
+        Subgroup(frozenset(subs[m][0]), generators=subs[m][1])
+        for m in sorted(subs, key=lambda m: (m.bit_count(), m))
+    )
+
+
+@per_group
+def _group_generators(G: FiniteGroup) -> tuple[int, ...]:
+    return generate(G, G.elements())[1]
 
 
 def is_abelian_subgroup(G: FiniteGroup, H: Subgroup) -> bool:
@@ -125,7 +158,8 @@ def sylow_2_subgroup(G: FiniteGroup, H: Subgroup) -> Subgroup:
     if target == 1:
         return trivial_subgroup()
     current = _grow_2_subgroup(G, frozenset({0}), target, H)
-    return Subgroup(_least_conjugate(G, current, H.elements))
+    gens = H.generators if H.generators is not None else generate(G, sorted(H.elements))[1]
+    return Subgroup(_least_conjugate(G, current, gens))
 
 
 def sylow_2_overgroup(G: FiniteGroup, Q: Subgroup) -> Subgroup:
@@ -288,14 +322,27 @@ def is_maximal_abelian(G: FiniteGroup, H: Subgroup) -> bool:
 
 def minimal_conjugate(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """The least-bitmask member of the conjugacy class of H."""
-    return Subgroup(_least_conjugate(G, H.elements, G.elements()))
+    return Subgroup(_least_conjugate(G, H.elements, _group_generators(G)))
 
 
-def _least_conjugate(G: FiniteGroup, members: frozenset[int], domain) -> frozenset[int]:
-    """The least-bitmask conjugate of ``members`` by an element of ``domain``."""
-    return min(
-        (frozenset(G.conjugate(h, x) for h in members) for x in domain), key=bitmask
-    )
+def _least_conjugate(
+    G: FiniteGroup, members: frozenset[int], gens: tuple[int, ...]
+) -> frozenset[int]:
+    """The least-bitmask conjugate of ``members`` by the group ``gens``
+    generate.  The orbit under conjugation by the generators alone is the
+    whole orbit under that group, so it is walked breadth-first."""
+    t, inv = G.table, G.inverse
+    orbit = {bitmask(members): members}
+    frontier = [members]
+    for current in frontier:
+        for x in gens:
+            row = t[inv[x]]
+            image = [t[row[h]][x] for h in current]
+            key = bitmask(image)
+            if key not in orbit:
+                orbit[key] = image
+                frontier.append(image)
+    return frozenset(orbit[min(orbit)])
 
 
 @per_group
@@ -315,21 +362,6 @@ def conjugacy_class_sizes(G: FiniteGroup) -> tuple[int, ...]:
 def _signatures(G: FiniteGroup) -> list[tuple[int, int]]:
     cls = conjugacy_class_sizes(G)
     return [(G.element_orders[g], cls[g]) for g in range(G.order)]
-
-
-def _generating_sequence(
-    A: FiniteGroup, sig: list[tuple[int, int]], bucket_sizes: Counter
-) -> list[int]:
-    gens: list[int] = []
-    cl = frozenset({0})
-    while len(cl) < A.order:
-        candidate = min(
-            (g for g in range(A.order) if g not in cl),
-            key=lambda g: (bucket_sizes[sig[g]], -A.element_orders[g], g),
-        )
-        gens.append(candidate)
-        cl = closure_elements(A, gens)
-    return gens
 
 
 def _extend_homomorphism(
@@ -398,7 +430,10 @@ def isomorphic_small(
     buckets: dict[tuple[int, int], list[int]] = {}
     for h, s in enumerate(sig_b):
         buckets.setdefault(s, []).append(h)
-    gens = _generating_sequence(A, sig_a, Counter(sig_b))
+    sizes = Counter(sig_b)
+    gens = generate(
+        A, sorted(A.elements(), key=lambda g: (sizes[sig_a[g]], -A.element_orders[g], g))
+    )[1]
 
     def search(images: list[int]) -> list[int] | None:
         k = len(images)

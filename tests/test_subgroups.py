@@ -1,12 +1,22 @@
 from __future__ import annotations
 
+import random
 from functools import reduce
 
 import pytest
 
 from oracles import brute_subgroups, element_order_multiset, subspace_count
 from perfcode import construct
-from perfcode.group import closure, full_subgroup, subgroup_as_group, subgroup_from_elements, trivial_subgroup
+from perfcode.group import (
+    FiniteGroup,
+    bitmask,
+    closure,
+    closure_elements,
+    full_subgroup,
+    subgroup_as_group,
+    subgroup_from_elements,
+    trivial_subgroup,
+)
 from perfcode.subgroups import (
     abelian_invariants,
     all_subgroups,
@@ -61,6 +71,59 @@ def test_enumeration_count_elementary_abelian_rank4():
     # subgroups of Z2^4 are exactly the GF(2) subspaces
     G = construct.elementary_abelian(4)
     assert len(all_subgroups(G)) == subspace_count(4)
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [
+        # D_2n has tau(n) + sigma(n) subgroups
+        ("dihedral(64)", len(_divisors(32)) + sum(_divisors(32))),
+        ("elementary(5)", subspace_count(5)),
+        ("cyclic(128)", len(_divisors(128))),
+    ],
+)
+def test_enumeration_closed_form_counts_up_to_order_128(spec, count):
+    assert len(all_subgroups(construct.build_named(spec))) == count
+
+
+def _relabelled(G: FiniteGroup, seed: int) -> tuple[FiniteGroup, list[int]]:
+    """An isomorphic copy of G with seeded random labels, identity kept at 0,
+    and the map from G's labels to the copy's."""
+    perm = [0] + random.Random(seed).sample(range(1, G.order), G.order - 1)
+    rows = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            rows[perm[a]][perm[b]] = perm[G.table[a][b]]
+    return FiniteGroup.from_table(rows, name=f"{G.name}~{seed}"), perm
+
+
+@pytest.mark.parametrize("spec", ["s4", "product(gm1(2),cyclic(3))", "dicyclic(32)"])
+def test_enumeration_commutes_with_relabelling(spec):
+    G = construct.build_named(spec)
+    for seed in (1, 2):
+        R, perm = _relabelled(G, seed)
+        expected = {frozenset(perm[g] for g in H.elements) for H in all_subgroups(G)}
+        assert {H.elements for H in all_subgroups(R)} == expected
+
+
+@pytest.mark.parametrize("spec", ["s4", "sl23", "product(gm1(2),cyclic(3))", "dihedral(64)"])
+def test_recorded_generators_close_to_the_subgroup(spec):
+    G = construct.build_named(spec)
+    for H in all_subgroups(G):
+        assert closure_elements(G, H.generators) == H.elements, H.indices()
+
+
+def test_lattice_is_stored_once_per_group():
+    G = construct.build_named("gm1(2)")
+    first = all_subgroups(G)
+    assert all_subgroups(G, None, 128) is first
+    assert all_subgroups(G, max_order=128) is first
+    with pytest.raises(ValueError, match="enumeration"):
+        all_subgroups(G, None, 16)
 
 
 def test_enumeration_is_canonically_ordered(s4):
@@ -309,6 +372,18 @@ def test_minimal_conjugate_is_invariant(s4):
         rep = minimal_conjugate(s4, H)
         for x in s4.elements():
             assert minimal_conjugate(s4, conjugate_subgroup(s4, H, x)) == rep
+
+
+@pytest.mark.parametrize("spec", ["s4", "product(gm1(2),cyclic(3))"])
+def test_least_conjugates_match_brute_force(spec):
+    G, _ = _relabelled(construct.build_named(spec), 3)
+    for H in all_subgroups(G):
+        conjugates = [frozenset(G.conjugate(h, x) for h in H.elements) for x in range(G.order)]
+        assert minimal_conjugate(G, H).elements == min(conjugates, key=bitmask)
+        # a Sylow 2-subgroup of H is the least of its own H-conjugates
+        P = sylow_2_subgroup(G, H).elements
+        H_conjugates = (frozenset(G.conjugate(p, x) for p in P) for x in H.elements)
+        assert P == min(H_conjugates, key=bitmask)
 
 
 def test_conjugacy_class_sizes_s4(s4):
