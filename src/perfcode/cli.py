@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success (and full agreement for cross-check), 1 on input
-errors, 2 when a cross-check sweep finds any disagreement.
+errors or a failed internal consistency check (one ``error:`` line on
+stderr), 2 when a cross-check sweep finds any disagreement.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .codes import CodeVerdict, Criterion
 from .construct import dihedral, quaternion8
@@ -26,7 +26,6 @@ from .subgroups import (
     is_abelian_subgroup,
     is_maximal_abelian,
     is_normal,
-    isomorphic_small,
     normalizer,
     sylow_2_subgroup,
     two_part,
@@ -135,25 +134,14 @@ def build_family(m: int, family: Family) -> FiniteGroup:
     return replace(result, name=f"G({m},{1 if family is Family.GM1 else 2})")
 
 
-@lru_cache(maxsize=None)
-def _family_involution_counts(m: int) -> dict[int, Family]:
-    """Count of order-(<=2) elements per family, computed from the constructions."""
-    counts = {
-        len(omega1(build_family(m, Family.GM1))): Family.GM1,
-        len(omega1(build_family(m, Family.GM2))): Family.GM2,
-    }
-    if len(counts) != 2:
-        raise RuntimeError(f"involution counts do not separate the families at m={m}")
-    return counts
-
-
 @per_group
 def is_extraspecial(G: FiniteGroup) -> ExtraspecialClassification:
     """Classify G: centre of order 2 with every square central, in a 2-group.
 
-    The family is read off the count of elements of order at most 2 (the two
-    families differ at every m); an isomorphism search is the authoritative
-    fallback should the count ever fail to match.
+    The family is read off |Omega_1(G)|, the count of elements of order at
+    most 2: 4^m + 2^m for GM1 and 4^m - 2^m for GM2, by the Arf invariant of
+    the squaring form on G/Z(G).  Every extraspecial group of order 2^(2m+1)
+    lies in one of the two families, so any other count is a bug.
     """
     n = G.order
     if n < 8 or n & (n - 1):
@@ -169,16 +157,13 @@ def is_extraspecial(G: FiniteGroup) -> ExtraspecialClassification:
     if exponent % 2 == 0:
         raise RuntimeError("central quotient of an extraspecial group has even rank")
     m = (exponent - 1) // 2
-    counts = _family_involution_counts(m)
     count = len(omega1(G))
-    family = counts.get(count)
-    if family is None:
-        if isomorphic_small(G, build_family(m, Family.GM1)) is not None:
-            family = Family.GM1
-        elif isomorphic_small(G, build_family(m, Family.GM2)) is not None:
-            family = Family.GM2
-        else:
-            raise RuntimeError(f"group {G.name or '?'} matches neither family at m={m}")
+    if count == 4**m + 2**m:
+        family = Family.GM1
+    elif count == 4**m - 2**m:
+        family = Family.GM2
+    else:
+        raise RuntimeError(f"group {G.name or '?'} matches neither family at m={m}")
     return ExtraspecialClassification(True, m=m, family=family)
 
 

@@ -9,8 +9,6 @@ from functools import wraps
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 DEFAULT_MAX_ORDER = 256
 MAX_ORDER_ENV = "PCL_MAX_ORDER"
 
@@ -199,25 +197,55 @@ def _canonicalize_rows(rows: list[list[int]]) -> list[list[int]]:
 
 
 def _validate_rows(rows: list[list[int]]) -> None:
-    """Check the group axioms exhaustively; identity must already sit at 0."""
+    """Check the group axioms; identity must already sit at 0.
+
+    Associativity uses Light's test (Clifford & Preston, *The Algebraic
+    Theory of Semigroups* I, 1961): the set of a with (xa)y = x(ay) for all
+    x, y contains the identity and is closed under products, so checking the
+    generators of ``_right_generators`` as the middle factor covers every
+    element.
+    """
     n = len(rows)
-    t = np.array(rows, dtype=np.intp)
-    ar = np.arange(n)
-    if not np.array_equal(t[0], ar) or not np.array_equal(t[:, 0], ar):
+    ident = list(range(n))
+    if rows[0] != ident or any(row[0] != x for x, row in enumerate(rows)):
         raise ValueError("identity axiom violated at index 0")
-    if not (np.sort(t, axis=1) == ar).all():
+    if any(len(set(row)) != n for row in rows):
         raise ValueError("some row is not a permutation of the elements")
-    if not (np.sort(t, axis=0) == ar[:, None]).all():
+    if any(len(set(col)) != n for col in zip(*rows)):
         raise ValueError("some column is not a permutation of the elements")
-    inv = np.argmax(t == 0, axis=1)
-    if not (t[ar, inv] == 0).all() or not (t[inv, ar] == 0).all():
+    if any(rows[row.index(0)][x] != 0 for x, row in enumerate(rows)):
         raise ValueError("missing two-sided inverses")
-    for a in range(n):
-        left = t[t[a]]
-        right = t[a][t]
-        if not np.array_equal(left, right):
-            b, c = (int(v) for v in np.argwhere(left != right)[0])
-            raise ValueError(f"associativity fails at triple ({a}, {b}, {c})")
+    for a in _right_generators(rows):
+        row_a = rows[a]
+        for x, row_x in enumerate(rows):
+            left = rows[row_x[a]]
+            right = [row_x[v] for v in row_a]
+            if left != right:
+                y = next(y for y in ident if left[y] != right[y])
+                raise ValueError(f"associativity fails at triple ({x}, {a}, {y})")
+
+
+def _right_generators(rows: list[list[int]]) -> list[int]:
+    """A greedy generating set: every element is a left-associated product
+    of its members.  Each is the least element not yet reached from the
+    identity by right multiplication with those before it.  The table need
+    not be associative, so no subgroup closure is used."""
+    n = len(rows)
+    seen = [True] + [False] * (n - 1)
+    reached, gens = [0], []
+    for g in range(n):
+        if seen[g]:
+            continue
+        gens.append(g)
+        done = len(reached)
+        for i, x in enumerate(reached):
+            row = rows[x]
+            for a in gens[-1:] if i < done else gens:
+                y = row[a]
+                if not seen[y]:
+                    seen[y] = True
+                    reached.append(y)
+    return gens
 
 
 def _order_of(table: tuple[tuple[int, ...], ...], g: int) -> int:
@@ -430,12 +458,6 @@ def conjugate_subgroup(G: FiniteGroup, H: Subgroup, x: int) -> Subgroup:
     if not 0 <= x < G.order:
         raise ValueError(f"element index {x} out of range for order {G.order}")
     return Subgroup(frozenset(G.conjugate(h, x) for h in H.elements))
-
-
-def commutator(G: FiniteGroup, x: int, y: int) -> int:
-    """x^-1 y^-1 x y."""
-    t = G.table
-    return t[t[t[G.inverse[x]][G.inverse[y]]][x]][y]
 
 
 def subgroup_as_group(

@@ -1,19 +1,15 @@
 """Subgroup enumeration and structure operators: Sylow 2-subgroups,
-normalizers, centers, derived and Frattini subgroups, cosets, abelian
-invariants, and small-order isomorphism testing."""
+normalizers, centralizers, centers, cosets and least conjugates."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 
 from .group import (
     FiniteGroup,
     Subgroup,
     bitmask,
     closure_elements,
-    commutator,
     generate,
     join_element,
     per_group,
@@ -21,7 +17,6 @@ from .group import (
 )
 
 DEFAULT_ENUMERATION_CAP = 128
-DEFAULT_ISOMORPHISM_CAP = 64
 
 
 def two_part(n: int) -> int:
@@ -185,24 +180,6 @@ def _grow_2_subgroup(
     return current
 
 
-def derived_subgroup(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """Subgroup generated by all commutators of H."""
-    elems = sorted(H.elements)
-    gens = {commutator(G, x, y) for x in elems for y in elems}
-    return Subgroup(closure_elements(G, gens))
-
-
-def frattini_subgroup(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """Intersection of the maximal subgroups of H (H itself if none exist)."""
-    subs = [S.elements for S in all_subgroups(G, H) if len(S) < len(H)]
-    maximal = [
-        S for S in subs if not any(S < T for T in subs if len(T) > len(S))
-    ]
-    if not maximal:
-        return Subgroup(H.elements)
-    return Subgroup(reduce(frozenset.__and__, maximal))
-
-
 @dataclass(frozen=True, eq=False)
 class CosetDecomposition:
     """Right cosets Hg with least-element representatives, identity first."""
@@ -248,13 +225,6 @@ def coset_decomposition(
     )
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
-    """Primary cyclic decomposition of a finite abelian group."""
-
-    cyclic_factors: tuple[int, ...]
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     p = 2
@@ -267,46 +237,6 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def abelian_invariants(G: FiniteGroup, H: Subgroup) -> AbelianInvariants:
-    """Multiset of prime-power cyclic factors of an abelian subgroup.
-
-    Recovered per prime from the counts of elements of order dividing p^j:
-    for type (p^l1, ..., p^lk) that count is p^(sum min(li, j)), which pins
-    down the partition (l1, ..., lk) uniquely.
-    """
-    if not is_abelian_subgroup(G, H):
-        raise ValueError("abelian invariants are only defined for abelian subgroups")
-    n = len(H)
-    elems = sorted(H.elements)
-    factors: list[int] = []
-    for p in _prime_factors(n):
-        p_part = 1
-        m = n
-        while m % p == 0:
-            m //= p
-            p_part *= p
-        logs = [0]
-        j = 1
-        while True:
-            pj = p**j
-            count = sum(1 for h in elems if G.power(h, pj) == 0)
-            a_j = 0
-            c = count
-            while c > 1:
-                c //= p
-                a_j += 1
-            logs.append(a_j)
-            if count == p_part:
-                break
-            j += 1
-        parts_at_least = [logs[j] - logs[j - 1] for j in range(1, len(logs))]
-        parts_at_least.append(0)
-        for size in range(1, len(parts_at_least)):
-            for _ in range(parts_at_least[size - 1] - parts_at_least[size]):
-                factors.append(p**size)
-    return AbelianInvariants(cyclic_factors=tuple(sorted(factors)))
 
 
 def is_maximal_abelian(G: FiniteGroup, H: Subgroup) -> bool:
@@ -343,112 +273,3 @@ def _least_conjugate(
                 orbit[key] = image
                 frontier.append(image)
     return frozenset(orbit[min(orbit)])
-
-
-@per_group
-def conjugacy_class_sizes(G: FiniteGroup) -> tuple[int, ...]:
-    sizes = [0] * G.order
-    seen = [False] * G.order
-    for g in range(G.order):
-        if seen[g]:
-            continue
-        cls = {G.conjugate(g, x) for x in G.elements()}
-        for member in cls:
-            seen[member] = True
-            sizes[member] = len(cls)
-    return tuple(sizes)
-
-
-def _signatures(G: FiniteGroup) -> list[tuple[int, int]]:
-    cls = conjugacy_class_sizes(G)
-    return [(G.element_orders[g], cls[g]) for g in range(G.order)]
-
-
-def _extend_homomorphism(
-    A: FiniteGroup, B: FiniteGroup, gens: list[int], images: list[int]
-) -> dict[int, int] | None:
-    """Partial isomorphism on <gens> determined by the generator images.
-
-    Returns None as soon as the images force a product clash or a collision
-    (a non-injective map cannot extend to an isomorphism).
-    """
-    phi = {0: 0}
-    used = {0}
-    queue = [0]
-    while queue:
-        a = queue.pop()
-        for g, h in zip(gens, images):
-            b = A.table[a][g]
-            target = B.table[phi[a]][h]
-            known = phi.get(b)
-            if known is not None:
-                if known != target:
-                    return None
-            else:
-                if target in used:
-                    return None
-                phi[b] = target
-                used.add(target)
-                queue.append(b)
-    return phi
-
-
-def _is_isomorphism(A: FiniteGroup, B: FiniteGroup, mapping: list[int]) -> bool:
-    if sorted(mapping) != list(range(A.order)):
-        return False
-    ta, tb = A.table, B.table
-    return all(
-        mapping[ta[a][b]] == tb[mapping[a]][mapping[b]]
-        for a in range(A.order)
-        for b in range(A.order)
-    )
-
-
-def isomorphic_small(
-    A: FiniteGroup, B: FiniteGroup, *, max_order: int = DEFAULT_ISOMORPHISM_CAP
-) -> list[int] | None:
-    """A product-preserving bijection A -> B as an index map, or None.
-
-    Backtracks over generator images, pruning candidates by the
-    (element order, conjugacy-class size) signature and by incremental
-    consistency of the induced partial map.
-    """
-    if A.order != B.order:
-        return None
-    if A.order > max_order:
-        raise ValueError(
-            f"isomorphism search supports order <= {max_order}, got {A.order}"
-        )
-    if A.order == 1:
-        return [0]
-    if sorted(A.element_orders) != sorted(B.element_orders):
-        return None
-    sig_a = _signatures(A)
-    sig_b = _signatures(B)
-    if Counter(sig_a) != Counter(sig_b):
-        return None
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for h, s in enumerate(sig_b):
-        buckets.setdefault(s, []).append(h)
-    sizes = Counter(sig_b)
-    gens = generate(
-        A, sorted(A.elements(), key=lambda g: (sizes[sig_a[g]], -A.element_orders[g], g))
-    )[1]
-
-    def search(images: list[int]) -> list[int] | None:
-        k = len(images)
-        for h in buckets[sig_a[gens[k]]]:
-            phi = _extend_homomorphism(A, B, gens[: k + 1], images + [h])
-            if phi is None:
-                continue
-            if k + 1 == len(gens):
-                mapping = [phi[i] for i in range(A.order)]
-                if _is_isomorphism(A, B, mapping):
-                    return mapping
-                continue
-            found = search(images + [h])
-            if found is not None:
-                return found
-        return None
-
-    return search([])

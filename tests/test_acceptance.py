@@ -5,6 +5,12 @@ All values are discrete, so every assertion is exact.
 
 from __future__ import annotations
 
+from oracles import (
+    abelian_invariants,
+    derived_subgroup,
+    frattini_subgroup,
+    isomorphic_small,
+)
 from perfcode import construct
 from perfcode.codes import (
     connection_set_from_transversal,
@@ -28,15 +34,11 @@ from perfcode.extraspecial import (
 )
 from perfcode.group import full_subgroup, squares
 from perfcode.subgroups import (
-    abelian_invariants,
     all_subgroups,
     center,
-    derived_subgroup,
-    frattini_subgroup,
     is_abelian_subgroup,
     is_maximal_abelian,
     is_normal,
-    isomorphic_small,
 )
 
 

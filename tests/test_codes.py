@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from oracles import brute_inverse_closed_transversal_exists
+from oracles import brute_inverse_closed_transversal_exists, relabel_rows
 from perfcode import codes, construct
 from perfcode.codes import (
     Criterion,
@@ -102,11 +102,7 @@ def _relabelled(G: FiniteGroup, seed: int) -> FiniteGroup:
     """An isomorphic copy of G with seeded random element labels."""
     perm = list(range(G.order))
     random.Random(seed).shuffle(perm)
-    rows = [[0] * G.order for _ in range(G.order)]
-    for a in range(G.order):
-        for b in range(G.order):
-            rows[perm[a]][perm[b]] = perm[G.table[a][b]]
-    return FiniteGroup.from_table(rows, name=f"{G.name}~{seed}")
+    return FiniteGroup.from_table(relabel_rows(G, perm), name=f"{G.name}~{seed}")
 
 
 def test_transversal_search_matches_brute_oracle():

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from perfcode import cli, construct, extraspecial
+from perfcode import cli, codes, construct, extraspecial
 from perfcode.codes import decide, search_connection_set
 from perfcode.corpus import (
     CrossCheckReport,
@@ -272,6 +272,25 @@ def test_cli_check_center_not_code(tmp_path, capsys, d8):
     doc = json.loads(capsys.readouterr().out)
     assert doc["is_perfect_code"] is False
     assert doc["counterexample"] == 1
+
+
+def test_cli_check_witness_failure_is_one_error_line(monkeypatch, tmp_path, capsys, d8):
+    monkeypatch.setattr(codes, "find_inverse_closed_transversal", lambda G, H: None)
+    path = _write_group(tmp_path, d8)
+    assert cli.main(["check", str(path), "--subgroup", "4", "--witness"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_classify_family_mismatch_is_one_error_line(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(extraspecial, "omega1", lambda G: frozenset({0}))
+    path = _write_group(tmp_path, construct.dihedral(8))
+    assert cli.main(["classify", str(path), "--subgroup", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "matches neither family" in err
+    assert err.count("\n") == 1
 
 
 def test_cli_check_rejects_bad_indices(tmp_path, capsys, d8):

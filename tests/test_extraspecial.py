@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from perfcode import construct
+from oracles import (
+    abelian_invariants,
+    derived_subgroup,
+    frattini_subgroup,
+    isomorphic_small,
+    relabel_rows,
+)
+from perfcode import construct, extraspecial
 from perfcode.codes import Criterion, decide
 from perfcode.extraspecial import (
+    ExtraspecialClassification,
     Family,
     build_family,
     central_product,
@@ -12,8 +22,10 @@ from perfcode.extraspecial import (
     classify_sylow_extraspecial,
     is_extraspecial,
     symplectic_form,
+    sylow_2_classification,
 )
 from perfcode.group import (
+    FiniteGroup,
     closure,
     full_subgroup,
     omega1,
@@ -22,14 +34,10 @@ from perfcode.group import (
     trivial_subgroup,
 )
 from perfcode.subgroups import (
-    abelian_invariants,
     all_subgroups,
     center,
-    derived_subgroup,
-    frattini_subgroup,
     is_maximal_abelian,
     is_normal,
-    isomorphic_small,
     sylow_2_subgroup,
 )
 
@@ -168,6 +176,34 @@ def test_is_extraspecial_families():
     for m, family in ((1, Family.GM1), (1, Family.GM2), (2, Family.GM1), (2, Family.GM2)):
         cls = is_extraspecial(build_family(m, family))
         assert cls.is_extraspecial and cls.m == m and cls.family is family
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_involution_counts_follow_the_closed_form(m):
+    assert len(omega1(build_family(m, Family.GM1))) == 4**m + 2**m
+    assert len(omega1(build_family(m, Family.GM2))) == 4**m - 2**m
+
+
+@pytest.mark.parametrize("family", [Family.GM1, Family.GM2])
+def test_is_extraspecial_reads_family_of_relabelled_m3(family):
+    G = build_family(3, family)
+    perm = list(range(G.order))
+    random.Random(3).shuffle(perm)
+    R = FiniteGroup.from_table(relabel_rows(G, perm))
+    assert is_extraspecial(R) == ExtraspecialClassification(True, m=3, family=family)
+
+
+def test_sylow_classification_of_gm1_2_times_z3():
+    G = construct.build_named("product(gm1(2),cyclic(3))")
+    assert sylow_2_classification(G) == ExtraspecialClassification(
+        True, m=2, family=Family.GM1
+    )
+
+
+def test_is_extraspecial_raises_when_count_matches_neither_family(monkeypatch):
+    monkeypatch.setattr(extraspecial, "omega1", lambda G: frozenset({0}))
+    with pytest.raises(RuntimeError, match="matches neither family at m=1"):
+        is_extraspecial(build_family(1, Family.GM1))
 
 
 def test_symplectic_form_d8(d8):

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import os
+import random
+import re
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import commutator, is_associative, relabel_rows
 from perfcode import construct
 from perfcode.group import (
+    FiniteGroup,
     closure,
-    commutator,
     conjugate_subgroup,
     element_order,
     full_subgroup,
@@ -254,3 +261,115 @@ def test_permutation_closure_yields_valid_group(data):
     for g in G.elements():
         assert G.order % G.element_orders[g] == 0
         assert G.mul(g, G.inv(g)) == 0
+
+
+FAILED_TRIPLE = re.compile(r"associativity fails at triple \((\d+), (\d+), (\d+)\)")
+
+
+def _random_loop(n: int, rng: random.Random) -> list[list[int]]:
+    """A random Latin square with identity 0, filled cell by cell with
+    seeded random backtracking."""
+    rows = [list(range(n))] + [[i] + [-1] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k: int) -> bool:
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(rows[i][:j]) | {rows[r][j] for r in range(i)}
+        options = [v for v in range(n) if v not in used]
+        rng.shuffle(options)
+        for v in options:
+            rows[i][j] = v
+            if fill(k + 1):
+                return True
+        rows[i][j] = -1
+        return False
+
+    fill(0)
+    return rows
+
+
+def _near_group(G: FiniteGroup, rng: random.Random) -> list[list[int]]:
+    """G relabelled with the identity kept at 0, then with one random 2x2
+    Latin subsquare off row and column 0 swapped: a loop that agrees with a
+    group table on all but four products."""
+    perm = [0] + rng.sample(range(1, G.order), G.order - 1)
+    rows = relabel_rows(G, perm)
+    n = G.order
+    quads = [
+        (r1, r2, c1, c2)
+        for r1, r2 in combinations(range(1, n), 2)
+        for c1, c2 in combinations(range(1, n), 2)
+        if rows[r1][c1] == rows[r2][c2] and rows[r1][c2] == rows[r2][c1]
+    ]
+    if quads:
+        r1, r2, c1, c2 = rng.choice(quads)
+        rows[r1][c1], rows[r1][c2] = rows[r1][c2], rows[r1][c1]
+        rows[r2][c1], rows[r2][c2] = rows[r2][c2], rows[r2][c1]
+    return rows
+
+
+def test_validation_matches_brute_associativity_on_random_loops():
+    rng = random.Random(20250206)
+    groups = [construct.cyclic(n) for n in range(2, 9)] + [
+        construct.elementary_abelian(2),
+        construct.elementary_abelian(3),
+        construct.direct_product(construct.cyclic(2), construct.cyclic(4)),
+        construct.dihedral(6),
+        construct.dihedral(8),
+        construct.quaternion8(),
+    ]
+    loops = [_random_loop(n, rng) for n in range(1, 9) for _ in range(100)]
+    loops += [_near_group(G, rng) for G in groups for _ in range(50)]
+    outcomes = {"accepted": 0, "triple": 0, "inverses": 0}
+    for rows in loops:
+        associative = is_associative(rows)
+        try:
+            G = FiniteGroup.from_table(rows)
+        except ValueError as exc:
+            assert not associative
+            found = FAILED_TRIPLE.fullmatch(str(exc))
+            if found:
+                x, a, y = map(int, found.groups())
+                assert rows[rows[x][a]][y] != rows[x][rows[a][y]]
+                outcomes["triple"] += 1
+            else:
+                assert str(exc) == "missing two-sided inverses"
+                outcomes["inverses"] += 1
+        else:
+            assert associative
+            assert [list(row) for row in G.table] == rows
+            outcomes["accepted"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_relabelled_order_256_table_loads():
+    G = construct.build_named("product(gm1(3),cyclic(2))")
+    perm = list(range(G.order))
+    random.Random(256).shuffle(perm)
+    assert perm[0] != 0
+    R = FiniteGroup.from_table(relabel_rows(G, perm))
+    # Canonical labels: the identity first, the others in their given order.
+    order = [perm[0]] + [p for p in range(G.order) if p != perm[0]]
+    pos = {p: i for i, p in enumerate(order)}
+    phi = [pos[perm[a]] for a in range(G.order)]
+    assert phi[0] == 0
+    for a in range(G.order):
+        row, image = G.table[a], R.table[phi[a]]
+        assert all(image[phi[b]] == phi[row[b]] for b in range(G.order))
+        assert R.inverse[phi[a]] == phi[G.inverse[a]]
+        assert R.element_orders[phi[a]] == G.element_orders[a]
+
+
+def test_import_loads_no_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, perfcode; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

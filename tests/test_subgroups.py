@@ -5,7 +5,17 @@ from functools import reduce
 
 import pytest
 
-from oracles import brute_subgroups, element_order_multiset, subspace_count
+from oracles import (
+    abelian_invariants,
+    brute_subgroups,
+    conjugacy_class_sizes,
+    derived_subgroup,
+    element_order_multiset,
+    frattini_subgroup,
+    isomorphic_small,
+    relabel_rows,
+    subspace_count,
+)
 from perfcode import construct
 from perfcode.group import (
     FiniteGroup,
@@ -18,17 +28,12 @@ from perfcode.group import (
     trivial_subgroup,
 )
 from perfcode.subgroups import (
-    abelian_invariants,
     all_subgroups,
     center,
     centralizer,
-    conjugacy_class_sizes,
     coset_decomposition,
-    derived_subgroup,
-    frattini_subgroup,
     is_maximal_abelian,
     is_normal,
-    isomorphic_small,
     minimal_conjugate,
     normalizer,
     sylow_2_overgroup,
@@ -94,11 +99,7 @@ def _relabelled(G: FiniteGroup, seed: int) -> tuple[FiniteGroup, list[int]]:
     """An isomorphic copy of G with seeded random labels, identity kept at 0,
     and the map from G's labels to the copy's."""
     perm = [0] + random.Random(seed).sample(range(1, G.order), G.order - 1)
-    rows = [[0] * G.order for _ in range(G.order)]
-    for a in range(G.order):
-        for b in range(G.order):
-            rows[perm[a]][perm[b]] = perm[G.table[a][b]]
-    return FiniteGroup.from_table(rows, name=f"{G.name}~{seed}"), perm
+    return FiniteGroup.from_table(relabel_rows(G, perm), name=f"{G.name}~{seed}"), perm
 
 
 @pytest.mark.parametrize("spec", ["s4", "product(gm1(2),cyclic(3))", "dicyclic(32)"])
