@@ -73,7 +73,6 @@ class Transversal:
     """Right-coset representatives, one per coset, in canonical coset order."""
 
     representatives: tuple[int, ...]
-    inverse_closed: bool
 
     def __len__(self) -> int:
         return len(self.representatives)
@@ -223,7 +222,7 @@ def find_inverse_closed_transversal(
         if not search(sorted(component), 0):
             return None
     reps = tuple(g for g in chosen if g is not None)
-    return Transversal(representatives=reps, inverse_closed=True)
+    return Transversal(representatives=reps)
 
 
 def connection_set_from_transversal(
@@ -243,19 +242,11 @@ def connection_set_from_transversal(
 
 
 def _odd_index_intersection(G: FiniteGroup, H: Subgroup, x: int) -> bool:
-    """True iff |H| / |H meet H^x| is odd."""
+    """True iff |H| / |H meet H^x| is odd.  H^(hx) = H^x for h in H, so the
+    value is constant on the right coset Hx (and on the double coset HxH)."""
     members = H.elements
     size = sum(1 for h in members if G.conjugate(h, x) in members)
     return (len(H) // size) % 2 == 1
-
-
-def _coset_has_involution(G: FiniteGroup, dec, cache: dict[int, bool], i: int) -> bool:
-    flag = cache.get(i)
-    if flag is None:
-        t = G.table
-        flag = any(t[y][y] == 0 for y in dec.blocks[i])
-        cache[i] = flag
-    return flag
 
 
 def square_coset_condition(
@@ -266,52 +257,41 @@ def square_coset_condition(
     The verdict is negative, with the least such x as counterexample, when
     some coset Hx of this kind contains no y with y^2 = 1; positive
     otherwise.  ``within`` restricts the ambient group to a subgroup
-    containing H.
+    containing H.  Both the index and the involution test are constant on
+    Hx, so each right coset is decided once, at its least x with x^2 in H.
     """
-    domain = sorted(within.elements) if within is not None else range(G.order)
     if within is not None and not H.elements <= within.elements:
         raise ValueError("ambient subgroup must contain H")
     t = G.table
     members = H.elements
-    dec = coset_decomposition(G, H, within)
-    invol_cache: dict[int, bool] = {}
-    for x in domain:
-        if t[x][x] not in members:
-            continue
-        if not _odd_index_intersection(G, H, x):
-            continue
-        if not _coset_has_involution(G, dec, invol_cache, dec.coset_of(x)):
-            return CodeVerdict(False, Criterion.SQUARE_COSET, counterexample=x)
-    return CodeVerdict(True, Criterion.SQUARE_COSET)
+    failing = []
+    for block in coset_decomposition(G, H, within).blocks:
+        roots = [y for y in block if t[y][y] in members]
+        # an involution y would be among the roots, since y^2 = 1 lies in H
+        if roots and all(t[y][y] for y in roots) and _odd_index_intersection(G, H, roots[0]):
+            failing.append(roots[0])
+    x = min(failing, default=None)
+    return CodeVerdict(x is None, Criterion.SQUARE_COSET, counterexample=x)
 
 
-def double_coset_condition(
-    G: FiniteGroup, H: Subgroup, within: Subgroup | None = None
-) -> CodeVerdict:
+def double_coset_condition(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
     """Scan every x with HxH = Hx^-1H and odd |H : H meet H^x|.
 
-    Same verdict semantics as the square-coset scan; the double-coset
-    properties are constant on each double coset, so they are computed once
-    per block.
+    Same verdict semantics as the square-coset scan.  HxH = Hx^-1H exactly
+    when x^-1 = a x b for some a, b in H, that is when x b x lies in H for
+    some b in H.  Every test on x is thus constant on the right coset Hx,
+    so the right cosets are walked in representative order, which is also
+    least-x order, and each is decided at its representative.
     """
-    domain = sorted(within.elements) if within is not None else range(G.order)
-    if within is not None and not H.elements <= within.elements:
-        raise ValueError("ambient subgroup must contain H")
     t = G.table
-    inv = G.inverse
-    helems = sorted(H.elements)
-    dec = coset_decomposition(G, H, within)
-    invol_cache: dict[int, bool] = {}
-    block_applicable: dict[int, bool] = {}
-    for x in domain:
-        if x not in block_applicable:
-            double = {t[t[h1][x]][h2] for h1 in helems for h2 in helems}
-            applicable = inv[x] in double and _odd_index_intersection(G, H, x)
-            for member in double:
-                block_applicable[member] = applicable
-        if not block_applicable[x]:
-            continue
-        if not _coset_has_involution(G, dec, invol_cache, dec.coset_of(x)):
+    members = H.elements
+    dec = coset_decomposition(G, H)
+    for x, block in zip(dec.representatives, dec.blocks):
+        if (
+            all(t[y][y] for y in block)
+            and any(t[t[x][b]][x] in members for b in members)
+            and _odd_index_intersection(G, H, x)
+        ):
             return CodeVerdict(False, Criterion.DOUBLE_COSET, counterexample=x)
     return CodeVerdict(True, Criterion.DOUBLE_COSET)
 

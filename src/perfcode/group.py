@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 from dataclasses import dataclass, field
@@ -79,15 +80,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
-    def power(self, g: int, k: int) -> int:
-        """g**k for any integer k (negative exponents use the inverse)."""
-        if k < 0:
-            g, k = self.inverse[g], -k
-        acc = 0
-        for _ in range(k):
-            acc = self.table[acc][g]
-        return acc
-
     def conjugate(self, g: int, x: int) -> int:
         """x^-1 * g * x."""
         t = self.table
@@ -106,7 +98,8 @@ class Subgroup:
     """A subgroup as a frozen set of element indices of one ambient group.
 
     Equality and hashing use the element set only; ``generators`` records how
-    the subgroup was built, when known.
+    the subgroup was built, when known.  Recorded generators must generate
+    the subgroup: the structure operators test them in place of its members.
     """
 
     elements: frozenset[int]
@@ -139,15 +132,25 @@ def bitmask(elems: Iterable[int]) -> int:
 
 def per_group(fn):
     """Memoize ``fn(G, *args, **kwargs)`` in G's store, keyed on the function
-    object and the arguments after G: each value is computed once per group
-    and lives exactly as long as the group does."""
+    object and the arguments after G, made positional with the defaults
+    filled in: each value is computed once per group, however its arguments
+    are spelled, and lives exactly as long as the group does."""
+    signature = inspect.signature(fn)
+    defaults = tuple(p.default for p in signature.parameters.values())[1:]
+    required = defaults.count(inspect.Parameter.empty)
 
     @wraps(fn)
     def memoized(G: FiniteGroup, *args, **kwargs):
-        key = (fn, args, tuple(kwargs.items()))
+        if kwargs or not required <= len(args) <= len(defaults):
+            bound = signature.bind(G, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        else:
+            args += defaults[len(args):]
+        key = (fn, args)
         store = G._store
         if key not in store:
-            store[key] = fn(G, *args, **kwargs)
+            store[key] = fn(G, *args)
         return store[key]
 
     return memoized
@@ -317,6 +320,8 @@ def group_from_permutations(
     first; the resulting indices are reproducible across runs.
     """
     cap = order_cap() if max_order is None else max_order
+    if degree is not None and degree < 0:
+        raise ValueError(f"permutation degree must be non-negative, got {degree}")
     gens: list[tuple[int, ...]] = []
     for i, images in enumerate(generators):
         perm = tuple(int(v) for v in images)

@@ -1,5 +1,8 @@
 """Subgroup enumeration and structure operators: Sylow 2-subgroups,
-normalizers, centralizers, centers, cosets and least conjugates."""
+normalizers, centralizers, centers, cosets and least conjugates.
+
+The operators test a generating set of each subgroup, not its members:
+its recorded ``generators``, or else a greedy one stored per group."""
 
 from __future__ import annotations
 
@@ -91,22 +94,33 @@ def _lattice(G: FiniteGroup, within: Subgroup | None) -> tuple[Subgroup, ...]:
 
 
 @per_group
-def _group_generators(G: FiniteGroup) -> tuple[int, ...]:
-    return generate(G, G.elements())[1]
+def _generators(G: FiniteGroup, H: Subgroup | None = None) -> tuple[int, ...]:
+    """H's recorded generators, or else the greedy span ``generate`` picks
+    from its members in index order; H=None means G."""
+    if H is not None and H.generators is not None:
+        return H.generators
+    return generate(G, G.elements() if H is None else sorted(H.elements))[1]
+
+
+def _normalizes(G: FiniteGroup, K: Subgroup):
+    """The test of g for K^g = K.  Conjugation by g maps K onto a subgroup
+    of the same order, so it is enough that it maps K's generators into K."""
+    t, inv = G.table, G.inverse
+    members = K.elements
+    gens = _generators(G, K)
+    return lambda g: all(t[t[inv[g]][k]][g] in members for k in gens)
 
 
 def is_abelian_subgroup(G: FiniteGroup, H: Subgroup) -> bool:
     t = G.table
-    elems = sorted(H.elements)
-    return all(
-        t[a][b] == t[b][a] for i, a in enumerate(elems) for b in elems[:i]
-    )
+    gens = _generators(G, H)
+    return all(t[a][b] == t[b][a] for i, a in enumerate(gens) for b in gens[:i])
 
 
 def is_normal(G: FiniteGroup, H: Subgroup, within: Subgroup | None = None) -> bool:
-    domain = within.elements if within is not None else G.elements()
-    members = H.elements
-    return all(G.conjugate(h, g) in members for g in domain for h in members)
+    """H^g = H for every g of the ambient subgroup (default: G), tested on
+    that subgroup's generators."""
+    return all(map(_normalizes(G, H), _generators(G, within)))
 
 
 @per_group
@@ -115,30 +129,24 @@ def normalizer(
 ) -> Subgroup:
     """{g : K^g = K}, optionally restricted to an ambient subgroup."""
     domain = within.elements if within is not None else G.elements()
-    members = K.elements
-    result = frozenset(
-        g for g in domain if all(G.conjugate(k, g) in members for k in members)
-    )
-    return Subgroup(result)
+    return Subgroup(frozenset(filter(_normalizes(G, K), domain)))
 
 
 @per_group
 def centralizer(
     G: FiniteGroup, H: Subgroup, within: Subgroup | None = None
 ) -> Subgroup:
-    """{g : gh = hg for all h in H}, optionally restricted to an ambient subgroup."""
+    """{g : gh = hg for all h in H}, optionally restricted to an ambient
+    subgroup; g is tested on H's generators."""
     domain = within.elements if within is not None else G.elements()
     t = G.table
-    members = H.elements
-    result = frozenset(
-        g for g in domain if all(t[g][h] == t[h][g] for h in members)
-    )
-    return Subgroup(result)
+    gens = _generators(G, H)
+    return Subgroup(frozenset(g for g in domain if all(t[g][h] == t[h][g] for h in gens)))
 
 
 def center(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """{h in H : hx = xh for all x in H}."""
-    return centralizer(G, H, within=H)
+    return centralizer(G, H, H)
 
 
 @per_group
@@ -153,8 +161,7 @@ def sylow_2_subgroup(G: FiniteGroup, H: Subgroup) -> Subgroup:
     if target == 1:
         return trivial_subgroup()
     current = _grow_2_subgroup(G, frozenset({0}), target, H)
-    gens = H.generators if H.generators is not None else generate(G, sorted(H.elements))[1]
-    return Subgroup(_least_conjugate(G, current, gens))
+    return Subgroup(_least_conjugate(G, current, _generators(G, H)))
 
 
 def sylow_2_overgroup(G: FiniteGroup, Q: Subgroup) -> Subgroup:
@@ -192,9 +199,6 @@ class CosetDecomposition:
     def coset_of(self, g: int) -> int:
         """Index (into ``representatives``) of the coset containing g."""
         return self._position[g]
-
-    def members(self, i: int) -> tuple[int, ...]:
-        return self.blocks[i]
 
 
 @per_group
@@ -252,7 +256,7 @@ def is_maximal_abelian(G: FiniteGroup, H: Subgroup) -> bool:
 
 def minimal_conjugate(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """The least-bitmask member of the conjugacy class of H."""
-    return Subgroup(_least_conjugate(G, H.elements, _group_generators(G)))
+    return Subgroup(_least_conjugate(G, H.elements, _generators(G)))
 
 
 def _least_conjugate(

@@ -3,8 +3,10 @@ structure helpers that only the tests use.
 
 The oracles deliberately avoid the library's own algorithms: subgroups come
 from exhaustive subset scans, transversals from cartesian products over
-cosets, associativity from every triple, and counts from closed formulas, so
-a bug in the fast path cannot hide in the oracle as well.
+cosets, associativity from every triple, normalizers, centralizers and
+commutativity from every member, coset-criterion counterexamples from a scan
+of every x, and counts from closed formulas, so a bug in the fast path cannot
+hide in the oracle as well.
 
 The helpers below them (commutators, derived and Frattini subgroups, abelian
 invariants, conjugacy class sizes and the small-order isomorphism search) are
@@ -88,6 +90,56 @@ def is_associative(rows) -> bool:
     )
 
 
+def brute_normalizer(G: FiniteGroup, members, within=None) -> frozenset[int]:
+    """{g in within (default: G) : g^-1 k g lies in K for every k in K}."""
+    domain = G.elements() if within is None else within
+    return frozenset(g for g in domain if all(G.conjugate(k, g) in members for k in members))
+
+
+def brute_is_normal(G: FiniteGroup, members, within=None) -> bool:
+    domain = G.elements() if within is None else within
+    return brute_normalizer(G, members, domain) == frozenset(domain)
+
+
+def brute_centralizer(G: FiniteGroup, members, within=None) -> frozenset[int]:
+    """{g in within (default: G) : gh = hg for every h in H}."""
+    domain = G.elements() if within is None else within
+    t = G.table
+    return frozenset(g for g in domain if all(t[g][h] == t[h][g] for h in members))
+
+
+def brute_is_abelian(G: FiniteGroup, members) -> bool:
+    t = G.table
+    return all(t[a][b] == t[b][a] for a in members for b in members)
+
+
+def _fails_coset_test(G: FiniteGroup, members, x: int) -> bool:
+    """|H : H meet H^x| is odd and no y in Hx has y^2 = 1."""
+    t = G.table
+    meet = sum(1 for h in members if G.conjugate(h, x) in members)
+    coset = [t[h][x] for h in members]
+    return (len(members) // meet) % 2 == 1 and all(t[y][y] != 0 for y in coset)
+
+
+def brute_square_coset_counterexample(G: FiniteGroup, members, within=None) -> int | None:
+    """Least x of within (default: G) with x^2 in H that fails the coset test."""
+    domain = range(G.order) if within is None else sorted(within)
+    t = G.table
+    return next(
+        (x for x in domain if t[x][x] in members and _fails_coset_test(G, members, x)), None
+    )
+
+
+def brute_double_coset_counterexample(G: FiniteGroup, members) -> int | None:
+    """Least x with x^-1 in HxH that fails the coset test."""
+    t = G.table
+    for x in range(G.order):
+        double = {t[t[a][x]][b] for a in members for b in members}
+        if G.inverse[x] in double and _fails_coset_test(G, members, x):
+            return x
+    return None
+
+
 def relabel_rows(G: FiniteGroup, perm: list[int]) -> list[list[int]]:
     """G's table with element a renamed perm[a]."""
     rows = [[0] * G.order for _ in range(G.order)]
@@ -168,7 +220,7 @@ def abelian_invariants(G: FiniteGroup, H: Subgroup) -> AbelianInvariants:
         j = 1
         while True:
             pj = p**j
-            count = sum(1 for h in elems if G.power(h, pj) == 0)
+            count = sum(1 for h in elems if pj % G.element_orders[h] == 0)
             a_j = 0
             c = count
             while c > 1:

@@ -6,7 +6,12 @@ import time
 
 import pytest
 
-from oracles import brute_inverse_closed_transversal_exists, relabel_rows
+from oracles import (
+    brute_double_coset_counterexample,
+    brute_inverse_closed_transversal_exists,
+    brute_square_coset_counterexample,
+    relabel_rows,
+)
 from perfcode import codes, construct
 from perfcode.codes import (
     Criterion,
@@ -24,6 +29,7 @@ from perfcode.codes import (
     Transversal,
     verdict_to_json,
 )
+from perfcode.corpus import builtin_corpus
 from perfcode.group import (
     FiniteGroup,
     Subgroup,
@@ -165,7 +171,7 @@ def test_transversal_recursion_depth_is_bounded_by_pair_size():
 
 def test_connection_set_from_transversal_roundtrip_a4(s4, s4_elem):
     A = closure(s4, [s4_elem[(1, 2, 0, 3)], s4_elem[(0, 2, 3, 1)]])
-    T = Transversal(representatives=(0, s4_elem[(1, 0, 2, 3)]), inverse_closed=True)
+    T = Transversal(representatives=(0, s4_elem[(1, 0, 2, 3)]))
     S = connection_set_from_transversal(s4, A, T)
     assert S.elements == frozenset({s4_elem[(1, 0, 2, 3)]})
     assert is_perfect_code_in_cayley_graph(s4, S, A)
@@ -173,10 +179,7 @@ def test_connection_set_from_transversal_roundtrip_a4(s4, s4_elem):
 
 def test_connection_set_from_transversal_requires_identity(s4, s4_elem):
     A = closure(s4, [s4_elem[(1, 2, 0, 3)], s4_elem[(0, 2, 3, 1)]])
-    bad = Transversal(
-        representatives=(s4_elem[(1, 0, 2, 3)], s4_elem[(0, 1, 3, 2)]),
-        inverse_closed=True,
-    )
+    bad = Transversal(representatives=(s4_elem[(1, 0, 2, 3)], s4_elem[(0, 1, 3, 2)]))
     with pytest.raises(ValueError, match="identity"):
         connection_set_from_transversal(s4, A, bad)
 
@@ -185,7 +188,7 @@ def test_connection_set_from_transversal_requires_inverse_closed(s4, s4_elem):
     H = closure(s4, [s4_elem[(1, 0, 2, 3)], s4_elem[(0, 1, 3, 2)]])  # order 4
     four_cycle = s4_elem[(1, 2, 3, 0)]
     # identity plus one 4-cycle is not inverse-closed
-    bad = Transversal(representatives=(0, four_cycle), inverse_closed=False)
+    bad = Transversal(representatives=(0, four_cycle))
     with pytest.raises(ValueError):
         connection_set_from_transversal(s4, H, bad)
 
@@ -227,6 +230,24 @@ def test_square_and_double_agree_on_small_corpus(s4, sl23, q16):
             a = square_coset_condition(G, H).is_perfect_code
             b = double_coset_condition(G, H).is_perfect_code
             assert a == b, (G.name, H.indices())
+
+
+def test_coset_counterexamples_are_the_least_failing_x():
+    for entry in builtin_corpus():
+        G = entry.group
+        if G.order > 32:
+            continue
+        for H in all_subgroups(G):
+            label = (G.name, H.indices())
+            square = square_coset_condition(G, H)
+            assert square.counterexample == brute_square_coset_counterexample(G, H.elements), label
+            assert square.is_perfect_code == (square.counterexample is None), label
+            double = double_coset_condition(G, H)
+            assert double.counterexample == brute_double_coset_counterexample(G, H.elements), label
+            assert double.is_perfect_code == (double.counterexample is None), label
+            N = normalizer(G, H)
+            within = square_coset_condition(G, H, within=N).counterexample
+            assert within == brute_square_coset_counterexample(G, H.elements, N.elements), label
 
 
 def test_omega_coset_sets_trivial_subgroup(d8):

@@ -239,6 +239,7 @@ def test_cli_validate_bad_file(tmp_path, capsys):
         '{"table": [[false]]}',
         '{"degree": 2.0, "generators": [[1, 0]]}',
         '{"generators": [[1, 0.0]]}',
+        '{"degree": -3, "generators": []}',
     ],
 )
 def test_cli_validate_malformed_file(tmp_path, capsys, text):

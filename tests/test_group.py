@@ -70,6 +70,11 @@ def test_load_rejects_inconsistent_permutation_degree():
         load_group(doc)
 
 
+def test_load_rejects_negative_permutation_degree():
+    with pytest.raises(ValueError, match="non-negative"):
+        load_group({"degree": -3, "generators": []})
+
+
 def test_load_rejects_closure_beyond_cap():
     doc = {"degree": 5, "generators": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]}
     with pytest.raises(ValueError, match="cap"):

@@ -7,6 +7,10 @@ import pytest
 
 from oracles import (
     abelian_invariants,
+    brute_centralizer,
+    brute_is_abelian,
+    brute_is_normal,
+    brute_normalizer,
     brute_subgroups,
     conjugacy_class_sizes,
     derived_subgroup,
@@ -19,6 +23,7 @@ from oracles import (
 from perfcode import construct
 from perfcode.group import (
     FiniteGroup,
+    Subgroup,
     bitmask,
     closure,
     closure_elements,
@@ -32,6 +37,7 @@ from perfcode.subgroups import (
     center,
     centralizer,
     coset_decomposition,
+    is_abelian_subgroup,
     is_maximal_abelian,
     is_normal,
     minimal_conjugate,
@@ -219,6 +225,42 @@ def test_normalizer_is_stored_per_group(s4, s4_elem):
     twin = construct.symmetric(4)
     assert normalizer(twin, H) is not normalizer(s4, H)
     assert normalizer(twin, H) == normalizer(s4, H)
+
+
+def test_store_keys_ignore_how_arguments_are_spelled(s4_elem):
+    G = construct.symmetric(4)
+    H = closure(G, [s4_elem[(1, 0, 2, 3)]])
+    assert coset_decomposition(G, H) is coset_decomposition(G, H, None)
+    assert coset_decomposition(G, H) is coset_decomposition(G, H, within=None)
+    assert normalizer(G, H) is normalizer(G, H, None)
+    assert normalizer(G, K=H) is normalizer(G, H, within=None)
+    assert center(G, H) is centralizer(G, H, within=H)
+    with pytest.raises(TypeError):
+        normalizer(G)
+    with pytest.raises(TypeError):
+        normalizer(G, H, unknown=None)
+
+
+@pytest.mark.parametrize("spec", ["s4", "gm2(2)", "product(gm1(2),cyclic(3))"])
+@pytest.mark.parametrize("recorded", [True, False])
+def test_structure_operators_match_brute_force(spec, recorded):
+    """Each operator against its element-by-element oracle, on every
+    subgroup, with and without an ambient subgroup.  Without recorded
+    generators the subgroups go to a fresh copy of the group, whose store
+    has seen none, so every operator must find generators of its own."""
+    G, _ = _relabelled(construct.build_named(spec), 5)
+    subs = all_subgroups(G)
+    if not recorded:
+        G = FiniteGroup.from_table(G.table)
+        subs = tuple(Subgroup(H.elements) for H in subs)
+    for i, H in enumerate(subs):
+        W = subs[(3 * i + 1) % len(subs)]
+        for within, domain in ((None, None), (W, W.elements)):
+            label = (H.indices(), domain and sorted(domain))
+            assert is_normal(G, H, within) == brute_is_normal(G, H.elements, domain), label
+            assert normalizer(G, H, within).elements == brute_normalizer(G, H.elements, domain), label
+            assert centralizer(G, H, within).elements == brute_centralizer(G, H.elements, domain), label
+        assert is_abelian_subgroup(G, H) == brute_is_abelian(G, H.elements), H.indices()
 
 
 def test_normalizer_of_double_transposition_subgroup(s4, s4_elem):
