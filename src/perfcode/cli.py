@@ -89,7 +89,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_cross_check(args: argparse.Namespace) -> int:
     corpus = builtin_corpus(include_m3=args.include_m3)
     if args.corpus:
-        for path in sorted(Path(args.corpus).glob("*.json")):
+        directory = Path(args.corpus)
+        if not directory.is_dir():
+            raise ValueError(f"corpus {args.corpus} is not a directory")
+        for path in sorted(directory.glob("*.json")):
             corpus.append(make_entry(load_group(path), Provenance.FILE))
     criteria = None
     if args.criteria:

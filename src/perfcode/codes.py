@@ -32,7 +32,6 @@ GRAPH_SEARCH_CAP = 16
 class Criterion(str, Enum):
     """Which decision procedure produced a verdict."""
 
-    GRAPH = "graph"
     TRANSVERSAL = "transversal"
     SQUARE_COSET = "square-coset"
     DOUBLE_COSET = "double-coset"
@@ -437,20 +436,15 @@ def _witnessed(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
     return CodeVerdict(True, Criterion.TRANSVERSAL, witness=witness)
 
 
-def search_connection_set(
-    G: FiniteGroup,
-    C: Subgroup | Iterable[int],
-    *,
-    max_order: int = GRAPH_SEARCH_CAP,
-) -> ConnectionSet | None:
+def search_connection_set(G: FiniteGroup, C: Subgroup | Iterable[int]) -> ConnectionSet | None:
     """Exhaustive oracle: the first connection set admitting C as a code.
 
     Enumerates every inverse-closed subset of G minus the identity, so it is
     gated to very small groups; use only to verify the fast criteria.
     """
-    if G.order > max_order:
+    if G.order > GRAPH_SEARCH_CAP:
         raise ValueError(
-            f"exhaustive search supports order <= {max_order}, got {G.order}"
+            f"exhaustive search supports order <= {GRAPH_SEARCH_CAP}, got {G.order}"
         )
     inv = G.inverse
     atoms: list[tuple[int, ...]] = []

@@ -74,7 +74,7 @@ def _central_involution(G: FiniteGroup) -> int:
     return invol[0]
 
 
-def central_product(A: FiniteGroup, B: FiniteGroup, *, name: str | None = None) -> FiniteGroup:
+def central_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     """Quotient of A x B identifying the unique central involutions.
 
     The images of A and B commute elementwise and meet in the identified
@@ -108,8 +108,7 @@ def central_product(A: FiniteGroup, B: FiniteGroup, *, name: str | None = None) 
 
     k = len(reps)
     rows = [[mul(x, y) for y in range(k)] for x in range(k)]
-    label = name or f"({A.name or '?'}o{B.name or '?'})"
-    return FiniteGroup.from_table(rows, name=label)
+    return FiniteGroup.from_table(rows, name=f"({A.name or '?'}o{B.name or '?'})")
 
 
 def build_family(m: int, family: Family) -> FiniteGroup:

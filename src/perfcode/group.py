@@ -49,18 +49,14 @@ class FiniteGroup:
 
     @classmethod
     def from_table(
-        cls,
-        rows: Sequence[Sequence[int]],
-        *,
-        name: str | None = None,
-        max_order: int | None = None,
+        cls, rows: Sequence[Sequence[int]], *, name: str | None = None
     ) -> FiniteGroup:
         """Build a validated group from a multiplication table.
 
         The table is reindexed so the identity sits at index 0, then checked
         for the Latin-square property, two-sided inverses and associativity.
         """
-        cap = order_cap() if max_order is None else max_order
+        cap = order_cap()
         n = len(rows)
         if n == 0:
             raise ValueError("group table must be non-empty")
@@ -259,11 +255,7 @@ def _order_of(table: tuple[tuple[int, ...], ...], g: int) -> int:
     return k
 
 
-def load_group(
-    source: str | Path | dict,
-    *,
-    max_order: int | None = None,
-) -> FiniteGroup:
+def load_group(source: str | Path | dict) -> FiniteGroup:
     """Load a group from a JSON document (multiplication table or permutations).
 
     Accepted shapes: ``{"name"?, "order", "table"}`` with element indices, or
@@ -288,11 +280,15 @@ def load_group(
             raise ValueError(
                 f"declared order {doc['order']} does not match table size {len(rows)}"
             )
-        return FiniteGroup.from_table(rows, name=name, max_order=max_order)
+        return FiniteGroup.from_table(rows, name=name)
     if "generators" in doc:
         gens = _int_rows(doc["generators"], "generator")
-        degree = doc.get("degree")
-        return group_from_permutations(gens, degree=degree, name=name, max_order=max_order)
+        G = group_from_permutations(gens, degree=doc.get("degree"), name=name)
+        if "order" in doc and doc["order"] != G.order:
+            raise ValueError(
+                f"declared order {doc['order']} does not match group order {G.order}"
+            )
+        return G
     raise ValueError("group document needs either a 'table' or 'generators' key")
 
 
@@ -311,7 +307,6 @@ def group_from_permutations(
     *,
     degree: int | None = None,
     name: str | None = None,
-    max_order: int | None = None,
 ) -> FiniteGroup:
     """Group generated by permutations given as 0-based image arrays.
 
@@ -319,7 +314,7 @@ def group_from_permutations(
     then indexed lexicographically by image tuple, which puts the identity
     first; the resulting indices are reproducible across runs.
     """
-    cap = order_cap() if max_order is None else max_order
+    cap = order_cap()
     if degree is not None and degree < 0:
         raise ValueError(f"permutation degree must be non-negative, got {degree}")
     gens: list[tuple[int, ...]] = []
@@ -358,7 +353,7 @@ def group_from_permutations(
         [index[tuple([q[i] for i in p])] for q in elements]
         for p in elements
     ]
-    return FiniteGroup.from_table(rows, name=name, max_order=cap)
+    return FiniteGroup.from_table(rows, name=name)
 
 
 def group_to_json(G: FiniteGroup) -> dict:
@@ -378,11 +373,10 @@ def element_order(G: FiniteGroup, g: int) -> int:
     return G.element_orders[g]
 
 
-def omega1(G: FiniteGroup, within: Iterable[int] | None = None) -> frozenset[int]:
-    """Elements of order at most 2 (identity included) inside ``within``."""
-    domain = G.elements() if within is None else within
+def omega1(G: FiniteGroup) -> frozenset[int]:
+    """Elements of order at most 2 (identity included)."""
     t = G.table
-    return frozenset(g for g in domain if t[g][g] == 0)
+    return frozenset(g for g in G.elements() if t[g][g] == 0)
 
 
 def squares(G: FiniteGroup) -> frozenset[int]:
@@ -465,9 +459,7 @@ def conjugate_subgroup(G: FiniteGroup, H: Subgroup, x: int) -> Subgroup:
     return Subgroup(frozenset(G.conjugate(h, x) for h in H.elements))
 
 
-def subgroup_as_group(
-    G: FiniteGroup, H: Subgroup, *, name: str | None = None
-) -> tuple[FiniteGroup, tuple[int, ...]]:
+def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Reindex a subgroup as a standalone group.
 
     Returns the subgroup's own multiplication table plus the map from new
@@ -476,5 +468,5 @@ def subgroup_as_group(
     old = sorted(H.elements)
     pos = {o: i for i, o in enumerate(old)}
     rows = [[pos[G.table[a][b]] for b in old] for a in old]
-    label = name if name is not None else (f"{G.name}<{len(old)}>" if G.name else None)
+    label = f"{G.name}<{len(old)}>" if G.name else None
     return FiniteGroup.from_table(rows, name=label), tuple(old)

@@ -124,29 +124,22 @@ def is_normal(G: FiniteGroup, H: Subgroup, within: Subgroup | None = None) -> bo
 
 
 @per_group
-def normalizer(
-    G: FiniteGroup, K: Subgroup, within: Subgroup | None = None
-) -> Subgroup:
-    """{g : K^g = K}, optionally restricted to an ambient subgroup."""
-    domain = within.elements if within is not None else G.elements()
-    return Subgroup(frozenset(filter(_normalizes(G, K), domain)))
+def normalizer(G: FiniteGroup, K: Subgroup) -> Subgroup:
+    """{g : K^g = K}."""
+    return Subgroup(frozenset(filter(_normalizes(G, K), G.elements())))
 
 
 @per_group
-def centralizer(
-    G: FiniteGroup, H: Subgroup, within: Subgroup | None = None
-) -> Subgroup:
-    """{g : gh = hg for all h in H}, optionally restricted to an ambient
-    subgroup; g is tested on H's generators."""
-    domain = within.elements if within is not None else G.elements()
+def centralizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
+    """{g : gh = hg for all h in H}; g is tested on H's generators."""
     t = G.table
     gens = _generators(G, H)
-    return Subgroup(frozenset(g for g in domain if all(t[g][h] == t[h][g] for h in gens)))
+    return Subgroup(frozenset(g for g in G.elements() if all(t[g][h] == t[h][g] for h in gens)))
 
 
 def center(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """{h in H : hx = xh for all x in H}."""
-    return centralizer(G, H, H)
+    return Subgroup(centralizer(G, H).elements & H.elements)
 
 
 @per_group
@@ -176,13 +169,17 @@ def _grow_2_subgroup(
     G: FiniteGroup, current: frozenset[int], target: int, within: Subgroup | None
 ) -> frozenset[int]:
     """Grow the 2-subgroup ``current`` to order ``target`` by index-2 steps,
-    each adjoining the least g of its normalizer in ``within`` (default: G)
-    that lies outside it and squares into it (by Sylow's theorem one exists
-    while current is below the 2-part of that ambient group)."""
+    each adjoining the least g of ``within`` (default: G) that lies outside
+    it, squares into it and normalizes it (by Sylow's theorem one exists
+    while current is below the 2-part of that ambient group).  The cheap
+    tests go first, and no normalizer is built."""
     t = G.table
+    domain = sorted(within.elements) if within is not None else G.elements()
     while len(current) < target:
-        norm = normalizer(G, Subgroup(current), within).elements
-        x = min(g for g in norm if g not in current and t[g][g] in current)
+        normalizes = _normalizes(G, Subgroup(current))
+        x = next(
+            g for g in domain if g not in current and t[g][g] in current and normalizes(g)
+        )
         current = current | frozenset(t[q][x] for q in current)
     return current
 

@@ -4,8 +4,9 @@ structure helpers that only the tests use.
 The oracles deliberately avoid the library's own algorithms: subgroups come
 from exhaustive subset scans, transversals from cartesian products over
 cosets, associativity from every triple, normalizers, centralizers and
-commutativity from every member, coset-criterion counterexamples from a scan
-of every x, and counts from closed formulas, so a bug in the fast path cannot
+commutativity from every member, Sylow growth steps from whole normalizers,
+coset-criterion counterexamples from a scan of every x, and counts from
+closed formulas, so a bug in the fast path cannot
 hide in the oracle as well.
 
 The helpers below them (commutators, derived and Frattini subgroups, abelian
@@ -99,6 +100,19 @@ def brute_normalizer(G: FiniteGroup, members, within=None) -> frozenset[int]:
 def brute_is_normal(G: FiniteGroup, members, within=None) -> bool:
     domain = G.elements() if within is None else within
     return brute_normalizer(G, members, domain) == frozenset(domain)
+
+
+def brute_grow_2_subgroup(G: FiniteGroup, members, target: int, within=None) -> frozenset[int]:
+    """Grow the 2-subgroup ``members`` to order ``target`` by index-2 steps,
+    each adjoining the least g of ``brute_normalizer`` in within (default: G)
+    that lies outside it and squares into it."""
+    t = G.table
+    current = frozenset(members)
+    while len(current) < target:
+        norm = brute_normalizer(G, current, within)
+        x = min(g for g in norm if g not in current and t[g][g] in current)
+        current = current | {t[q][x] for q in current}
+    return current
 
 
 def brute_centralizer(G: FiniteGroup, members, within=None) -> frozenset[int]:

@@ -240,6 +240,7 @@ def test_cli_validate_bad_file(tmp_path, capsys):
         '{"degree": 2.0, "generators": [[1, 0]]}',
         '{"generators": [[1, 0.0]]}',
         '{"degree": -3, "generators": []}',
+        '{"order": 5, "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}',
     ],
 )
 def test_cli_validate_malformed_file(tmp_path, capsys, text):
@@ -370,6 +371,18 @@ def test_cli_cross_check_extra_corpus_dir(tmp_path, capsys):
     # Z6 appears twice: builtin and file-provenance copies
     names = [r["group"] for r in doc["rows"]]
     assert names.count("Z6") == 2 * 4  # 4 subgroups each
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_cli_cross_check_corpus_must_be_a_directory(tmp_path, capsys, kind):
+    path = tmp_path / "does-not-exist"
+    if kind == "file":
+        path = _write_group(tmp_path, construct.cyclic(6), "z6.json")
+    assert cli.main(["cross-check", "--max-order", "6", "--corpus", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_decide_matches_library(tmp_path, capsys, q8):

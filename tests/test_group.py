@@ -75,10 +75,18 @@ def test_load_rejects_negative_permutation_degree():
         load_group({"degree": -3, "generators": []})
 
 
-def test_load_rejects_closure_beyond_cap():
+def test_load_rejects_closure_beyond_cap(monkeypatch):
+    monkeypatch.setenv("PCL_MAX_ORDER", "64")
     doc = {"degree": 5, "generators": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]}
     with pytest.raises(ValueError, match="cap"):
-        load_group(doc, max_order=64)  # |S5| = 120
+        load_group(doc)  # |S5| = 120
+
+
+def test_load_checks_declared_order_of_permutation_group():
+    doc = {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+    assert load_group({**doc, "order": 6}).order == 6
+    with pytest.raises(ValueError, match="declared order 5 does not match"):
+        load_group({**doc, "order": 5})
 
 
 def test_order_cap_env_override(monkeypatch):
@@ -147,11 +155,6 @@ def test_omega1_elementary_abelian_is_everything():
 def test_omega1_q8_and_d8(d8, q8):
     assert len(omega1(q8)) == 2
     assert len(omega1(d8)) == 6
-
-
-def test_omega1_respects_within(d8):
-    rotations = frozenset(range(4))
-    assert omega1(d8, rotations) == frozenset({0, 2})
 
 
 def test_squares_elementary_abelian_empty():

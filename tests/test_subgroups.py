@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     abelian_invariants,
     brute_centralizer,
+    brute_grow_2_subgroup,
     brute_is_abelian,
     brute_is_normal,
     brute_normalizer,
@@ -33,6 +34,7 @@ from perfcode.group import (
     trivial_subgroup,
 )
 from perfcode.subgroups import (
+    _grow_2_subgroup,
     all_subgroups,
     center,
     centralizer,
@@ -207,6 +209,34 @@ def test_sylow_overgroup_contains_seed(s4, s4_elem):
     subgroup_from_elements(s4, P.elements)
 
 
+@pytest.mark.parametrize(
+    "spec", ["s4", "gm2(2)", "product(gm1(2),cyclic(3))", "product(s4,cyclic(2))"]
+)
+def test_sylow_growth_matches_brute_force(spec):
+    """Each growth step adjoins the least element of the whole normalizer
+    outside the current subgroup that squares into it: from every 2-subgroup
+    of G, and from the trivial subgroup inside every subgroup H."""
+    G, _ = _relabelled(construct.build_named(spec), 4)
+    target = two_part(G.order)
+    for H in all_subgroups(G):
+        label = H.indices()
+        if len(H) & (len(H) - 1) == 0:
+            grown = brute_grow_2_subgroup(G, H.elements, target)
+            assert sylow_2_overgroup(G, H).elements == grown, label
+        inside = brute_grow_2_subgroup(G, {0}, two_part(len(H)), H.elements)
+        assert _grow_2_subgroup(G, frozenset({0}), two_part(len(H)), H) == inside, label
+        H_conjugates = (frozenset(G.conjugate(p, x) for p in inside) for x in H.elements)
+        assert sylow_2_subgroup(G, H).elements == min(H_conjugates, key=bitmask), label
+
+
+def test_sylow_growth_stores_no_normalizer():
+    G = construct.build_named("product(gm1(2),cyclic(3))")
+    sylow_2_subgroup(G, full_subgroup(G))
+    Q = closure(G, [next(g for g in G.elements() if G.element_orders[g] == 2)])
+    sylow_2_overgroup(G, Q)
+    assert not [key for key in G._store if key[0] is normalizer.__wrapped__]
+
+
 def test_normalizer_of_normal_subgroup_is_whole_group(s4, s4_elem):
     V = closure(s4, [s4_elem[(1, 0, 3, 2)], s4_elem[(2, 3, 0, 1)]])
     assert normalizer(s4, V).elements == frozenset(s4.elements())
@@ -232,9 +262,8 @@ def test_store_keys_ignore_how_arguments_are_spelled(s4_elem):
     H = closure(G, [s4_elem[(1, 0, 2, 3)]])
     assert coset_decomposition(G, H) is coset_decomposition(G, H, None)
     assert coset_decomposition(G, H) is coset_decomposition(G, H, within=None)
-    assert normalizer(G, H) is normalizer(G, H, None)
-    assert normalizer(G, K=H) is normalizer(G, H, within=None)
-    assert center(G, H) is centralizer(G, H, within=H)
+    assert normalizer(G, K=H) is normalizer(G, H)
+    assert centralizer(G, H=H) is centralizer(G, H)
     with pytest.raises(TypeError):
         normalizer(G)
     with pytest.raises(TypeError):
@@ -245,7 +274,7 @@ def test_store_keys_ignore_how_arguments_are_spelled(s4_elem):
 @pytest.mark.parametrize("recorded", [True, False])
 def test_structure_operators_match_brute_force(spec, recorded):
     """Each operator against its element-by-element oracle, on every
-    subgroup, with and without an ambient subgroup.  Without recorded
+    subgroup; normality also inside an ambient subgroup.  Without recorded
     generators the subgroups go to a fresh copy of the group, whose store
     has seen none, so every operator must find generators of its own."""
     G, _ = _relabelled(construct.build_named(spec), 5)
@@ -255,12 +284,13 @@ def test_structure_operators_match_brute_force(spec, recorded):
         subs = tuple(Subgroup(H.elements) for H in subs)
     for i, H in enumerate(subs):
         W = subs[(3 * i + 1) % len(subs)]
+        label = H.indices()
         for within, domain in ((None, None), (W, W.elements)):
-            label = (H.indices(), domain and sorted(domain))
-            assert is_normal(G, H, within) == brute_is_normal(G, H.elements, domain), label
-            assert normalizer(G, H, within).elements == brute_normalizer(G, H.elements, domain), label
-            assert centralizer(G, H, within).elements == brute_centralizer(G, H.elements, domain), label
-        assert is_abelian_subgroup(G, H) == brute_is_abelian(G, H.elements), H.indices()
+            assert is_normal(G, H, within) == brute_is_normal(G, H.elements, domain), (label, within)
+        assert normalizer(G, H).elements == brute_normalizer(G, H.elements), label
+        assert centralizer(G, H).elements == brute_centralizer(G, H.elements), label
+        assert center(G, H).elements == brute_centralizer(G, H.elements, H.elements), label
+        assert is_abelian_subgroup(G, H) == brute_is_abelian(G, H.elements), label
 
 
 def test_normalizer_of_double_transposition_subgroup(s4, s4_elem):
