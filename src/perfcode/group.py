@@ -7,6 +7,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import wraps
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -65,7 +66,7 @@ class FiniteGroup:
         norm = _coerce_rows(rows)
         norm = _canonicalize_rows(norm)
         _validate_rows(norm)
-        table = tuple(tuple(row) for row in norm)
+        table = tuple(norm)
         inverse = tuple(row.index(0) for row in norm)
         orders = tuple(_order_of(table, g) for g in range(n))
         return cls(order=n, table=table, inverse=inverse, element_orders=orders, name=name)
@@ -160,42 +161,54 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(frozenset(range(G.order)))
 
 
-def _coerce_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+Rows = list[tuple[int, ...]]
+
+
+def _coerce_rows(rows: Sequence[Sequence[int]]) -> Rows:
     n = len(rows)
-    out: list[list[int]] = []
+    valid = set(range(n))
+    out: Rows = []
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
-        coerced = [int(v) for v in row]
-        for v in coerced:
-            if not 0 <= v < n:
-                raise ValueError(f"table entry {v} out of range [0, {n - 1}]")
+        coerced = tuple(map(int, row))
+        if not valid.issuperset(coerced):
+            v = next(v for v in coerced if v not in valid)
+            raise ValueError(f"table entry {v} out of range [0, {n - 1}]")
         out.append(coerced)
     return out
 
 
-def _find_identity(rows: list[list[int]]) -> int | None:
+def _find_identity(rows: Rows) -> int | None:
     n = len(rows)
-    ident = list(range(n))
+    ident = tuple(range(n))
     for e in range(n):
         if rows[e] == ident and all(rows[x][e] == x for x in range(n)):
             return e
     return None
 
 
-def _canonicalize_rows(rows: list[list[int]]) -> list[list[int]]:
+def _canonicalize_rows(rows: Rows) -> Rows:
     """Reindex so the two-sided identity lands at index 0."""
     e = _find_identity(rows)
     if e is None:
         raise ValueError("table has no two-sided identity element")
     if e == 0:
         return rows
-    old = [e] + [i for i in range(len(rows)) if i != e]
-    pos = {o: i for i, o in enumerate(old)}
-    return [[pos[rows[a][b]] for b in old] for a in old]
+    return _relabel(rows, [e] + [i for i in range(len(rows)) if i != e])
 
 
-def _validate_rows(rows: list[list[int]]) -> None:
+def _relabel(table: Sequence[Sequence[int]], old: list[int]) -> Rows:
+    """The products among the elements ``old`` of ``table``, which must be
+    closed under them, with ``old[i]`` renamed i."""
+    pos = dict(zip(old, range(len(old))))
+    if len(old) == 1:
+        return [(pos[table[old[0]][old[0]]],)]
+    pick = itemgetter(*old)
+    return [itemgetter(*pick(table[a]))(pos) for a in old]
+
+
+def _validate_rows(rows: Rows) -> None:
     """Check the group axioms; identity must already sit at 0.
 
     Associativity uses Light's test (Clifford & Preston, *The Algebraic
@@ -205,7 +218,7 @@ def _validate_rows(rows: list[list[int]]) -> None:
     element.
     """
     n = len(rows)
-    ident = list(range(n))
+    ident = tuple(range(n))
     if rows[0] != ident or any(row[0] != x for x, row in enumerate(rows)):
         raise ValueError("identity axiom violated at index 0")
     if any(len(set(row)) != n for row in rows):
@@ -215,16 +228,16 @@ def _validate_rows(rows: list[list[int]]) -> None:
     if any(rows[row.index(0)][x] != 0 for x, row in enumerate(rows)):
         raise ValueError("missing two-sided inverses")
     for a in _right_generators(rows):
-        row_a = rows[a]
+        times_a = itemgetter(*rows[a])
         for x, row_x in enumerate(rows):
             left = rows[row_x[a]]
-            right = [row_x[v] for v in row_a]
+            right = times_a(row_x)
             if left != right:
                 y = next(y for y in ident if left[y] != right[y])
                 raise ValueError(f"associativity fails at triple ({x}, {a}, {y})")
 
 
-def _right_generators(rows: list[list[int]]) -> list[int]:
+def _right_generators(rows: Rows) -> list[int]:
     """A greedy generating set: every element is a left-associated product
     of its members.  Each is the least element not yet reached from the
     identity by right multiplication with those before it.  The table need
@@ -312,7 +325,10 @@ def group_from_permutations(
 
     Elements are enumerated by breadth-first closure under composition and
     then indexed lexicographically by image tuple, which puts the identity
-    first; the resulting indices are reproducible across runs.
+    first; the resulting indices are reproducible across runs.  The product
+    a*b applies a first, then b.  Each generator s gets its map a -> a*s;
+    every element b other than the identity is c*s for some c reached before
+    it, and its column (a*b for all a) is s's map applied to the column of c.
     """
     cap = order_cap()
     if degree is not None and degree < 0:
@@ -329,16 +345,17 @@ def group_from_permutations(
         if sorted(perm) != list(range(degree)):
             raise ValueError(f"generator {i} is not a permutation of 0..{degree - 1}")
         gens.append(perm)
-    if degree is None:
-        degree = 1
+    if not gens:
+        return FiniteGroup.from_table([[0]], name=name)
     ident = tuple(range(degree))
     seen = {ident}
+    links = []  # (r, c, j) with r = c * gens[j], c reached before r
     frontier = [ident]
     while frontier:
         nxt = []
         for p in frontier:
-            for q in gens:
-                r = tuple([q[i] for i in p])
+            for j, q in enumerate(gens):
+                r = tuple(map(q.__getitem__, p))
                 if r not in seen:
                     if len(seen) >= cap:
                         raise ValueError(
@@ -346,14 +363,16 @@ def group_from_permutations(
                         )
                     seen.add(r)
                     nxt.append(r)
+                    links.append((r, p, j))
         frontier = nxt
     elements = sorted(seen)
-    index = {p: i for i, p in enumerate(elements)}
-    rows = [
-        [index[tuple([q[i] for i in p])] for q in elements]
-        for p in elements
-    ]
-    return FiniteGroup.from_table(rows, name=name)
+    n = len(elements)
+    index = dict(zip(elements, range(n)))
+    times = [[index[tuple(map(q.__getitem__, p))] for p in elements] for q in gens]
+    columns = [range(n)] + [None] * (n - 1)
+    for r, c, j in links:
+        columns[index[r]] = list(map(times[j].__getitem__, columns[index[c]]))
+    return FiniteGroup.from_table(list(zip(*columns)), name=name)
 
 
 def group_to_json(G: FiniteGroup) -> dict:
@@ -466,7 +485,6 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, tuple[i
     indices back to the ambient group's element indices.
     """
     old = sorted(H.elements)
-    pos = {o: i for i, o in enumerate(old)}
-    rows = [[pos[G.table[a][b]] for b in old] for a in old]
+    rows = _relabel(G.table, old)
     label = f"{G.name}<{len(old)}>" if G.name else None
     return FiniteGroup.from_table(rows, name=label), tuple(old)

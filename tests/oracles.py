@@ -5,7 +5,8 @@ The oracles deliberately avoid the library's own algorithms: subgroups come
 from exhaustive subset scans, transversals from cartesian products over
 cosets, associativity from every triple, normalizers, centralizers and
 commutativity from every member, Sylow growth steps from whole normalizers,
-coset-criterion counterexamples from a scan of every x, and counts from
+coset-criterion counterexamples from a scan of every x, permutation tables
+from composing every pair of a closure grown by squaring, and counts from
 closed formulas, so a bug in the fast path cannot
 hide in the oracle as well.
 
@@ -152,6 +153,21 @@ def brute_double_coset_counterexample(G: FiniteGroup, members) -> int | None:
         if G.inverse[x] in double and _fails_coset_test(G, members, x):
             return x
     return None
+
+
+def brute_permutation_table(generators, degree: int) -> list[list[int]]:
+    """The table of the permutation group generated by ``generators``: the
+    elements sorted by image tuple, and at (a, b) the index of a then b,
+    ``tuple(q[i] for i in p)`` for p = elements[a] and q = elements[b]."""
+    elements = {tuple(range(degree))} | {tuple(g) for g in generators}
+    while True:
+        grown = elements | {tuple(q[i] for i in p) for p in elements for q in elements}
+        if grown == elements:
+            break
+        elements = grown
+    ordered = sorted(elements)
+    index = {p: i for i, p in enumerate(ordered)}
+    return [[index[tuple(q[i] for i in p)] for q in ordered] for p in ordered]
 
 
 def relabel_rows(G: FiniteGroup, perm: list[int]) -> list[list[int]]:

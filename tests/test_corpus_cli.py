@@ -252,6 +252,17 @@ def test_cli_validate_malformed_file(tmp_path, capsys, text):
     assert err.count("\n") == 1
 
 
+def test_cli_validate_empty_generator_list_at_huge_degree(tmp_path, capsys):
+    path = tmp_path / "trivial.json"
+    path.write_text('{"degree": 1000000000000, "generators": []}', encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 0
+    assert "order=1" in capsys.readouterr().out
+    path.write_text('{"order": 2, "degree": 1000000000000, "generators": []}', encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: declared order 2 does not match group order 1\n"
+
+
 def test_cli_subgroups(tmp_path, capsys, d8):
     path = _write_group(tmp_path, d8)
     assert cli.main(["subgroups", str(path)]) == 0

@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import commutator, is_associative, relabel_rows
+from oracles import brute_permutation_table, commutator, is_associative, relabel_rows
 from perfcode import construct
 from perfcode.group import (
     FiniteGroup,
+    _coerce_rows,
+    _validate_rows,
     closure,
     conjugate_subgroup,
     element_order,
@@ -87,6 +89,143 @@ def test_load_checks_declared_order_of_permutation_group():
     assert load_group({**doc, "order": 6}).order == 6
     with pytest.raises(ValueError, match="declared order 5 does not match"):
         load_group({**doc, "order": 5})
+
+
+def test_empty_generator_list_is_trivial_at_any_degree():
+    doc = {"degree": 10**12, "generators": []}
+    assert load_group(doc).table == ((0,),)
+    assert load_group({**doc, "order": 1}).order == 1
+    with pytest.raises(ValueError, match="declared order 2 does not match group order 1"):
+        load_group({**doc, "order": 2})
+    with pytest.raises(ValueError, match="non-negative"):
+        load_group({"degree": -(10**12), "generators": []})
+
+
+def _cycle(degree: int, points: list[int]) -> list[int]:
+    images = list(range(degree))
+    for a, b in zip(points, points[1:] + points[:1]):
+        images[a] = b
+    return images
+
+
+def _random_generators(rng: random.Random, degree: int) -> list[list[int]]:
+    """One to three permutations, each moving a random subset of the points."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        moved = rng.sample(range(degree), rng.randint(0, degree))
+        images = list(range(degree))
+        for a, b in zip(moved, rng.sample(moved, len(moved))):
+            images[a] = b
+        gens.append(images)
+    return gens
+
+
+def test_permutation_tables_match_brute_force_composition():
+    # D8 x D8 x Z4 on 4 + 4 + 4 points: order 256, so the default cap.
+    d8xd8xz4 = [_cycle(12, [0, 1, 2, 3]), _cycle(12, [1, 3]), _cycle(12, [4, 5, 6, 7]),
+                _cycle(12, [5, 7]), _cycle(12, [8, 9, 10, 11])]
+    cases = [
+        ([[1, 0, 2, 3], [1, 2, 3, 0]], 4),  # S4
+        ([_cycle(5, [0, 1]), _cycle(5, [0, 1, 2, 3, 4])], 5),  # S5
+        (d8xd8xz4, 12),
+    ]
+    rng = random.Random(20250309)
+    drawn = 0
+    while drawn < 40:
+        degree = rng.randint(1, 8)
+        gens = _random_generators(rng, degree)
+        try:
+            group_from_permutations(gens, degree=degree)
+        except ValueError as exc:
+            assert "exceeds the configured cap" in str(exc)
+            continue
+        drawn += 1
+        identity = list(range(degree))
+        cases += [
+            (gens, degree),
+            (gens + [rng.choice(gens)], degree),
+            (gens[:1] + [identity] + gens[1:], degree),
+            ([identity], degree),
+            ([], degree),
+        ]
+    cases.append(([], 0))
+    orders = set()
+    for gens, degree in cases:
+        G = group_from_permutations(gens, degree=degree)
+        assert [list(row) for row in G.table] == brute_permutation_table(gens, degree)
+        orders.add(G.order)
+    assert orders >= {1, 24, 120, 256}
+
+
+# A loop of order 5 with identity 0 in which 2 * 3 = 0 but 3 * 2 = 1.
+ONE_SIDED_INVERSE_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+]
+
+
+def _renamed(rows: list[list[int]], label: list[int]) -> list[list[int]]:
+    """The table with element a renamed label[a]."""
+    out = [[0] * len(rows) for _ in rows]
+    for a, row in enumerate(rows):
+        for b, v in enumerate(row):
+            out[label[a]][label[b]] = label[v]
+    return out
+
+
+def _set(rows, a, b, v):
+    rows[a][b] = v
+
+
+def _swap(rows, a, b, c, d):
+    rows[a][b], rows[c][d] = rows[c][d], rows[a][b]
+
+
+S3_ROWS = [list(row) for row in construct.symmetric(3).table]
+# Each case: a table with identity 0, a defect written in the names a label
+# map gives to its elements, and the first message for the identity at 0 and
+# for the identity renamed 4 (3 in the loops of order 5).
+REJECTIONS = [
+    (S3_ROWS, lambda t, l: t[l[2]].pop(),
+     ["table row 2 has length 5, expected 6", "table row 0 has length 5, expected 6"]),
+    (S3_ROWS, lambda t, l: _set(t, l[3], l[1], 6),
+     ["table entry 6 out of range [0, 5]"] * 2),
+    (S3_ROWS, lambda t, l: _set(t, l[3], l[1], -1),
+     ["table entry -1 out of range [0, 5]"] * 2),
+    (S3_ROWS, lambda t, l: _swap(t, l[0], l[1], l[0], l[2]),
+     ["table has no two-sided identity element"] * 2),
+    (S3_ROWS, lambda t, l: _swap(t, l[1], l[0], l[2], l[0]),
+     ["table has no two-sided identity element"] * 2),
+    (S3_ROWS, lambda t, l: _set(t, l[1], l[2], t[l[1]][l[3]]),
+     ["some row is not a permutation of the elements"] * 2),
+    (S3_ROWS, lambda t, l: _swap(t, l[1], l[2], l[1], l[3]),
+     ["some column is not a permutation of the elements"] * 2),
+    (ONE_SIDED_INVERSE_LOOP, lambda t, l: None, ["missing two-sided inverses"] * 2),
+    (NON_ASSOCIATIVE_LOOP, lambda t, l: None,
+     ["associativity fails at triple (1, 1, 2)"] * 2),
+]
+LABELS = {6: [4, 2, 0, 5, 1, 3], 5: [3, 0, 4, 1, 2]}
+
+
+@pytest.mark.parametrize("rows, defect, messages", REJECTIONS)
+def test_from_table_reports_the_first_failed_check(rows, defect, messages):
+    for label, message in zip((list(range(len(rows))), LABELS[len(rows)]), messages):
+        table = _renamed(rows, label)
+        defect(table, label)
+        with pytest.raises(ValueError) as caught:
+            FiniteGroup.from_table(table)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("rows", [[[1, 0], [0, 1]], [[0, 1, 2], [2, 0, 1], [1, 2, 0]]])
+def test_validation_rejects_identity_off_index_0(rows):
+    # from_table moves the identity to 0 before validating, so only a
+    # direct call can reach this check.
+    with pytest.raises(ValueError, match="^identity axiom violated at index 0$"):
+        _validate_rows(_coerce_rows(rows))
 
 
 def test_order_cap_env_override(monkeypatch):
