@@ -12,7 +12,6 @@ from .group import (
     FiniteGroup,
     Subgroup,
     bitmask,
-    closure_elements,
     generate,
     join_element,
     per_group,
@@ -48,45 +47,79 @@ def all_subgroups(
 
 @per_group
 def _lattice(G: FiniteGroup, within: Subgroup | None) -> tuple[Subgroup, ...]:
-    """Join each subgroup found with each cyclic subgroup of prime-power
-    order, which together generate every subgroup, until no new one appears.
+    """Cyclic extension (Neubüser, Numer. Math. 2, 1960): join each subgroup
+    K found with cyclic subgroups C = <z> of prime-power order outside K,
+    until no new subgroup appears.
 
-    Subgroups are keyed by bitmask.  Bit i of ``cyclic_bit[g]`` is set when g
-    generates the i-th cyclic subgroup.  When a join has prime index over K
-    no subgroup lies strictly between them, so joining K with any other
-    cyclic subgroup of that join is skipped.
+    Only z with z^p in K is joined, p the prime of |z|.  That misses no
+    subgroup H != 1: take z in H outside the Frattini subgroup Phi(H), of
+    prime-power order and least such order.  Then z^p lies in Phi(H), and a
+    maximal subgroup M of H misses z, so H = <M, z> with z^p in M.
+
+    A first round also requires z to normalize K, tested on K's recorded
+    generators; each join K<z> then has index exactly p.  Every solvable
+    group has a normal subgroup of prime index, so this round finds every
+    subgroup when the ambient group (G, or ``within``) is solvable, and it
+    reaches the ambient group only then.  Otherwise a second round runs the
+    same loop over everything found, without the normalizing test.
+
+    Subgroups are keyed by bitmask.  Bit i of ``cyclic_bit[g]`` is set when
+    g generates the i-th cyclic subgroup, and of ``root_bit[g]`` when g is
+    the p-th power of its generator.  When a join has prime index over K no
+    subgroup lies strictly between them, so joining K with any other cyclic
+    subgroup of that join is skipped.  A join records K's generators outside
+    <z>, then z.
     """
-    orders = G.element_orders
+    t, inv, orders = G.table, G.inverse, G.element_orders
     cyclic_gens: list[int] = []
+    cyclic_masks: list[int] = []
     cyclic_bit = [0] * G.order
+    root_bit = [0] * G.order
     for g in within.elements if within is not None else G.elements():
-        if not cyclic_bit[g] and len(_prime_factors(orders[g])) == 1:
-            for y in closure_elements(G, (g,)):
+        primes = _prime_factors(orders[g])
+        if not cyclic_bit[g] and len(primes) == 1:
+            bit = 1 << len(cyclic_gens)
+            powers = [0]
+            for _ in range(orders[g] - 1):
+                powers.append(t[powers[-1]][g])
+            for y in powers:
                 if orders[y] == orders[g]:
-                    cyclic_bit[y] = 1 << len(cyclic_gens)
+                    cyclic_bit[y] = bit
+            root_bit[powers[primes[0] % orders[g]]] |= bit
             cyclic_gens.append(g)
+            cyclic_masks.append(bitmask(powers))
 
-    def cyclics_in(elems: list[int]) -> int:
-        bits = 0
+    def bits_in(bits: list[int], elems: list[int]) -> int:
+        out = 0
         for y in elems:
-            bits |= cyclic_bit[y]
-        return bits
+            out |= bits[y]
+        return out
 
+    top = bitmask(within.elements) if within is not None else (1 << G.order) - 1
     subs: dict[int, tuple[list[int], tuple[int, ...]]] = {1: ([0], ())}
-    queue = [1]
-    for m in queue:
-        elems, gens = subs[m]
-        todo = (1 << len(cyclic_gens)) - 1 & ~cyclics_in(elems)
-        while todo:
-            i = (todo & -todo).bit_length() - 1
-            todo ^= 1 << i
-            jm, joined = join_element(G, m, elems, gens, cyclic_gens[i])
-            index = len(joined) // len(elems)
-            if _prime_factors(index) == [index]:
-                todo &= ~cyclics_in(joined)
-            if jm not in subs:
-                subs[jm] = (joined, gens + (cyclic_gens[i],))
-                queue.append(jm)
+    for normal_only in (True, False):
+        queue = list(subs)
+        for m in queue:
+            elems, gens = subs[m]
+            todo = bits_in(root_bit, elems) & ~bits_in(cyclic_bit, elems)
+            while todo:
+                i = (todo & -todo).bit_length() - 1
+                todo ^= 1 << i
+                z = cyclic_gens[i]
+                if normal_only:
+                    row = t[inv[z]]
+                    if not all(m >> t[row[k]][z] & 1 for k in gens):
+                        continue
+                jm, joined = join_element(G, m, elems, gens, z)
+                index = len(joined) // len(elems)
+                if _prime_factors(index) == [index]:
+                    todo &= ~bits_in(cyclic_bit, joined)
+                if jm not in subs:
+                    inside = cyclic_masks[i]
+                    subs[jm] = (joined, tuple(k for k in gens if not inside >> k & 1) + (z,))
+                    queue.append(jm)
+        if top in subs:
+            break
     return tuple(
         Subgroup(frozenset(subs[m][0]), generators=subs[m][1])
         for m in sorted(subs, key=lambda m: (m.bit_count(), m))
@@ -125,8 +158,26 @@ def is_normal(G: FiniteGroup, H: Subgroup, within: Subgroup | None = None) -> bo
 
 @per_group
 def normalizer(G: FiniteGroup, K: Subgroup) -> Subgroup:
-    """{g : K^g = K}."""
-    return Subgroup(frozenset(filter(_normalizes(G, K), G.elements())))
+    """{g : K^g = K}, grown from K by walking G in index order: a g that
+    normalizes K is joined to N, the part found so far; one that does not
+    rules out its whole right coset N g, since n g normalizes K iff g does.
+    N records K's generators and the g joined."""
+    normalizes = _normalizes(G, K)
+    t = G.table
+    gens = _generators(G, K)
+    elems = sorted(K.elements)
+    mask = decided = bitmask(elems)
+    for g in G.elements():
+        if decided >> g & 1:
+            continue
+        if normalizes(g):
+            mask, elems = join_element(G, mask, elems, gens, g)
+            gens += (g,)
+            decided |= mask
+        else:
+            for n in elems:
+                decided |= 1 << t[n][g]
+    return Subgroup(frozenset(elems), generators=gens)
 
 
 @per_group
@@ -252,7 +303,10 @@ def is_maximal_abelian(G: FiniteGroup, H: Subgroup) -> bool:
 
 
 def minimal_conjugate(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """The least-bitmask member of the conjugacy class of H."""
+    """The least-bitmask member of the conjugacy class of H: H itself when
+    it is normal, else found by an orbit walk."""
+    if is_normal(G, H):
+        return H
     return Subgroup(_least_conjugate(G, H.elements, _generators(G)))
 
 

@@ -10,9 +10,11 @@ from composing every pair of a closure grown by squaring, and counts from
 closed formulas, so a bug in the fast path cannot
 hide in the oracle as well.
 
-The helpers below them (commutators, derived and Frattini subgroups, abelian
-invariants, conjugacy class sizes and the small-order isomorphism search) are
-not oracles in that sense: ``derived_subgroup`` calls ``closure_elements``,
+The helpers below them (the join-every-cyclic lattice, commutators, derived
+and Frattini subgroups, abelian invariants, conjugacy class sizes and the
+small-order isomorphism search) are not oracles in that sense:
+``join_every_cyclic_lattice`` calls ``join_element``,
+``derived_subgroup`` calls ``closure_elements``,
 ``frattini_subgroup`` calls ``all_subgroups``, ``isomorphic_small`` calls
 ``generate``, and ``abelian_invariants`` calls ``is_abelian_subgroup``.
 """
@@ -29,6 +31,7 @@ from perfcode.group import (
     Subgroup,
     closure_elements,
     generate,
+    join_element,
     per_group,
 )
 from perfcode.subgroups import _prime_factors, all_subgroups, is_abelian_subgroup
@@ -195,6 +198,54 @@ def subspace_count(n: int, q: int = 2) -> int:
 
 def element_order_multiset(G: FiniteGroup, elems) -> tuple[int, ...]:
     return tuple(sorted(G.element_orders[g] for g in elems))
+
+
+def join_every_cyclic_lattice(G: FiniteGroup, within: Subgroup | None = None) -> tuple[Subgroup, ...]:
+    """Every subgroup of ``within`` (default: of G), ordered as ``all_subgroups``
+    orders them: join each subgroup found with each cyclic subgroup of
+    prime-power order, which together generate every subgroup, until no new
+    one appears.  Valid for every finite group, solvable or not.
+
+    Subgroups are keyed by bitmask.  Bit i of ``cyclic_bit[g]`` is set when g
+    generates the i-th cyclic subgroup.  When a join has prime index over K
+    no subgroup lies strictly between them, so joining K with any other
+    cyclic subgroup of that join is skipped.
+    """
+    orders = G.element_orders
+    cyclic_gens: list[int] = []
+    cyclic_bit = [0] * G.order
+    for g in within.elements if within is not None else G.elements():
+        if not cyclic_bit[g] and len(_prime_factors(orders[g])) == 1:
+            for y in closure_elements(G, (g,)):
+                if orders[y] == orders[g]:
+                    cyclic_bit[y] = 1 << len(cyclic_gens)
+            cyclic_gens.append(g)
+
+    def cyclics_in(elems: list[int]) -> int:
+        bits = 0
+        for y in elems:
+            bits |= cyclic_bit[y]
+        return bits
+
+    subs: dict[int, tuple[list[int], tuple[int, ...]]] = {1: ([0], ())}
+    queue = [1]
+    for m in queue:
+        elems, gens = subs[m]
+        todo = (1 << len(cyclic_gens)) - 1 & ~cyclics_in(elems)
+        while todo:
+            i = (todo & -todo).bit_length() - 1
+            todo ^= 1 << i
+            jm, joined = join_element(G, m, elems, gens, cyclic_gens[i])
+            index = len(joined) // len(elems)
+            if _prime_factors(index) == [index]:
+                todo &= ~cyclics_in(joined)
+            if jm not in subs:
+                subs[jm] = (joined, gens + (cyclic_gens[i],))
+                queue.append(jm)
+    return tuple(
+        Subgroup(frozenset(subs[m][0]), generators=subs[m][1])
+        for m in sorted(subs, key=lambda m: (m.bit_count(), m))
+    )
 
 
 def commutator(G: FiniteGroup, x: int, y: int) -> int:

@@ -18,10 +18,11 @@ from oracles import (
     element_order_multiset,
     frattini_subgroup,
     isomorphic_small,
+    join_every_cyclic_lattice,
     relabel_rows,
     subspace_count,
 )
-from perfcode import construct
+from perfcode import construct, subgroups
 from perfcode.group import (
     FiniteGroup,
     Subgroup,
@@ -29,12 +30,14 @@ from perfcode.group import (
     closure,
     closure_elements,
     full_subgroup,
+    group_from_permutations,
     subgroup_as_group,
     subgroup_from_elements,
     trivial_subgroup,
 )
 from perfcode.subgroups import (
     _grow_2_subgroup,
+    _prime_factors,
     all_subgroups,
     center,
     centralizer,
@@ -124,6 +127,95 @@ def test_recorded_generators_close_to_the_subgroup(spec):
     G = construct.build_named(spec)
     for H in all_subgroups(G):
         assert closure_elements(G, H.generators) == H.elements, H.indices()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "s4",
+        "sl23",
+        "product(s3,s3)",
+        "dicyclic(48)",
+        "dihedral(64)",
+        "product(cyclic(9),dihedral(8))",
+        "product(gm1(2),cyclic(3))",
+        "product(dihedral(10),cyclic(10))",
+        "product(cyclic(3),cyclic(27))",
+    ],
+)
+def test_lattice_matches_join_every_cyclic_on_solvable_groups(spec):
+    G, _ = _relabelled(construct.build_named(spec), 6)
+    subs = all_subgroups(G)
+    assert [H.elements for H in subs] == [H.elements for H in join_every_cyclic_lattice(G)]
+    for H in subs:
+        assert closure_elements(G, H.generators) == H.elements, H.indices()
+
+
+NONSOLVABLE = {
+    "A5": lambda: construct.alternating(5),
+    "S5": lambda: construct.symmetric(5),
+    "A5xZ2": lambda: construct.direct_product(construct.alternating(5), construct.cyclic(2)),
+    "PSL(2,7)": lambda: group_from_permutations(
+        [[1, 2, 3, 4, 5, 6, 0], [1, 0, 4, 3, 2, 5, 6]], name="PSL(2,7)"
+    ),
+}
+
+
+@pytest.mark.parametrize("name, count", [("A5", 59), ("S5", 156), ("A5xZ2", None), ("PSL(2,7)", 179)])
+def test_lattice_matches_join_every_cyclic_on_nonsolvable_groups(name, count):
+    """The normalizing round cannot reach these groups, so the lattice comes
+    from the fallback round."""
+    G = NONSOLVABLE[name]()
+    subs = all_subgroups(G, None, G.order)
+    assert [H.elements for H in subs] == [H.elements for H in join_every_cyclic_lattice(G)]
+    if count is not None:
+        assert len(subs) == count
+    for H in subs:
+        assert closure_elements(G, H.generators) == H.elements, H.indices()
+
+
+@pytest.mark.parametrize("order", [24, 60])
+def test_lattice_within_is_the_lattice_filtered(order):
+    """Inside S5: S4 is solvable, A5 is not."""
+    G = construct.symmetric(5)
+    lattice = all_subgroups(G, None, G.order)
+    W = next(H for H in lattice if len(H) == order)
+    subs = all_subgroups(G, W)
+    assert [H.elements for H in subs] == [H.elements for H in lattice if H.elements <= W.elements]
+    for H in subs:
+        assert closure_elements(G, H.generators) == H.elements, H.indices()
+
+
+def _prime_index_containments(subs) -> int:
+    return sum(
+        1
+        for J in subs
+        for K in subs
+        if K.elements < J.elements and _prime_factors(len(J) // len(K)) == [len(J) // len(K)]
+    )
+
+
+@pytest.mark.parametrize("spec", ["dihedral(64)", "dicyclic(128)", "gm2(3)"])
+def test_lattice_joins_have_prime_index(monkeypatch, spec):
+    """On a solvable group every join is a normal step of prime index.  In a
+    2-group every subgroup of index 2 is normal, and each is reached from
+    each of its index-2 subgroups exactly once."""
+    G, _ = _relabelled(construct.build_named(spec), 7)
+    indices = []
+    join = subgroups.join_element
+
+    def counted(G, mask, elems, gens, g):
+        out = join(G, mask, elems, gens, g)
+        indices.append(len(out[1]) // len(elems))
+        return out
+
+    monkeypatch.setattr(subgroups, "join_element", counted)
+    subs = all_subgroups(G)
+    assert indices and all(_prime_factors(i) == [i] for i in indices)
+    if spec == "dihedral(64)":
+        assert len(indices) == 130
+    if len(subs) < 100:
+        assert len(indices) == _prime_index_containments(subs)
 
 
 def test_lattice_is_stored_once_per_group():
@@ -287,7 +379,9 @@ def test_structure_operators_match_brute_force(spec, recorded):
         label = H.indices()
         for within, domain in ((None, None), (W, W.elements)):
             assert is_normal(G, H, within) == brute_is_normal(G, H.elements, domain), (label, within)
-        assert normalizer(G, H).elements == brute_normalizer(G, H.elements), label
+        N = normalizer(G, H)
+        assert N.elements == brute_normalizer(G, H.elements), label
+        assert closure_elements(G, N.generators) == N.elements, label
         assert centralizer(G, H).elements == brute_centralizer(G, H.elements), label
         assert center(G, H).elements == brute_centralizer(G, H.elements, H.elements), label
         assert is_abelian_subgroup(G, H) == brute_is_abelian(G, H.elements), label
@@ -453,6 +547,8 @@ def test_least_conjugates_match_brute_force(spec):
     for H in all_subgroups(G):
         conjugates = [frozenset(G.conjugate(h, x) for h in H.elements) for x in range(G.order)]
         assert minimal_conjugate(G, H).elements == min(conjugates, key=bitmask)
+        if is_normal(G, H):
+            assert minimal_conjugate(G, H) is H
         # a Sylow 2-subgroup of H is the least of its own H-conjugates
         P = sylow_2_subgroup(G, H).elements
         H_conjugates = (frozenset(G.conjugate(p, x) for p in P) for x in H.elements)
