@@ -56,16 +56,12 @@ from .group import (
     FiniteGroup,
     Subgroup,
     closure,
-    conjugate_subgroup,
-    element_order,
     full_subgroup,
     group_from_permutations,
     group_to_json,
     load_group,
     omega1,
-    squares,
     subgroup_as_group,
-    subgroup_from_elements,
     trivial_subgroup,
 )
 from .subgroups import (

@@ -63,11 +63,9 @@ class FiniteGroup:
             raise ValueError("group table must be non-empty")
         if n > cap:
             raise ValueError(f"group order {n} exceeds the configured cap {cap}")
-        norm = _coerce_rows(rows)
-        norm = _canonicalize_rows(norm)
-        _validate_rows(norm)
+        norm = _canonicalize_rows(_coerce_rows(rows))
+        inverse = _validate_rows(norm)
         table = tuple(norm)
-        inverse = tuple(row.index(0) for row in norm)
         orders = tuple(_order_of(table, g) for g in range(n))
         return cls(order=n, table=table, inverse=inverse, element_orders=orders, name=name)
 
@@ -164,6 +162,16 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
 Rows = list[tuple[int, ...]]
 
 
+def _int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple, or ValueError naming the first entry whose
+    type is not exactly ``int`` (so bools, floats and strings fail)."""
+    out = tuple(values)
+    if not set(map(type, out)) <= {int}:
+        v = next(v for v in out if type(v) is not int)
+        raise ValueError(f"{what} entry {v!r} is not an integer")
+    return out
+
+
 def _coerce_rows(rows: Sequence[Sequence[int]]) -> Rows:
     n = len(rows)
     valid = set(range(n))
@@ -171,11 +179,11 @@ def _coerce_rows(rows: Sequence[Sequence[int]]) -> Rows:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
-        coerced = tuple(map(int, row))
-        if not valid.issuperset(coerced):
-            v = next(v for v in coerced if v not in valid)
+        row = _int_tuple(row, f"table row {i}")
+        if not valid.issuperset(row):
+            v = next(v for v in row if v not in valid)
             raise ValueError(f"table entry {v} out of range [0, {n - 1}]")
-        out.append(coerced)
+        out.append(row)
     return out
 
 
@@ -208,14 +216,16 @@ def _relabel(table: Sequence[Sequence[int]], old: list[int]) -> Rows:
     return [itemgetter(*pick(table[a]))(pos) for a in old]
 
 
-def _validate_rows(rows: Rows) -> None:
-    """Check the group axioms; identity must already sit at 0.
+def _validate_rows(rows: Rows) -> tuple[int, ...]:
+    """Check the group axioms, identity already at 0; return the inverses.
 
     Associativity uses Light's test (Clifford & Preston, *The Algebraic
     Theory of Semigroups* I, 1961): the set of a with (xa)y = x(ay) for all
     x, y contains the identity and is closed under products, so checking the
     generators of ``_right_generators`` as the middle factor covers every
-    element.
+    element.  Up to order 256 every index fits in a byte, and translating
+    row a through row x, padded to a 256-byte table, gives x(ay) for every
+    y in one C call; larger orders compose rows with ``itemgetter``.
     """
     n = len(rows)
     ident = tuple(range(n))
@@ -225,16 +235,20 @@ def _validate_rows(rows: Rows) -> None:
         raise ValueError("some row is not a permutation of the elements")
     if any(len(set(col)) != n for col in zip(*rows)):
         raise ValueError("some column is not a permutation of the elements")
-    if any(rows[row.index(0)][x] != 0 for x, row in enumerate(rows)):
+    inverse = tuple(row.index(0) for row in rows)
+    if any(rows[b][x] != 0 for x, b in enumerate(inverse)):
         raise ValueError("missing two-sided inverses")
+    small = n <= 256
+    by_index = list(map(bytes, rows)) if small else rows
+    lookups = [row.ljust(256, b"\0") for row in by_index] if small else rows
     for a in _right_generators(rows):
-        times_a = itemgetter(*rows[a])
-        for x, row_x in enumerate(rows):
-            left = rows[row_x[a]]
-            right = times_a(row_x)
+        times_a = by_index[a].translate if small else itemgetter(*rows[a])
+        lefts = map(by_index.__getitem__, [row[a] for row in rows])
+        for x, (left, right) in enumerate(zip(lefts, map(times_a, lookups))):
             if left != right:
                 y = next(y for y in ident if left[y] != right[y])
                 raise ValueError(f"associativity fails at triple ({x}, {a}, {y})")
+    return inverse
 
 
 def _right_generators(rows: Rows) -> list[int]:
@@ -288,14 +302,14 @@ def load_group(source: str | Path | dict) -> FiniteGroup:
         if key in doc and type(doc[key]) is not int:
             raise ValueError(f"group {key} must be an integer, got {doc[key]!r}")
     if "table" in doc:
-        rows = _int_rows(doc["table"], "table row")
+        rows = _list_rows(doc["table"], "table row")
         if "order" in doc and doc["order"] != len(rows):
             raise ValueError(
                 f"declared order {doc['order']} does not match table size {len(rows)}"
             )
         return FiniteGroup.from_table(rows, name=name)
     if "generators" in doc:
-        gens = _int_rows(doc["generators"], "generator")
+        gens = _list_rows(doc["generators"], "generator")
         G = group_from_permutations(gens, degree=doc.get("degree"), name=name)
         if "order" in doc and doc["order"] != G.order:
             raise ValueError(
@@ -305,12 +319,12 @@ def load_group(source: str | Path | dict) -> FiniteGroup:
     raise ValueError("group document needs either a 'table' or 'generators' key")
 
 
-def _int_rows(value, what: str) -> list[list[int]]:
-    """A JSON list of lists of integers (bools excluded), or ValueError."""
+def _list_rows(value, what: str) -> list[list]:
+    """A JSON list of lists, or ValueError; the constructors check entries."""
     if not isinstance(value, list):
         raise ValueError(f"the {what}s must form a list, got {type(value).__name__}")
     for i, row in enumerate(value):
-        if not isinstance(row, list) or not set(map(type, row)) <= {int}:
+        if not isinstance(row, list):
             raise ValueError(f"{what} {i} must be a list of integers")
     return value
 
@@ -335,7 +349,7 @@ def group_from_permutations(
         raise ValueError(f"permutation degree must be non-negative, got {degree}")
     gens: list[tuple[int, ...]] = []
     for i, images in enumerate(generators):
-        perm = tuple(int(v) for v in images)
+        perm = _int_tuple(images, f"generator {i}")
         if degree is None:
             degree = len(perm)
         if len(perm) != degree:
@@ -371,7 +385,7 @@ def group_from_permutations(
     times = [[index[tuple(map(q.__getitem__, p))] for p in elements] for q in gens]
     columns = [range(n)] + [None] * (n - 1)
     for r, c, j in links:
-        columns[index[r]] = list(map(times[j].__getitem__, columns[index[c]]))
+        columns[index[r]] = itemgetter(*columns[index[c]])(times[j])
     return FiniteGroup.from_table(list(zip(*columns)), name=name)
 
 
@@ -385,23 +399,10 @@ def group_to_json(G: FiniteGroup) -> dict:
     return doc
 
 
-def element_order(G: FiniteGroup, g: int) -> int:
-    """Least k >= 1 with g^k = identity."""
-    if not 0 <= g < G.order:
-        raise ValueError(f"element index {g} out of range for order {G.order}")
-    return G.element_orders[g]
-
-
 def omega1(G: FiniteGroup) -> frozenset[int]:
     """Elements of order at most 2 (identity included)."""
     t = G.table
     return frozenset(g for g in G.elements() if t[g][g] == 0)
-
-
-def squares(G: FiniteGroup) -> frozenset[int]:
-    """Non-identity elements expressible as y^2 (the identity is excluded)."""
-    t = G.table
-    return frozenset(t[g][g] for g in G.elements()) - {0}
 
 
 def closure_elements(G: FiniteGroup, gens: Iterable[int]) -> frozenset[int]:
@@ -453,29 +454,6 @@ def closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
             raise ValueError(f"generator index {g} out of range for order {G.order}")
         gen_list.append(g)
     return Subgroup(closure_elements(G, gen_list), generators=tuple(gen_list))
-
-
-def subgroup_from_elements(G: FiniteGroup, elems: Iterable[int]) -> Subgroup:
-    """Wrap an element set as a Subgroup, verifying the subgroup axioms."""
-    members = frozenset(int(g) for g in elems)
-    for g in members:
-        if not 0 <= g < G.order:
-            raise ValueError(f"element index {g} out of range for order {G.order}")
-    if 0 not in members:
-        raise ValueError("subgroup must contain the identity")
-    t = G.table
-    for a in members:
-        for b in members:
-            if t[a][b] not in members:
-                raise ValueError("element set is not closed under the product")
-    return Subgroup(members)
-
-
-def conjugate_subgroup(G: FiniteGroup, H: Subgroup, x: int) -> Subgroup:
-    """The conjugate {x^-1 h x : h in H}."""
-    if not 0 <= x < G.order:
-        raise ValueError(f"element index {x} out of range for order {G.order}")
-    return Subgroup(frozenset(G.conjugate(h, x) for h in H.elements))
 
 
 def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:

@@ -61,7 +61,9 @@ def _lattice(G: FiniteGroup, within: Subgroup | None) -> tuple[Subgroup, ...]:
     group has a normal subgroup of prime index, so this round finds every
     subgroup when the ambient group (G, or ``within``) is solvable, and it
     reaches the ambient group only then.  Otherwise a second round runs the
-    same loop over everything found, without the normalizing test.
+    same loop over everything found, without the normalizing test: a
+    subgroup the first round processed is joined only with the z that round
+    passed over for not normalizing it, so no join is made twice.
 
     Subgroups are keyed by bitmask.  Bit i of ``cyclic_bit[g]`` is set when
     g generates the i-th cyclic subgroup, and of ``root_bit[g]`` when g is
@@ -97,11 +99,15 @@ def _lattice(G: FiniteGroup, within: Subgroup | None) -> tuple[Subgroup, ...]:
 
     top = bitmask(within.elements) if within is not None else (1 << G.order) - 1
     subs: dict[int, tuple[list[int], tuple[int, ...]]] = {1: ([0], ())}
+    passed_over: dict[int, int] = {}
     for normal_only in (True, False):
         queue = list(subs)
         for m in queue:
             elems, gens = subs[m]
-            todo = bits_in(root_bit, elems) & ~bits_in(cyclic_bit, elems)
+            todo = passed_over.get(m)
+            if todo is None:
+                todo = bits_in(root_bit, elems) & ~bits_in(cyclic_bit, elems)
+            skipped = 0
             while todo:
                 i = (todo & -todo).bit_length() - 1
                 todo ^= 1 << i
@@ -109,6 +115,7 @@ def _lattice(G: FiniteGroup, within: Subgroup | None) -> tuple[Subgroup, ...]:
                 if normal_only:
                     row = t[inv[z]]
                     if not all(m >> t[row[k]][z] & 1 for k in gens):
+                        skipped |= 1 << i
                         continue
                 jm, joined = join_element(G, m, elems, gens, z)
                 index = len(joined) // len(elems)
@@ -118,6 +125,7 @@ def _lattice(G: FiniteGroup, within: Subgroup | None) -> tuple[Subgroup, ...]:
                     inside = cyclic_masks[i]
                     subs[jm] = (joined, tuple(k for k in gens if not inside >> k & 1) + (z,))
                     queue.append(jm)
+            passed_over[m] = skipped
         if top in subs:
             break
     return tuple(

@@ -10,13 +10,17 @@ from composing every pair of a closure grown by squaring, and counts from
 closed formulas, so a bug in the fast path cannot
 hide in the oracle as well.
 
-The helpers below them (the join-every-cyclic lattice, commutators, derived
-and Frattini subgroups, abelian invariants, conjugacy class sizes and the
-small-order isomorphism search) are not oracles in that sense:
+The helpers below them (the join-every-cyclic lattice, element orders,
+squares, checked and conjugate subgroups, commutators, derived and Frattini
+subgroups, abelian invariants, conjugacy class sizes and the small-order
+isomorphism search) are not oracles in that sense:
 ``join_every_cyclic_lattice`` calls ``join_element``,
 ``derived_subgroup`` calls ``closure_elements``,
 ``frattini_subgroup`` calls ``all_subgroups``, ``isomorphic_small`` calls
 ``generate``, and ``abelian_invariants`` calls ``is_abelian_subgroup``.
+``first_light_failure`` checks associativity triple by triple but takes its
+middle factors from ``_right_generators``: which failing triple comes first
+depends on them.
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
+from typing import Iterable
 
 from perfcode.group import (
     FiniteGroup,
     Subgroup,
+    _right_generators,
     closure_elements,
     generate,
     join_element,
@@ -93,6 +99,20 @@ def is_associative(rows) -> bool:
         for y in range(n)
         for z in range(n)
     )
+
+
+def first_light_failure(rows) -> tuple[int, int, int] | None:
+    """The first triple (x, a, y) with (xa)y != x(ay), for a over the
+    generators ``_right_generators`` picks, then x, then y: the order in
+    which ``FiniteGroup.from_table`` reports associativity failures.  The
+    identity must sit at 0.  O(|gens| n^2)."""
+    n = len(rows)
+    for a in _right_generators(rows):
+        for x in range(n):
+            for y in range(n):
+                if rows[rows[x][a]][y] != rows[x][rows[a][y]]:
+                    return x, a, y
+    return None
 
 
 def brute_normalizer(G: FiniteGroup, members, within=None) -> frozenset[int]:
@@ -246,6 +266,42 @@ def join_every_cyclic_lattice(G: FiniteGroup, within: Subgroup | None = None) ->
         Subgroup(frozenset(subs[m][0]), generators=subs[m][1])
         for m in sorted(subs, key=lambda m: (m.bit_count(), m))
     )
+
+
+def element_order(G: FiniteGroup, g: int) -> int:
+    """Least k >= 1 with g^k = identity."""
+    if not 0 <= g < G.order:
+        raise ValueError(f"element index {g} out of range for order {G.order}")
+    return G.element_orders[g]
+
+
+def squares(G: FiniteGroup) -> frozenset[int]:
+    """Non-identity elements expressible as y^2 (the identity is excluded)."""
+    t = G.table
+    return frozenset(t[g][g] for g in G.elements()) - {0}
+
+
+def subgroup_from_elements(G: FiniteGroup, elems: Iterable[int]) -> Subgroup:
+    """Wrap an element set as a Subgroup, verifying the subgroup axioms."""
+    members = frozenset(int(g) for g in elems)
+    for g in members:
+        if not 0 <= g < G.order:
+            raise ValueError(f"element index {g} out of range for order {G.order}")
+    if 0 not in members:
+        raise ValueError("subgroup must contain the identity")
+    t = G.table
+    for a in members:
+        for b in members:
+            if t[a][b] not in members:
+                raise ValueError("element set is not closed under the product")
+    return Subgroup(members)
+
+
+def conjugate_subgroup(G: FiniteGroup, H: Subgroup, x: int) -> Subgroup:
+    """The conjugate {x^-1 h x : h in H}."""
+    if not 0 <= x < G.order:
+        raise ValueError(f"element index {x} out of range for order {G.order}")
+    return Subgroup(frozenset(G.conjugate(h, x) for h in H.elements))
 
 
 def commutator(G: FiniteGroup, x: int, y: int) -> int:

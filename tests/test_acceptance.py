@@ -10,6 +10,7 @@ from oracles import (
     derived_subgroup,
     frattini_subgroup,
     isomorphic_small,
+    squares,
 )
 from perfcode import construct
 from perfcode.codes import (
@@ -32,7 +33,7 @@ from perfcode.extraspecial import (
     is_extraspecial,
     symplectic_form,
 )
-from perfcode.group import full_subgroup, squares
+from perfcode.group import full_subgroup
 from perfcode.subgroups import (
     all_subgroups,
     center,

@@ -1,7 +1,8 @@
 """The names the benchmark harness wraps must exist in perfcode.
 
-``perfbench/tracer.py`` replaces perfcode functions by name, and the
-lattice workload calls ``all_subgroups`` positionally.  A name removed or
+``perfbench/tracer.py`` replaces perfcode functions by name and times
+``FiniteGroup.from_table`` through its classmethod, and the lattice
+workload calls ``all_subgroups`` positionally.  A name removed or
 renamed here would otherwise fail only a traced benchmark run.
 """
 
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from perfcode import construct
+from perfcode.group import FiniteGroup
 from perfcode.subgroups import CosetDecomposition, all_subgroups
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -35,6 +37,13 @@ def test_traced_names_resolve(table):
 
 def test_coset_lookup_hook_exists():
     assert callable(CosetDecomposition.coset_of)
+
+
+def test_from_table_hook_is_a_classmethod():
+    # The tracer times from_table by unwrapping the classmethod's function.
+    hook = FiniteGroup.__dict__["from_table"]
+    assert isinstance(hook, classmethod)
+    assert callable(hook.__func__)
 
 
 def test_lattice_workload_call_runs():

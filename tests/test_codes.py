@@ -10,6 +10,7 @@ from oracles import (
     brute_double_coset_counterexample,
     brute_inverse_closed_transversal_exists,
     brute_square_coset_counterexample,
+    conjugate_subgroup,
     relabel_rows,
 )
 from perfcode import codes, construct
@@ -34,7 +35,6 @@ from perfcode.group import (
     FiniteGroup,
     Subgroup,
     closure,
-    conjugate_subgroup,
     full_subgroup,
     trivial_subgroup,
 )

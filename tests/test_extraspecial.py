@@ -10,6 +10,7 @@ from oracles import (
     frattini_subgroup,
     isomorphic_small,
     relabel_rows,
+    squares,
 )
 from perfcode import construct, extraspecial
 from perfcode.codes import Criterion, decide
@@ -29,7 +30,6 @@ from perfcode.group import (
     closure,
     full_subgroup,
     omega1,
-    squares,
     subgroup_as_group,
     trivial_subgroup,
 )

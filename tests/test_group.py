@@ -11,23 +11,29 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_permutation_table, commutator, is_associative, relabel_rows
+from oracles import (
+    brute_permutation_table,
+    commutator,
+    conjugate_subgroup,
+    element_order,
+    first_light_failure,
+    is_associative,
+    relabel_rows,
+    squares,
+    subgroup_from_elements,
+)
 from perfcode import construct
 from perfcode.group import (
     FiniteGroup,
     _coerce_rows,
     _validate_rows,
     closure,
-    conjugate_subgroup,
-    element_order,
     full_subgroup,
     group_from_permutations,
     group_to_json,
     load_group,
     omega1,
-    squares,
     subgroup_as_group,
-    subgroup_from_elements,
     trivial_subgroup,
 )
 
@@ -507,6 +513,90 @@ def test_relabelled_order_256_table_loads():
         assert all(image[phi[b]] == phi[row[b]] for b in range(G.order))
         assert R.inverse[phi[a]] == phi[G.inverse[a]]
         assert R.element_orders[phi[a]] == G.element_orders[a]
+
+
+def _sampled_near_group(G: FiniteGroup, rng: random.Random) -> list[list[int]]:
+    """Like ``_near_group``, but the 2x2 Latin subsquare is found by sampling
+    (r1, c1, c2) instead of listing every one, so it scales to order 256.
+    The subsquare holds no identity, so the inverses stay two-sided and only
+    associativity can fail."""
+    perm = [0] + rng.sample(range(1, G.order), G.order - 1)
+    rows = relabel_rows(G, perm)
+    n = G.order
+    while True:
+        r1 = rng.randrange(1, n)
+        c1, c2 = rng.sample(range(1, n), 2)
+        r2 = [row[c1] for row in rows].index(rows[r1][c2])
+        if r2 != 0 and rows[r2][c2] == rows[r1][c1] and 0 not in (rows[r1][c1], rows[r1][c2]):
+            rows[r1][c1], rows[r1][c2] = rows[r1][c2], rows[r1][c1]
+            rows[r2][c1], rows[r2][c2] = rows[r2][c2], rows[r2][c1]
+            return rows
+
+
+def _assert_first_light_failure_reported(rows):
+    """from_table rejects ``rows`` naming the oracle's first failing triple,
+    or, when every triple associates, loads them unchanged; True when it
+    rejects them."""
+    triple = first_light_failure(rows)
+    if triple is None:
+        assert [list(row) for row in FiniteGroup.from_table(rows).table] == rows
+        return False
+    with pytest.raises(ValueError) as caught:
+        FiniteGroup.from_table(rows)
+    assert str(caught.value) == "associativity fails at triple (%d, %d, %d)" % triple
+    return True
+
+
+NEAR_GROUP_SPECS = [
+    ("dihedral(12)", 6), ("q16", 6), ("s4", 6), ("gm1(2)", 4), ("product(s4,cyclic(2))", 4),
+    ("dihedral(64)", 4), ("dicyclic(96)", 2), ("gm1(3)", 2), ("product(gm1(3),cyclic(2))", 2),
+]
+
+
+@pytest.mark.parametrize("spec, count", NEAR_GROUP_SPECS)
+def test_near_groups_report_the_first_failing_triple(spec, count):
+    """Up to order 256 Light's test composes rows as bytes; it must name the
+    same first triple as the plain loop."""
+    G = construct.build_named(spec)
+    rng = random.Random(G.order)
+    rejected = sum(
+        _assert_first_light_failure_reported(_sampled_near_group(G, rng)) for _ in range(count)
+    )
+    assert rejected >= count // 2
+
+
+def test_near_group_above_order_256_reports_the_first_failing_triple(monkeypatch):
+    """Above order 256, reachable only with a raised cap, rows compose as tuples."""
+    monkeypatch.setenv("PCL_MAX_ORDER", "300")
+    G = construct.build_named("product(s4,cyclic(11))")
+    assert G.order == 264
+    assert FiniteGroup.from_table([list(row) for row in G.table]).table == G.table
+    rng = random.Random(G.order)
+    assert _assert_first_light_failure_reported(_sampled_near_group(G, rng))
+
+
+@pytest.mark.parametrize(
+    "rows, entry",
+    [
+        ([[0, 1.5], [1.5, 0]], "1.5"),
+        ([["0", "1"], ["1", "0"]], "'0'"),
+        ([[0, 1], [1, 0.0]], "0.0"),
+        ([[True, False], [False, True]], "True"),
+        ([[False]], "False"),
+    ],
+)
+def test_from_table_rejects_entries_that_are_not_ints(rows, entry):
+    with pytest.raises(ValueError, match=re.escape(f"entry {entry} is not an integer")):
+        FiniteGroup.from_table(rows)
+
+
+@pytest.mark.parametrize(
+    "gens, entry",
+    [([[1.9, 0]], "1.9"), ([[1, 0.0]], "0.0"), ([[True, False]], "True"), ([["1", "0"]], "'1'")],
+)
+def test_permutations_reject_entries_that_are_not_ints(gens, entry):
+    with pytest.raises(ValueError, match=re.escape(f"generator 0 entry {entry} is not an integer")):
+        group_from_permutations(gens)
 
 
 def test_import_loads_no_numpy():

@@ -14,12 +14,14 @@ from oracles import (
     brute_normalizer,
     brute_subgroups,
     conjugacy_class_sizes,
+    conjugate_subgroup,
     derived_subgroup,
     element_order_multiset,
     frattini_subgroup,
     isomorphic_small,
     join_every_cyclic_lattice,
     relabel_rows,
+    subgroup_from_elements,
     subspace_count,
 )
 from perfcode import construct, subgroups
@@ -32,7 +34,6 @@ from perfcode.group import (
     full_subgroup,
     group_from_permutations,
     subgroup_as_group,
-    subgroup_from_elements,
     trivial_subgroup,
 )
 from perfcode.subgroups import (
@@ -51,7 +52,6 @@ from perfcode.subgroups import (
     sylow_2_subgroup,
     two_part,
 )
-from perfcode.group import conjugate_subgroup
 
 
 def test_two_part():
@@ -172,6 +172,23 @@ def test_lattice_matches_join_every_cyclic_on_nonsolvable_groups(name, count):
         assert len(subs) == count
     for H in subs:
         assert closure_elements(G, H.generators) == H.elements, H.indices()
+
+
+@pytest.mark.parametrize("name", sorted(NONSOLVABLE))
+def test_fallback_round_repeats_no_join(monkeypatch, name):
+    """The fallback round joins a subgroup of the first round only with the
+    cyclic subgroups that round passed over, so no (K, z) join repeats."""
+    calls = []
+    join = subgroups.join_element
+
+    def recording(G, mask, elems, gens, g):
+        calls.append((mask, g))
+        return join(G, mask, elems, gens, g)
+
+    monkeypatch.setattr(subgroups, "join_element", recording)
+    G = NONSOLVABLE[name]()
+    all_subgroups(G, None, G.order)
+    assert calls and len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("order", [24, 60])
