@@ -43,14 +43,12 @@ from .corpus import (
 from .extraspecial import (
     ExtraspecialClassification,
     Family,
-    SymplecticForm,
     build_family,
     central_product,
     classify_extraspecial,
     classify_sylow_extraspecial,
     is_extraspecial,
     sylow_2_classification,
-    symplectic_form,
 )
 from .group import (
     FiniteGroup,

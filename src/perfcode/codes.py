@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Iterable
 
 from .group import FiniteGroup, Subgroup
@@ -54,12 +53,20 @@ class ConnectionSet:
         return sorted(self.elements)
 
 
-def connection_set(G: FiniteGroup, elements: Iterable[int]) -> ConnectionSet:
-    """Validated connection set: no identity, closed under inversion."""
+def _as_elements(G: FiniteGroup, elements: Subgroup | Iterable[int]) -> frozenset[int]:
+    """A subgroup's members, or else ``elements`` as indices checked in range."""
+    if isinstance(elements, Subgroup):
+        return elements.elements
     members = frozenset(int(g) for g in elements)
     for g in members:
         if not 0 <= g < G.order:
             raise ValueError(f"element index {g} out of range for order {G.order}")
+    return members
+
+
+def connection_set(G: FiniteGroup, elements: Iterable[int]) -> ConnectionSet:
+    """Validated connection set: no identity, closed under inversion."""
+    members = _as_elements(G, elements)
     if 0 in members:
         raise ValueError("connection set must not contain the identity")
     if any(G.inverse[g] not in members for g in members):
@@ -113,40 +120,29 @@ def verdict_to_json(G: FiniteGroup, H: Subgroup, verdict: CodeVerdict) -> dict:
     return doc
 
 
-def _as_elements(C: Subgroup | Iterable[int]) -> frozenset[int]:
-    if isinstance(C, Subgroup):
-        return C.elements
-    return frozenset(int(g) for g in C)
-
-
 def is_perfect_code_in_cayley_graph(
     G: FiniteGroup, S: ConnectionSet | Iterable[int], C: Subgroup | Iterable[int]
 ) -> bool:
-    """Graph-level check that C is a perfect code of Cay(G, S).
+    """Graph-level check that C is a perfect code of Cay(G, S), by the
+    definition: the closed neighbourhoods {c} u Sc, c in C, partition G.
 
-    x and y are adjacent iff y x^-1 lies in S; the code condition is that C
-    is independent and every outside vertex has exactly one neighbour in C.
+    x and y are adjacent iff y x^-1 lies in S, so the neighbours of c are
+    Sc.  The |C| (|S| + 1) products must then be |G| distinct elements,
+    which takes O(|G|) table lookups.
     """
     conn = connection_set(G, S.elements if isinstance(S, ConnectionSet) else S)
-    code = _as_elements(C)
+    code = _as_elements(G, C)
+    if len(code) * (len(conn) + 1) != G.order:
+        return False
     t = G.table
-    inv = G.inverse
-    members = conn.elements
-    for c1, c2 in combinations(code, 2):
-        if t[c2][inv[c1]] in members:
-            return False
-    for g in G.elements():
-        if g in code:
-            continue
-        ig = inv[g]
-        hits = 0
-        for c in code:
-            if t[c][ig] in members:
-                hits += 1
-                if hits > 1:
-                    return False
-        if hits != 1:
-            return False
+    closed = (0, *conn.elements)
+    covered = bytearray(G.order)
+    for c in code:
+        for s in closed:
+            g = t[s][c]
+            if covered[g]:
+                return False
+            covered[g] = 1
     return True
 
 
@@ -454,7 +450,7 @@ def search_connection_set(G: FiniteGroup, C: Subgroup | Iterable[int]) -> Connec
             atoms.append((g,))
         elif g < ig:
             atoms.append((g, ig))
-    code = _as_elements(C)
+    code = _as_elements(G, C)
     for mask in range(1 << len(atoms)):
         chosen: set[int] = set()
         for bit, atom in enumerate(atoms):

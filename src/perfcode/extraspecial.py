@@ -1,6 +1,6 @@
-"""Extraspecial 2-groups: central products, the GF(2) symplectic structure
-on the central quotient, and closed-form perfect-code classification for
-extraspecial groups and for groups whose Sylow 2-subgroup is extraspecial."""
+"""Extraspecial 2-groups: central products, the two families, and
+closed-form perfect-code classification for extraspecial groups and for
+groups whose Sylow 2-subgroup is extraspecial."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .group import (
     FiniteGroup,
     Subgroup,
     full_subgroup,
-    generate,
     omega1,
     order_cap,
     per_group,
@@ -48,20 +47,6 @@ class ExtraspecialClassification:
     is_extraspecial: bool
     m: int | None = None
     family: Family | None = None
-
-
-@dataclass(frozen=True)
-class SymplecticForm:
-    """Alternating non-degenerate bilinear form on the central quotient.
-
-    ``matrix[i][j]`` is 1 exactly when the basis lifts i and j do not
-    commute; ``basis_lifts`` are group elements whose images form a GF(2)
-    basis of G/Z(G).
-    """
-
-    dimension: int
-    matrix: tuple[tuple[int, ...], ...]
-    basis_lifts: tuple[int, ...]
 
 
 def _central_involution(G: FiniteGroup) -> int:
@@ -171,40 +156,6 @@ def sylow_2_classification(G: FiniteGroup) -> ExtraspecialClassification:
     """``is_extraspecial`` of the Sylow 2-subgroup of G, taken as a group."""
     sylow_group, _ = subgroup_as_group(G, sylow_2_subgroup(G, full_subgroup(G)))
     return is_extraspecial(sylow_group)
-
-
-def _gf2_rank(rows: list[int]) -> int:
-    rank = 0
-    pivots: list[int] = []
-    for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-            rank += 1
-    return rank
-
-
-def symplectic_form(G: FiniteGroup) -> SymplecticForm:
-    """Commutator form on G/Z(G) for an extraspecial G.
-
-    Basis lifts are chosen greedily in element-index order (any basis works:
-    only the rank and hyperbolic-pair detection are consumed).  The form is
-    alternating by construction; non-degeneracy is verified by GF(2) rank.
-    """
-    cls = is_extraspecial(G)
-    if not cls.is_extraspecial:
-        raise ValueError("symplectic form is only defined for extraspecial 2-groups")
-    basis = generate(G, (_central_involution(G), *G.elements()))[1][1:]
-    dim = len(basis)
-    t = G.table
-    matrix = tuple(
-        tuple(0 if t[x][y] == t[y][x] else 1 for y in basis) for x in basis
-    )
-    rows = [sum(bit << j for j, bit in enumerate(row)) for row in matrix]
-    if _gf2_rank(rows) != dim:
-        raise ValueError("degenerate commutator form: construction bug")
-    return SymplecticForm(dimension=dim, matrix=matrix, basis_lifts=basis)
 
 
 def classify_extraspecial(G: FiniteGroup, H: Subgroup) -> CodeVerdict:

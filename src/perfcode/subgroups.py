@@ -2,11 +2,15 @@
 normalizers, centralizers, centers, cosets and least conjugates.
 
 The operators test a generating set of each subgroup, not its members:
-its recorded ``generators``, or else a greedy one stored per group."""
+its recorded ``generators``, or else a greedy one stored per group.  Every
+subgroup they return is the one ``Subgroup`` instance of G with its element
+set (see ``_subgroup``), so the lattice and the stored results share it."""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .group import (
     FiniteGroup,
@@ -15,7 +19,6 @@ from .group import (
     generate,
     join_element,
     per_group,
-    trivial_subgroup,
 )
 
 DEFAULT_ENUMERATION_CAP = 128
@@ -36,9 +39,10 @@ def all_subgroups(
     max_order: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[Subgroup, ...]:
     """Every subgroup of ``within`` (default: of G), each exactly once and
-    with its generators recorded, ordered by cardinality then bitmask: the
-    trivial subgroup comes first and the whole of ``within`` last.  The
-    lattice is stored once per (G, within); ``max_order`` only caps it."""
+    with its generators recorded (unless an operator built it first),
+    ordered by cardinality then bitmask: the trivial subgroup comes first
+    and the whole of ``within`` last.  The lattice is stored once per
+    (G, within); ``max_order`` only caps it."""
     size = len(within) if within is not None else G.order
     if size > max_order:
         raise ValueError(f"subgroup enumeration supports order <= {max_order}, got {size}")
@@ -128,18 +132,42 @@ def _lattice(G: FiniteGroup, within: Subgroup | None) -> tuple[Subgroup, ...]:
             passed_over[m] = skipped
         if top in subs:
             break
-    return tuple(
-        Subgroup(frozenset(subs[m][0]), generators=subs[m][1])
-        for m in sorted(subs, key=lambda m: (m.bit_count(), m))
-    )
+    order = sorted(subs, key=lambda m: (m.bit_count(), m))
+    return tuple(_subgroup(G, *subs[m], m) for m in order)
 
 
 @per_group
+def _interned(G: FiniteGroup) -> dict[int, Subgroup]:
+    """The subgroups of G built so far, by bitmask."""
+    return {}
+
+
+def _subgroup(
+    G: FiniteGroup, elems: Iterable[int], generators: tuple[int, ...] | None = None,
+    mask: int | None = None,
+) -> Subgroup:
+    """The one ``Subgroup`` instance of G with these elements: the first
+    one built, with the generators it recorded, is returned ever after.
+    ``mask``, when given, is the bitmask of ``elems``."""
+    interned = _interned(G)
+    if mask is None:
+        mask = bitmask(elems)
+    H = interned.get(mask)
+    if H is None:
+        H = interned[mask] = Subgroup(frozenset(elems), generators)
+    return H
+
+
 def _generators(G: FiniteGroup, H: Subgroup | None = None) -> tuple[int, ...]:
     """H's recorded generators, or else the greedy span ``generate`` picks
-    from its members in index order; H=None means G."""
+    from its members in index order, stored per group; H=None means G."""
     if H is not None and H.generators is not None:
         return H.generators
+    return _greedy_generators(G, H)
+
+
+@per_group
+def _greedy_generators(G: FiniteGroup, H: Subgroup | None) -> tuple[int, ...]:
     return generate(G, G.elements() if H is None else sorted(H.elements))[1]
 
 
@@ -185,7 +213,7 @@ def normalizer(G: FiniteGroup, K: Subgroup) -> Subgroup:
         else:
             for n in elems:
                 decided |= 1 << t[n][g]
-    return Subgroup(frozenset(elems), generators=gens)
+    return _subgroup(G, elems, gens, mask)
 
 
 @per_group
@@ -193,12 +221,12 @@ def centralizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """{g : gh = hg for all h in H}; g is tested on H's generators."""
     t = G.table
     gens = _generators(G, H)
-    return Subgroup(frozenset(g for g in G.elements() if all(t[g][h] == t[h][g] for h in gens)))
+    return _subgroup(G, [g for g in G.elements() if all(t[g][h] == t[h][g] for h in gens)])
 
 
 def center(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """{h in H : hx = xh for all x in H}."""
-    return Subgroup(centralizer(G, H).elements & H.elements)
+    return _subgroup(G, centralizer(G, H).elements & H.elements)
 
 
 @per_group
@@ -211,9 +239,9 @@ def sylow_2_subgroup(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """
     target = two_part(len(H))
     if target == 1:
-        return trivial_subgroup()
+        return _subgroup(G, [0], (), 1)
     current = _grow_2_subgroup(G, frozenset({0}), target, H)
-    return Subgroup(_least_conjugate(G, current, _generators(G, H)))
+    return _least_conjugate(G, current, _generators(G, H))
 
 
 def sylow_2_overgroup(G: FiniteGroup, Q: Subgroup) -> Subgroup:
@@ -221,67 +249,93 @@ def sylow_2_overgroup(G: FiniteGroup, Q: Subgroup) -> Subgroup:
     size = len(Q)
     if size & (size - 1):
         raise ValueError("starting subgroup must be a 2-group")
-    return Subgroup(_grow_2_subgroup(G, Q.elements, two_part(G.order), None))
+    grown = _grow_2_subgroup(G, Q.elements, two_part(G.order), None, _generators(G, Q))
+    return _subgroup(G, grown)
 
 
 def _grow_2_subgroup(
-    G: FiniteGroup, current: frozenset[int], target: int, within: Subgroup | None
+    G: FiniteGroup, current: frozenset[int], target: int, within: Subgroup | None,
+    gens: tuple[int, ...] = (),
 ) -> frozenset[int]:
-    """Grow the 2-subgroup ``current`` to order ``target`` by index-2 steps,
-    each adjoining the least g of ``within`` (default: G) that lies outside
-    it, squares into it and normalizes it (by Sylow's theorem one exists
-    while current is below the 2-part of that ambient group).  The cheap
-    tests go first, and no normalizer is built."""
+    """Grow the 2-subgroup ``current``, generated by ``gens``, to order
+    ``target`` by index-2 steps, each adjoining the least g of ``within``
+    (default: G) that lies outside it, squares into it and normalizes it (by
+    Sylow's theorem one exists while current is below the 2-part of that
+    ambient group).  The cheap tests go first, and no normalizer is built."""
     t = G.table
     domain = sorted(within.elements) if within is not None else G.elements()
     while len(current) < target:
-        normalizes = _normalizes(G, Subgroup(current))
+        normalizes = _normalizes(G, Subgroup(current, gens))
         x = next(
             g for g in domain if g not in current and t[g][g] in current and normalizes(g)
         )
         current = current | frozenset(t[q][x] for q in current)
+        gens += (x,)
     return current
 
 
 @dataclass(frozen=True, eq=False)
 class CosetDecomposition:
-    """Right cosets Hg with least-element representatives, identity first."""
+    """Right cosets Hg with least-element representatives, identity first.
+
+    ``blocks`` holds each coset's members in increasing order, and
+    ``_position`` the index of g's coset at index g, for every g of G (one
+    outside the ambient set maps past the last coset); both are packed by
+    ``_packed``."""
 
     subgroup: Subgroup
     representatives: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
-    _position: dict[int, int]
+    blocks: tuple[Sequence[int], ...]
+    _position: Sequence[int]
 
     def coset_of(self, g: int) -> int:
         """Index (into ``representatives``) of the coset containing g."""
         return self._position[g]
 
 
-@per_group
+def _packed(values: Iterable[int], n: int) -> Sequence[int]:
+    """``values``, each below n, as ``bytes`` when n <= 256 and otherwise
+    as an ``array`` of the narrowest unsigned type that holds n - 1."""
+    if n <= 256:
+        return bytes(values)
+    return array(next(c for c in "HIQ" if n <= 1 << 8 * array(c).itemsize), values)
+
+
 def coset_decomposition(
     G: FiniteGroup, H: Subgroup, within: Subgroup | None = None
 ) -> CosetDecomposition:
-    """Right-coset decomposition of the ambient set (default: all of G) by H."""
+    """Right-coset decomposition of the ambient set (default: all of G) by
+    H.  An ambient subgroup equal to G is taken as None, so both spellings
+    share one stored decomposition."""
+    if within is not None and len(within) == G.order:
+        within = None
+    return _cosets(G, H, within)
+
+
+@per_group
+def _cosets(G: FiniteGroup, H: Subgroup, within: Subgroup | None) -> CosetDecomposition:
     domain = sorted(within.elements) if within is not None else range(G.order)
-    t = G.table
+    n, t = G.order, G.table
     helems = sorted(H.elements)
-    position: dict[int, int] = {}
+    # a proper ambient subgroup has at most n/2 cosets, so k itself packs
+    k = len(domain) // len(helems)
+    position = [k] * n
     reps: list[int] = []
-    blocks: list[tuple[int, ...]] = []
+    blocks: list[Sequence[int]] = []
     for g in domain:
-        if g in position:
+        if position[g] < k:
             continue
         block = sorted(t[h][g] for h in helems)
         idx = len(reps)
         reps.append(g)
-        blocks.append(tuple(block))
+        blocks.append(_packed(block, n))
         for member in block:
             position[member] = idx
     return CosetDecomposition(
         subgroup=H,
         representatives=tuple(reps),
         blocks=tuple(blocks),
-        _position=position,
+        _position=_packed(position, n),
     )
 
 
@@ -315,12 +369,12 @@ def minimal_conjugate(G: FiniteGroup, H: Subgroup) -> Subgroup:
     it is normal, else found by an orbit walk."""
     if is_normal(G, H):
         return H
-    return Subgroup(_least_conjugate(G, H.elements, _generators(G)))
+    return _least_conjugate(G, H.elements, _generators(G))
 
 
 def _least_conjugate(
     G: FiniteGroup, members: frozenset[int], gens: tuple[int, ...]
-) -> frozenset[int]:
+) -> Subgroup:
     """The least-bitmask conjugate of ``members`` by the group ``gens``
     generate.  The orbit under conjugation by the generators alone is the
     whole orbit under that group, so it is walked breadth-first."""
@@ -335,4 +389,5 @@ def _least_conjugate(
             if key not in orbit:
                 orbit[key] = image
                 frontier.append(image)
-    return frozenset(orbit[min(orbit)])
+    least = min(orbit)
+    return _subgroup(G, orbit[least], mask=least)

@@ -3,7 +3,8 @@ structure helpers that only the tests use.
 
 The oracles deliberately avoid the library's own algorithms: subgroups come
 from exhaustive subset scans, transversals from cartesian products over
-cosets, associativity from every triple, normalizers, centralizers and
+cosets, perfect codes from every pair of vertices, right cosets from every
+product, associativity from every triple, normalizers, centralizers and
 commutativity from every member, Sylow growth steps from whole normalizers,
 coset-criterion counterexamples from a scan of every x, permutation tables
 from composing every pair of a closure grown by squaring, and counts from
@@ -12,12 +13,14 @@ hide in the oracle as well.
 
 The helpers below them (the join-every-cyclic lattice, element orders,
 squares, checked and conjugate subgroups, commutators, derived and Frattini
-subgroups, abelian invariants, conjugacy class sizes and the small-order
-isomorphism search) are not oracles in that sense:
+subgroups, abelian invariants, the symplectic form of an extraspecial
+group, conjugacy class sizes and the small-order isomorphism search) are
+not oracles in that sense:
 ``join_every_cyclic_lattice`` calls ``join_element``,
 ``derived_subgroup`` calls ``closure_elements``,
-``frattini_subgroup`` calls ``all_subgroups``, ``isomorphic_small`` calls
-``generate``, and ``abelian_invariants`` calls ``is_abelian_subgroup``.
+``frattini_subgroup`` calls ``all_subgroups``, ``isomorphic_small`` and
+``symplectic_form`` call ``generate``, and ``abelian_invariants`` calls
+``is_abelian_subgroup``.
 ``first_light_failure`` checks associativity triple by triple but takes its
 middle factors from ``_right_generators``: which failing triple comes first
 depends on them.
@@ -31,6 +34,7 @@ from functools import reduce
 from itertools import product
 from typing import Iterable
 
+from perfcode.extraspecial import _central_involution, is_extraspecial
 from perfcode.group import (
     FiniteGroup,
     Subgroup,
@@ -88,6 +92,29 @@ def brute_inverse_closed_transversal_exists(G: FiniteGroup, H: Subgroup) -> bool
         if all(inv[g] in chosen for g in chosen):
             return True
     return False
+
+
+def brute_is_perfect_code(G: FiniteGroup, S, C) -> bool:
+    """C is a perfect code of Cay(G, S), where x ~ y iff y x^-1 lies in S:
+    no two code words are adjacent and every other vertex is adjacent to
+    exactly one, checked over every pair of vertices.  O(|G| |C|)."""
+    t, inv = G.table, G.inverse
+    S, C = frozenset(S), frozenset(C)
+
+    def adjacent(x: int, y: int) -> bool:
+        return t[y][inv[x]] in S
+
+    if any(adjacent(a, b) for a in C for b in C if a != b):
+        return False
+    return all(sum(adjacent(c, g) for c in C) == 1 for g in G.elements() if g not in C)
+
+
+def brute_right_cosets(G: FiniteGroup, members, within=None) -> list[list[int]]:
+    """The distinct sets Hg for g in within (default: G), each sorted, in
+    order of their least element."""
+    domain = G.elements() if within is None else within
+    cosets = {frozenset(G.mul(h, g) for h in members) for g in domain}
+    return sorted(sorted(c) for c in cosets)
 
 
 def is_associative(rows) -> bool:
@@ -373,6 +400,54 @@ def abelian_invariants(G: FiniteGroup, H: Subgroup) -> AbelianInvariants:
             for _ in range(parts_at_least[size - 1] - parts_at_least[size]):
                 factors.append(p**size)
     return AbelianInvariants(cyclic_factors=tuple(sorted(factors)))
+
+
+@dataclass(frozen=True)
+class SymplecticForm:
+    """Alternating non-degenerate bilinear form on the central quotient.
+
+    ``matrix[i][j]`` is 1 exactly when the basis lifts i and j do not
+    commute; ``basis_lifts`` are group elements whose images form a GF(2)
+    basis of G/Z(G).
+    """
+
+    dimension: int
+    matrix: tuple[tuple[int, ...], ...]
+    basis_lifts: tuple[int, ...]
+
+
+def _gf2_rank(rows: list[int]) -> int:
+    rank = 0
+    pivots: list[int] = []
+    for row in rows:
+        for p in pivots:
+            row = min(row, row ^ p)
+        if row:
+            pivots.append(row)
+            rank += 1
+    return rank
+
+
+def symplectic_form(G: FiniteGroup) -> SymplecticForm:
+    """Commutator form on G/Z(G) for an extraspecial G.
+
+    Basis lifts are chosen greedily in element-index order (any basis works:
+    only the rank and hyperbolic-pair detection are consumed).  The form is
+    alternating by construction; non-degeneracy is verified by GF(2) rank.
+    """
+    cls = is_extraspecial(G)
+    if not cls.is_extraspecial:
+        raise ValueError("symplectic form is only defined for extraspecial 2-groups")
+    basis = generate(G, (_central_involution(G), *G.elements()))[1][1:]
+    dim = len(basis)
+    t = G.table
+    matrix = tuple(
+        tuple(0 if t[x][y] == t[y][x] else 1 for y in basis) for x in basis
+    )
+    rows = [sum(bit << j for j, bit in enumerate(row)) for row in matrix]
+    if _gf2_rank(rows) != dim:
+        raise ValueError("degenerate commutator form: construction bug")
+    return SymplecticForm(dimension=dim, matrix=matrix, basis_lifts=basis)
 
 
 @per_group

@@ -11,6 +11,7 @@ from oracles import (
     frattini_subgroup,
     isomorphic_small,
     squares,
+    symplectic_form,
 )
 from perfcode import construct
 from perfcode.codes import (
@@ -31,7 +32,6 @@ from perfcode.extraspecial import (
     classify_extraspecial,
     classify_sylow_extraspecial,
     is_extraspecial,
-    symplectic_form,
 )
 from perfcode.group import full_subgroup
 from perfcode.subgroups import (

@@ -3,12 +3,14 @@ from __future__ import annotations
 import random
 import sys
 import time
+from itertools import combinations
 
 import pytest
 
 from oracles import (
     brute_double_coset_counterexample,
     brute_inverse_closed_transversal_exists,
+    brute_is_perfect_code,
     brute_square_coset_counterexample,
     conjugate_subgroup,
     relabel_rows,
@@ -70,6 +72,67 @@ def test_d8_center_is_never_a_code(d8):
 def test_graph_check_rejects_dependent_code(d8):
     S = connection_set(d8, {2})
     assert not is_perfect_code_in_cayley_graph(d8, S, {0, 2})
+
+
+def test_graph_check_validates_the_connection_set(d8):
+    with pytest.raises(ValueError, match="identity"):
+        is_perfect_code_in_cayley_graph(d8, {0, 4}, {0})
+    with pytest.raises(ValueError, match="inverse"):
+        is_perfect_code_in_cayley_graph(d8, {1, 4}, {0, 2})
+
+
+def test_graph_check_rejects_code_indices_out_of_range(d8):
+    for bad in (-1, 8):
+        with pytest.raises(ValueError, match="out of range"):
+            is_perfect_code_in_cayley_graph(d8, set(range(1, 8)), [bad])
+
+
+def _inverse_pairs(G: FiniteGroup) -> list[frozenset[int]]:
+    return sorted({frozenset({g, G.inverse[g]}) for g in range(1, G.order)}, key=min)
+
+
+def test_graph_check_matches_brute_oracle_on_every_code_of_d8_and_q8(d8, q8):
+    # every connection set, with every code C of the size |G| / (|S| + 1)
+    # the definition requires, subgroup or not, and one size either side
+    for G in (d8, q8):
+        pairs = _inverse_pairs(G)
+        for r in range(len(pairs) + 1):
+            for chosen in combinations(pairs, r):
+                S = frozenset().union(*chosen)
+                size = G.order // (len(S) + 1)
+                for k in {size - 1, size, size + 1}:
+                    for C in combinations(range(G.order), k):
+                        expected = brute_is_perfect_code(G, S, C)
+                        assert is_perfect_code_in_cayley_graph(G, S, C) == expected, (
+                            G.name, sorted(S), C,
+                        )
+
+
+def test_graph_check_matches_brute_oracle_on_witnesses(s4, a4, sl23):
+    # each transversal witness, the same with one inverse pair dropped, and
+    # random codes (mostly not subgroups) of the size the witness requires
+    rng = random.Random(3)
+    for G in (s4, a4, sl23, construct.dihedral(12)):
+        for H in all_subgroups(G):
+            T = find_inverse_closed_transversal(G, H)
+            if T is None:
+                continue
+            S = connection_set_from_transversal(G, H, T)
+            assert is_perfect_code_in_cayley_graph(G, S, H)
+            assert brute_is_perfect_code(G, S.elements, H.elements)
+            for pair in _inverse_pairs(G):
+                if pair <= S.elements:
+                    dropped = S.elements - pair
+                    assert not is_perfect_code_in_cayley_graph(G, dropped, H)
+                    assert not brute_is_perfect_code(G, dropped, H.elements)
+                    break
+            for _ in range(3):
+                size = G.order // (len(S) + 1)
+                C = rng.sample(range(G.order), size)
+                expected = brute_is_perfect_code(G, S.elements, C)
+                assert is_perfect_code_in_cayley_graph(G, S, C) == expected, (
+                    G.name, H.indices(), C,
+                )
 
 
 def test_search_connection_set_order_cap(g21):
@@ -369,6 +432,26 @@ def test_decide_with_witness(s4, s4_elem):
     assert verdict.criterion is Criterion.TRANSVERSAL
     S = connection_set_from_transversal(s4, H, verdict.witness)
     assert is_perfect_code_in_cayley_graph(s4, S, H)
+
+
+def test_decide_with_witness_above_order_256(monkeypatch):
+    # coset indices above 255 need the decompositions' wider packing
+    monkeypatch.setenv("PCL_MAX_ORDER", "300")
+    G = construct.build_named("product(s4,cyclic(11))")
+    assert G.order == 264
+    first = {o: G.element_orders.index(o) for o in (2, 3, 11)}
+    involutions = [[g] for g in G.elements() if G.element_orders[g] == 2]
+    verdicts = []
+    for gens in [[], [first[2], first[3]], [first[11]], [first[2], first[11]]] + involutions:
+        H = closure(G, gens)
+        verdict = decide(G, H, with_witness=True)
+        assert verdict.is_perfect_code == square_coset_condition(G, H).is_perfect_code
+        if verdict.is_perfect_code:
+            S = connection_set_from_transversal(G, H, verdict.witness)
+            assert is_perfect_code_in_cayley_graph(G, S, H), H.indices()
+        verdicts.append(verdict.is_perfect_code)
+    # a transposition gives a code, a double transposition does not
+    assert len(involutions) == 9 and verdicts.count(False) == 3
 
 
 def test_decide_with_witness_raises_when_search_finds_none(monkeypatch, s4, s4_elem):

@@ -11,6 +11,7 @@ from oracles import (
     isomorphic_small,
     relabel_rows,
     squares,
+    symplectic_form,
 )
 from perfcode import construct, extraspecial
 from perfcode.codes import Criterion, decide
@@ -22,7 +23,6 @@ from perfcode.extraspecial import (
     classify_extraspecial,
     classify_sylow_extraspecial,
     is_extraspecial,
-    symplectic_form,
     sylow_2_classification,
 )
 from perfcode.group import (

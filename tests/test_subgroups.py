@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from functools import reduce
 
 import pytest
@@ -12,6 +14,7 @@ from oracles import (
     brute_is_abelian,
     brute_is_normal,
     brute_normalizer,
+    brute_right_cosets,
     brute_subgroups,
     conjugacy_class_sizes,
     conjugate_subgroup,
@@ -25,6 +28,7 @@ from oracles import (
     subspace_count,
 )
 from perfcode import construct, subgroups
+from perfcode.corpus import cross_check, make_entry
 from perfcode.group import (
     FiniteGroup,
     Subgroup,
@@ -485,6 +489,100 @@ def test_coset_decomposition_partitions(s4, s4_elem):
             assert dec.coset_of(g) == i
     for h in H.elements:
         assert dec.coset_of(h) == 0
+
+
+def _assert_matches_brute_cosets(G, H, within=None):
+    dec = coset_decomposition(G, H, within)
+    domain = sorted(within.elements) if within is not None else G.elements()
+    cosets = brute_right_cosets(G, H.elements, domain)
+    assert [list(block) for block in dec.blocks] == cosets
+    assert dec.representatives == tuple(c[0] for c in cosets)
+    for i, coset in enumerate(cosets):
+        assert [dec.coset_of(g) for g in coset] == [i] * len(coset)
+
+
+def test_coset_decomposition_above_order_256(monkeypatch):
+    # 264 cosets of the trivial subgroup: indices above 255 must pack
+    monkeypatch.setenv("PCL_MAX_ORDER", "300")
+    G = construct.build_named("product(s4,cyclic(11))")
+    assert G.order == 264
+    first = {o: G.element_orders.index(o) for o in (2, 3, 4, 11)}
+    K = closure(G, [first[2], first[3], first[11]])
+    subs = [
+        trivial_subgroup(),
+        closure(G, [first[2]]),
+        closure(G, [first[4]]),
+        closure(G, [first[11]]),
+        closure(G, [first[2], first[3]]),
+        K,
+        full_subgroup(G),
+    ]
+    for H in subs:
+        _assert_matches_brute_cosets(G, H)
+        if H.elements <= K.elements:
+            _assert_matches_brute_cosets(G, H, K)
+    assert len(coset_decomposition(G, trivial_subgroup()).representatives) == 264
+
+
+def test_coset_decompositions_by_ambient_g_are_shared(g21):
+    for H in all_subgroups(g21):
+        P = sylow_2_overgroup(g21, H)
+        assert len(P) == g21.order
+        assert coset_decomposition(g21, H, full_subgroup(g21)) is coset_decomposition(g21, H)
+        assert coset_decomposition(g21, H, P) is coset_decomposition(g21, H)
+
+
+def test_structure_operators_return_lattice_members():
+    for G in (construct.symmetric(4), construct.build_named("product(q8,cyclic(6))")):
+        lattice = {H.elements: H for H in all_subgroups(G)}
+
+        def member(K):
+            return lattice[K.elements] is K
+
+        for H in lattice.values():
+            assert member(normalizer(G, H))
+            assert member(sylow_2_subgroup(G, H))
+            assert member(centralizer(G, H))
+            assert member(center(G, H))
+            assert member(minimal_conjugate(G, H))
+            if two_part(len(H)) == len(H):
+                assert member(sylow_2_overgroup(G, H))
+
+
+def test_lattice_adopts_subgroups_built_before_it(s4_elem):
+    G = construct.symmetric(4)
+    H = closure(G, [s4_elem[(1, 0, 2, 3)]])
+    N = normalizer(G, H)
+    P = sylow_2_subgroup(G, full_subgroup(G))
+    lattice = all_subgroups(G)
+    assert any(K is N for K in lattice)
+    assert any(K is P for K in lattice)
+    assert normalizer(G, H) is N
+
+
+# Bytes that product(q8,q8)'s store holds after cross_check over its 133
+# rows, by tracemalloc on CPython 3.11, with packed coset decompositions and
+# one instance per subgroup (1,710,480 when each decomposition kept a dict
+# and each operator result a frozenset of its own).
+Q8_Q8_STORE_BYTES = 325_130
+
+
+def test_store_of_an_order_64_group_stays_compact():
+    G = construct.build_named("product(q8,q8)")
+    entry = make_entry(G)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = cross_check([entry], max_order=64)
+        assert len(report.rows) == 133
+        del report
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert G._store
+    assert held < 2 * Q8_Q8_STORE_BYTES
 
 
 def test_abelian_invariants_trivial(d8):
