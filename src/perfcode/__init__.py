@@ -59,7 +59,6 @@ from .group import (
     group_to_json,
     load_group,
     omega1,
-    subgroup_as_group,
     trivial_subgroup,
 )
 from .subgroups import (

@@ -4,22 +4,13 @@ groups whose Sylow 2-subgroup is extraspecial."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
 
 from .codes import CodeVerdict, Criterion
 from .construct import dihedral, quaternion8
-from .group import (
-    FiniteGroup,
-    Subgroup,
-    full_subgroup,
-    omega1,
-    order_cap,
-    per_group,
-    subgroup_as_group,
-)
+from .group import FiniteGroup, Subgroup, full_subgroup, omega1, order_cap, per_group
 from .subgroups import (
     center,
     is_abelian_subgroup,
@@ -29,8 +20,6 @@ from .subgroups import (
     sylow_2_subgroup,
     two_part,
 )
-
-logger = logging.getLogger(__name__)
 
 
 class Family(str, Enum):
@@ -119,29 +108,32 @@ def build_family(m: int, family: Family) -> FiniteGroup:
 
 
 @per_group
-def is_extraspecial(G: FiniteGroup) -> ExtraspecialClassification:
-    """Classify G: centre of order 2 with every square central, in a 2-group.
+def is_extraspecial(G: FiniteGroup, P: Subgroup | None = None) -> ExtraspecialClassification:
+    """Classify the 2-subgroup P of G (default: G) in G's own table: P has
+    order 2^(2m+1) >= 8 and a centre of order 2 holding every square of P.
 
-    The family is read off |Omega_1(G)|, the count of elements of order at
-    most 2: 4^m + 2^m for GM1 and 4^m - 2^m for GM2, by the Arf invariant of
-    the squaring form on G/Z(G).  Every extraspecial group of order 2^(2m+1)
-    lies in one of the two families, so any other count is a bug.
+    The family is read off |Omega_1(G) & P|, the count of elements of P of
+    order at most 2: 4^m + 2^m for GM1 and 4^m - 2^m for GM2, by the Arf
+    invariant of the squaring form on P/Z(P).  Every extraspecial group of
+    order 2^(2m+1) lies in one of the two families, so any other count is a
+    bug.
     """
-    n = G.order
+    if P is None:
+        P = full_subgroup(G)
+    n = len(P)
     if n < 8 or n & (n - 1):
         return ExtraspecialClassification(False)
-    Z = center(G, full_subgroup(G))
-    if len(Z) != 2:
+    central = center(G, P).elements
+    if len(central) != 2:
         return ExtraspecialClassification(False)
-    central = Z.elements
     t = G.table
-    if any(t[g][g] not in central for g in G.elements()):
+    if any(t[g][g] not in central for g in P.elements):
         return ExtraspecialClassification(False)
     exponent = n.bit_length() - 1
     if exponent % 2 == 0:
         raise RuntimeError("central quotient of an extraspecial group has even rank")
     m = (exponent - 1) // 2
-    count = len(omega1(G))
+    count = len(omega1(G) & P.elements)
     if count == 4**m + 2**m:
         family = Family.GM1
     elif count == 4**m - 2**m:
@@ -153,9 +145,8 @@ def is_extraspecial(G: FiniteGroup) -> ExtraspecialClassification:
 
 @per_group
 def sylow_2_classification(G: FiniteGroup) -> ExtraspecialClassification:
-    """``is_extraspecial`` of the Sylow 2-subgroup of G, taken as a group."""
-    sylow_group, _ = subgroup_as_group(G, sylow_2_subgroup(G, full_subgroup(G)))
-    return is_extraspecial(sylow_group)
+    """``is_extraspecial`` of the Sylow 2-subgroup of G, classified in place."""
+    return is_extraspecial(G, sylow_2_subgroup(G, full_subgroup(G)))
 
 
 def classify_extraspecial(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
@@ -185,31 +176,19 @@ def classify_sylow_extraspecial(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
 
     H is a perfect code exactly when |H| is odd, or its Sylow 2-part H2 is
     non-abelian, or H2 is abelian with the 2-part of |N_G(H2)| smaller than
-    the Sylow order, or H2 is abelian of the maximal-abelian size
+    the Sylow order |G2|, or H2 is abelian of the maximal-abelian size
     (|H2|^2 = 2|G2|) in a GM1-family Sylow subgroup.
     """
     cls = sylow_2_classification(G)
     if not cls.is_extraspecial:
         raise ValueError("classification requires an extraspecial Sylow 2-subgroup")
-    G2 = sylow_2_subgroup(G, full_subgroup(G))
     if len(H) % 2 == 1:
         return CodeVerdict(True, Criterion.SYLOW_EXTRASPECIAL)
     H2 = sylow_2_subgroup(G, H)
-    non_abelian = not is_abelian_subgroup(G, H2)
-    small_normalizer = (not non_abelian) and two_part(
-        len(normalizer(G, H2))
-    ) < len(G2)
-    maximal_size = (
-        (not non_abelian)
-        and len(H2) ** 2 == 2 * len(G2)
-        and cls.family is Family.GM1
+    sylow_order = two_part(G.order)
+    code = (
+        not is_abelian_subgroup(G, H2)
+        or two_part(len(normalizer(G, H2))) < sylow_order
+        or (len(H2) ** 2 == 2 * sylow_order and cls.family is Family.GM1)
     )
-    matches = [non_abelian, small_normalizer, maximal_size]
-    if sum(matches) > 1:
-        logger.debug(
-            "multiple classification cases match for %s / %s: %s",
-            G.name,
-            H.indices(),
-            matches,
-        )
-    return CodeVerdict(any(matches), Criterion.SYLOW_EXTRASPECIAL)
+    return CodeVerdict(code, Criterion.SYLOW_EXTRASPECIAL)

@@ -217,7 +217,8 @@ def _relabel(table: Sequence[Sequence[int]], old: list[int]) -> Rows:
 
 
 def _validate_rows(rows: Rows) -> tuple[int, ...]:
-    """Check the group axioms, identity already at 0; return the inverses.
+    """Check the group axioms; return the inverses.  The caller has already
+    put a verified two-sided identity at index 0 (``_canonicalize_rows``).
 
     Associativity uses Light's test (Clifford & Preston, *The Algebraic
     Theory of Semigroups* I, 1961): the set of a with (xa)y = x(ay) for all
@@ -228,9 +229,6 @@ def _validate_rows(rows: Rows) -> tuple[int, ...]:
     y in one C call; larger orders compose rows with ``itemgetter``.
     """
     n = len(rows)
-    ident = tuple(range(n))
-    if rows[0] != ident or any(row[0] != x for x, row in enumerate(rows)):
-        raise ValueError("identity axiom violated at index 0")
     if any(len(set(row)) != n for row in rows):
         raise ValueError("some row is not a permutation of the elements")
     if any(len(set(col)) != n for col in zip(*rows)):
@@ -246,7 +244,7 @@ def _validate_rows(rows: Rows) -> tuple[int, ...]:
         lefts = map(by_index.__getitem__, [row[a] for row in rows])
         for x, (left, right) in enumerate(zip(lefts, map(times_a, lookups))):
             if left != right:
-                y = next(y for y in ident if left[y] != right[y])
+                y = next(y for y in range(n) if left[y] != right[y])
                 raise ValueError(f"associativity fails at triple ({x}, {a}, {y})")
     return inverse
 

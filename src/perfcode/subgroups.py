@@ -41,16 +41,18 @@ def all_subgroups(
     """Every subgroup of ``within`` (default: of G), each exactly once and
     with its generators recorded (unless an operator built it first),
     ordered by cardinality then bitmask: the trivial subgroup comes first
-    and the whole of ``within`` last.  The lattice is stored once per
-    (G, within); ``max_order`` only caps it."""
-    size = len(within) if within is not None else G.order
-    if size > max_order:
-        raise ValueError(f"subgroup enumeration supports order <= {max_order}, got {size}")
-    return _lattice(G, within)
+    and the whole of ``within`` last.  G's lattice is stored once per group
+    and returned itself for ``within=None``; otherwise its members inside
+    ``within`` are.  ``max_order`` caps the order of G."""
+    if G.order > max_order:
+        raise ValueError(f"subgroup enumeration supports order <= {max_order}, got {G.order}")
+    if within is None:
+        return _lattice(G)
+    return tuple(H for H in _lattice(G) if H.elements <= within.elements)
 
 
 @per_group
-def _lattice(G: FiniteGroup, within: Subgroup | None) -> tuple[Subgroup, ...]:
+def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """Cyclic extension (Neubüser, Numer. Math. 2, 1960): join each subgroup
     K found with cyclic subgroups C = <z> of prime-power order outside K,
     until no new subgroup appears.
@@ -63,11 +65,11 @@ def _lattice(G: FiniteGroup, within: Subgroup | None) -> tuple[Subgroup, ...]:
     A first round also requires z to normalize K, tested on K's recorded
     generators; each join K<z> then has index exactly p.  Every solvable
     group has a normal subgroup of prime index, so this round finds every
-    subgroup when the ambient group (G, or ``within``) is solvable, and it
-    reaches the ambient group only then.  Otherwise a second round runs the
-    same loop over everything found, without the normalizing test: a
-    subgroup the first round processed is joined only with the z that round
-    passed over for not normalizing it, so no join is made twice.
+    subgroup when G is solvable, and it reaches G only then.  Otherwise a
+    second round runs the same loop over everything found, without the
+    normalizing test: a subgroup the first round processed is joined only
+    with the z that round passed over for not normalizing it, so no join is
+    made twice.
 
     Subgroups are keyed by bitmask.  Bit i of ``cyclic_bit[g]`` is set when
     g generates the i-th cyclic subgroup, and of ``root_bit[g]`` when g is
@@ -81,7 +83,7 @@ def _lattice(G: FiniteGroup, within: Subgroup | None) -> tuple[Subgroup, ...]:
     cyclic_masks: list[int] = []
     cyclic_bit = [0] * G.order
     root_bit = [0] * G.order
-    for g in within.elements if within is not None else G.elements():
+    for g in G.elements():
         primes = _prime_factors(orders[g])
         if not cyclic_bit[g] and len(primes) == 1:
             bit = 1 << len(cyclic_gens)
@@ -101,7 +103,7 @@ def _lattice(G: FiniteGroup, within: Subgroup | None) -> tuple[Subgroup, ...]:
             out |= bits[y]
         return out
 
-    top = bitmask(within.elements) if within is not None else (1 << G.order) - 1
+    top = (1 << G.order) - 1
     subs: dict[int, tuple[list[int], tuple[int, ...]]] = {1: ([0], ())}
     passed_over: dict[int, int] = {}
     for normal_only in (True, False):
@@ -283,7 +285,6 @@ class CosetDecomposition:
     outside the ambient set maps past the last coset); both are packed by
     ``_packed``."""
 
-    subgroup: Subgroup
     representatives: tuple[int, ...]
     blocks: tuple[Sequence[int], ...]
     _position: Sequence[int]
@@ -331,12 +332,7 @@ def _cosets(G: FiniteGroup, H: Subgroup, within: Subgroup | None) -> CosetDecomp
         blocks.append(_packed(block, n))
         for member in block:
             position[member] = idx
-    return CosetDecomposition(
-        subgroup=H,
-        representatives=tuple(reps),
-        blocks=tuple(blocks),
-        _position=_packed(position, n),
-    )
+    return CosetDecomposition(tuple(reps), tuple(blocks), _packed(position, n))
 
 
 def _prime_factors(n: int) -> list[int]:

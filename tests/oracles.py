@@ -19,8 +19,9 @@ not oracles in that sense:
 ``join_every_cyclic_lattice`` calls ``join_element``,
 ``derived_subgroup`` calls ``closure_elements``,
 ``frattini_subgroup`` calls ``all_subgroups``, ``isomorphic_small`` and
-``symplectic_form`` call ``generate``, and ``abelian_invariants`` calls
-``is_abelian_subgroup``.
+``symplectic_form`` call ``generate``, ``abelian_invariants`` calls
+``is_abelian_subgroup``, and ``extraspecial_by_definition`` calls
+``subgroup_as_group``, ``build_family`` and ``derived_subgroup``.
 ``first_light_failure`` checks associativity triple by triple but takes its
 middle factors from ``_right_generators``: which failing triple comes first
 depends on them.
@@ -34,15 +35,17 @@ from functools import reduce
 from itertools import product
 from typing import Iterable
 
-from perfcode.extraspecial import _central_involution, is_extraspecial
+from perfcode.extraspecial import Family, _central_involution, build_family, is_extraspecial
 from perfcode.group import (
     FiniteGroup,
     Subgroup,
     _right_generators,
     closure_elements,
+    full_subgroup,
     generate,
     join_element,
     per_group,
+    subgroup_as_group,
 )
 from perfcode.subgroups import _prime_factors, all_subgroups, is_abelian_subgroup
 
@@ -353,6 +356,20 @@ def frattini_subgroup(G: FiniteGroup, H: Subgroup) -> Subgroup:
     if not maximal:
         return Subgroup(H.elements)
     return Subgroup(reduce(frozenset.__and__, maximal))
+
+
+def extraspecial_by_definition(G: FiniteGroup, P: Subgroup) -> tuple[int, Family] | None:
+    """(m, family) when the subgroup P of G is extraspecial of order
+    2^(2m+1), else None.  Taken as a group of its own, P must have
+    Z(P) = P' of order 2 and P/Z(P) elementary abelian (every square in
+    Z(P)); its family is the one whose ``build_family(m, family)`` it is
+    isomorphic to."""
+    S = subgroup_as_group(G, P)[0]
+    Z = brute_centralizer(S, S.elements())
+    if len(Z) != 2 or derived_subgroup(S, full_subgroup(S)).elements != Z or not squares(S) <= Z:
+        return None
+    m = (S.order.bit_length() - 2) // 2
+    return m, next(f for f in Family if isomorphic_small(S, build_family(m, f)) is not None)
 
 
 @dataclass(frozen=True)

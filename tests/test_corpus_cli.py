@@ -15,7 +15,7 @@ from perfcode.corpus import (
     make_entry,
     report_emit,
 )
-from perfcode.group import closure, load_group
+from perfcode.group import FiniteGroup, closure, load_group
 from perfcode.subgroups import all_subgroups
 
 
@@ -143,19 +143,24 @@ def test_cross_check_keeps_no_group_alive():
 
 
 def test_sylow_subgroup_is_classified_once_per_group(monkeypatch):
+    """Tagging and sweeping build no second group: the Sylow 2-subgroup is
+    classified in its own group's table."""
+    groups = [
+        construct.build_named(spec)
+        for spec in ("s4", "sl23", "product(dihedral(8),cyclic(3))", "product(gm1(2),cyclic(3))")
+    ]
     calls = []
-    original = extraspecial.subgroup_as_group
+    from_table = FiniteGroup.__dict__["from_table"].__func__
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def counted(cls, *args, **kwargs):
+        calls.append(kwargs.get("name"))
+        return from_table(cls, *args, **kwargs)
 
-    monkeypatch.setattr(extraspecial, "subgroup_as_group", counted)
-    G = construct.build_named("product(gm1(2),cyclic(3))")
-    report = cross_check([make_entry(G)], criteria=("decide",), max_order=96)
+    monkeypatch.setattr(FiniteGroup, "from_table", classmethod(counted))
+    report = cross_check([make_entry(G) for G in groups], criteria=("decide",), max_order=96)
     assert report.summary["disagreements"] == 0
     assert all("sylow-extraspecial-classification" in r["verdicts"] for r in report.rows)
-    assert len(calls) <= 1
+    assert calls == []
 
 
 def test_report_emit_empty_corpus():

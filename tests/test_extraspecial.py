@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     abelian_invariants,
     derived_subgroup,
+    extraspecial_by_definition,
     frattini_subgroup,
     isomorphic_small,
     relabel_rows,
@@ -198,6 +199,23 @@ def test_sylow_classification_of_gm1_2_times_z3():
     assert sylow_2_classification(G) == ExtraspecialClassification(
         True, m=2, family=Family.GM1
     )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["gm1(2)", "gm2(2)", "product(gm1(2),cyclic(3))", "product(s4,cyclic(2))", "product(q8,q8)"],
+)
+def test_is_extraspecial_classifies_subgroups_in_place(spec):
+    G = construct.build_named(spec)
+    seen = set()
+    for P in all_subgroups(G):
+        if len(P) in (8, 32):
+            cls = is_extraspecial(G, P)
+            expected = extraspecial_by_definition(G, P)
+            assert cls.is_extraspecial == (expected is not None), P.indices()
+            assert (cls.m, cls.family) == (expected or (None, None)), P.indices()
+            seen.add(cls.is_extraspecial)
+    assert seen == {True, False}
 
 
 def test_is_extraspecial_raises_when_count_matches_neither_family(monkeypatch):
