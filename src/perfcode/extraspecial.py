@@ -107,7 +107,6 @@ def build_family(m: int, family: Family) -> FiniteGroup:
     return replace(result, name=f"G({m},{1 if family is Family.GM1 else 2})")
 
 
-@per_group
 def is_extraspecial(G: FiniteGroup, P: Subgroup | None = None) -> ExtraspecialClassification:
     """Classify the 2-subgroup P of G (default: G) in G's own table: P has
     order 2^(2m+1) >= 8 and a centre of order 2 holding every square of P.
@@ -116,8 +115,14 @@ def is_extraspecial(G: FiniteGroup, P: Subgroup | None = None) -> ExtraspecialCl
     order at most 2: 4^m + 2^m for GM1 and 4^m - 2^m for GM2, by the Arf
     invariant of the squaring form on P/Z(P).  Every extraspecial group of
     order 2^(2m+1) lies in one of the two families, so any other count is a
-    bug.
+    bug.  A P equal to G is taken as None, so both spellings share one
+    stored classification.
     """
+    return _is_extraspecial(G, None if P is not None and len(P) == G.order else P)
+
+
+@per_group
+def _is_extraspecial(G: FiniteGroup, P: Subgroup | None) -> ExtraspecialClassification:
     if P is None:
         P = full_subgroup(G)
     n = len(P)

@@ -7,7 +7,8 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import wraps
-from operator import itemgetter
+from itertools import chain
+from operator import countOf, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -63,9 +64,10 @@ class FiniteGroup:
             raise ValueError("group table must be non-empty")
         if n > cap:
             raise ValueError(f"group order {n} exceeds the configured cap {cap}")
-        norm = _canonicalize_rows(_coerce_rows(rows))
-        inverse = _validate_rows(norm)
-        table = tuple(norm)
+        P = _Packing(n)
+        rows = _canonicalize_rows(_packed_rows(rows, P), P)
+        inverse = _validate_rows(rows, P)
+        table = tuple(map(tuple, rows))
         orders = tuple(_order_of(table, g) for g in range(n))
         return cls(order=n, table=table, inverse=inverse, element_orders=orders, name=name)
 
@@ -159,54 +161,86 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(frozenset(range(G.order)))
 
 
-Rows = list[tuple[int, ...]]
+class _Packing:
+    """Rows of an order-n table, each packed once, and C-level operations on
+    them, picked by the order alone: up to order 256 every index fits in a
+    byte, a row packs as ``bytes`` and each test or composition is one
+    ``translate`` (with a deletion set, or through a row padded to a
+    256-byte lookup table); larger orders keep int tuples, sets and
+    ``operator.itemgetter``."""
+
+    def __init__(self, n: int) -> None:
+        self.n, self.small = n, n <= 256
+        self.ident = bytes(range(n)) if self.small else tuple(range(n))
+
+    def pack(self, row: Sequence[int]) -> Sequence[int] | None:
+        """The row packed, or None if an entry is not an index."""
+        if not self.small:
+            return tuple(row) if 0 <= min(row) and max(row) < self.n else None
+        try:
+            packed = bytes(row)
+        except ValueError:  # an entry below 0 or above 255
+            return None
+        return None if packed.translate(None, self.ident) else packed
+
+    def permutes(self, seq: Sequence[int]) -> bool:
+        """Whether ``seq``, n indices, holds every index."""
+        return not self.ident.translate(None, seq) if self.small else len(set(seq)) == self.n
+
+    def flat(self, rows: list) -> Sequence[int]:
+        """The rows end to end: column c is the stride slice ``[c::n]``."""
+        return b"".join(rows) if self.small else tuple(chain.from_iterable(rows))
+
+    def lookup(self, q: Sequence[int]) -> Sequence[int]:
+        """``q`` in the form that ``composer`` maps take."""
+        return q.ljust(256, b"\0") if self.small else q
+
+    def composer(self, p: Sequence[int]):
+        """The map taking ``lookup(q)`` to q[p[y]] for every y."""
+        return p.translate if self.small else itemgetter(*p)
 
 
-def _int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
-    """``values`` as a tuple, or ValueError naming the first entry whose
-    type is not exactly ``int`` (so bools, floats and strings fail)."""
-    out = tuple(values)
-    if not set(map(type, out)) <= {int}:
-        v = next(v for v in out if type(v) is not int)
+def _ints(values: Sequence, what: str) -> Sequence:
+    """``values``, or ValueError naming the first entry whose type is not
+    exactly ``int`` (so bools, floats, strings and int subclasses fail)."""
+    if countOf(map(type, values), int) != len(values):
+        v = next(v for v in values if type(v) is not int)
         raise ValueError(f"{what} entry {v!r} is not an integer")
-    return out
+    return values
 
 
-def _coerce_rows(rows: Sequence[Sequence[int]]) -> Rows:
+def _packed_rows(rows: Sequence[Sequence[int]], P: _Packing) -> list:
+    """The rows, each checked for its length, exact-int entries and range."""
     n = len(rows)
-    valid = set(range(n))
-    out: Rows = []
+    out = []
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
-        row = _int_tuple(row, f"table row {i}")
-        if not valid.issuperset(row):
-            v = next(v for v in row if v not in valid)
+        packed = P.pack(_ints(row, f"table row {i}"))
+        if packed is None:
+            v = next(v for v in row if not 0 <= v < n)
             raise ValueError(f"table entry {v} out of range [0, {n - 1}]")
-        out.append(row)
+        out.append(packed)
     return out
 
 
-def _find_identity(rows: Rows) -> int | None:
-    n = len(rows)
-    ident = tuple(range(n))
-    for e in range(n):
-        if rows[e] == ident and all(rows[x][e] == x for x in range(n)):
-            return e
-    return None
-
-
-def _canonicalize_rows(rows: Rows) -> Rows:
-    """Reindex so the two-sided identity lands at index 0."""
-    e = _find_identity(rows)
+def _canonicalize_rows(rows: list, P: _Packing) -> list:
+    """Reindex so the two-sided identity lands at index 0: the first e whose
+    row and column equal the identity permutation moves to the front, and
+    each index v < e moves up to v + 1."""
+    n, ident = P.n, P.ident
+    flat = P.flat(rows)
+    e = next((e for e in range(n) if rows[e] == ident and flat[e::n] == ident), None)
     if e is None:
         raise ValueError("table has no two-sided identity element")
     if e == 0:
         return rows
-    return _relabel(rows, [e] + [i for i in range(len(rows)) if i != e])
+    front = lambda seq: seq[e : e + 1] + seq[:e] + seq[e + 1 :]
+    renamed = P.lookup(ident[1 : e + 1] + ident[:1] + ident[e + 1 :])
+    return [P.composer(front(row))(renamed) for row in front(rows)]
 
 
-def _relabel(table: Sequence[Sequence[int]], old: list[int]) -> Rows:
+def _relabel(table: Sequence[Sequence[int]], old: list[int]) -> list[tuple[int, ...]]:
     """The products among the elements ``old`` of ``table``, which must be
     closed under them, with ``old[i]`` renamed i."""
     pos = dict(zip(old, range(len(old))))
@@ -216,7 +250,7 @@ def _relabel(table: Sequence[Sequence[int]], old: list[int]) -> Rows:
     return [itemgetter(*pick(table[a]))(pos) for a in old]
 
 
-def _validate_rows(rows: Rows) -> tuple[int, ...]:
+def _validate_rows(rows: list, P: _Packing) -> tuple[int, ...]:
     """Check the group axioms; return the inverses.  The caller has already
     put a verified two-sided identity at index 0 (``_canonicalize_rows``).
 
@@ -224,32 +258,29 @@ def _validate_rows(rows: Rows) -> tuple[int, ...]:
     Theory of Semigroups* I, 1961): the set of a with (xa)y = x(ay) for all
     x, y contains the identity and is closed under products, so checking the
     generators of ``_right_generators`` as the middle factor covers every
-    element.  Up to order 256 every index fits in a byte, and translating
-    row a through row x, padded to a 256-byte table, gives x(ay) for every
-    y in one C call; larger orders compose rows with ``itemgetter``.
+    element.  Composing row a with row x gives x(ay) for every y at once.
     """
     n = len(rows)
-    if any(len(set(row)) != n for row in rows):
+    if not all(map(P.permutes, rows)):
         raise ValueError("some row is not a permutation of the elements")
-    if any(len(set(col)) != n for col in zip(*rows)):
+    flat = P.flat(rows)
+    if not all(P.permutes(flat[c::n]) for c in range(n)):
         raise ValueError("some column is not a permutation of the elements")
     inverse = tuple(row.index(0) for row in rows)
     if any(rows[b][x] != 0 for x, b in enumerate(inverse)):
         raise ValueError("missing two-sided inverses")
-    small = n <= 256
-    by_index = list(map(bytes, rows)) if small else rows
-    lookups = [row.ljust(256, b"\0") for row in by_index] if small else rows
+    lookups = list(map(P.lookup, rows))
     for a in _right_generators(rows):
-        times_a = by_index[a].translate if small else itemgetter(*rows[a])
-        lefts = map(by_index.__getitem__, [row[a] for row in rows])
-        for x, (left, right) in enumerate(zip(lefts, map(times_a, lookups))):
+        lefts = map(rows.__getitem__, flat[a::n])
+        rights = map(P.composer(rows[a]), lookups)
+        for x, (left, right) in enumerate(zip(lefts, rights)):
             if left != right:
                 y = next(y for y in range(n) if left[y] != right[y])
                 raise ValueError(f"associativity fails at triple ({x}, {a}, {y})")
     return inverse
 
 
-def _right_generators(rows: Rows) -> list[int]:
+def _right_generators(rows: list) -> list[int]:
     """A greedy generating set: every element is a left-associated product
     of its members.  Each is the least element not yet reached from the
     identity by right multiplication with those before it.  The table need
@@ -347,7 +378,7 @@ def group_from_permutations(
         raise ValueError(f"permutation degree must be non-negative, got {degree}")
     gens: list[tuple[int, ...]] = []
     for i, images in enumerate(generators):
-        perm = _int_tuple(images, f"generator {i}")
+        perm = _ints(tuple(images), f"generator {i}")
         if degree is None:
             degree = len(perm)
         if len(perm) != degree:
@@ -380,11 +411,14 @@ def group_from_permutations(
     elements = sorted(seen)
     n = len(elements)
     index = dict(zip(elements, range(n)))
-    times = [[index[tuple(map(q.__getitem__, p))] for p in elements] for q in gens]
-    columns = [range(n)] + [None] * (n - 1)
+    P = _Packing(n)
+    times = [P.lookup(P.pack([index[tuple(map(q.__getitem__, p))] for p in elements]))
+             for q in gens]
+    columns = [P.ident] + [None] * (n - 1)
     for r, c, j in links:
-        columns[index[r]] = itemgetter(*columns[index[c]])(times[j])
-    return FiniteGroup.from_table(list(zip(*columns)), name=name)
+        columns[index[r]] = P.composer(columns[index[c]])(times[j])
+    flat = P.flat(columns)
+    return FiniteGroup.from_table([flat[a::n] for a in range(n)], name=name)
 
 
 def group_to_json(G: FiniteGroup) -> dict:

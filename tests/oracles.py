@@ -24,7 +24,9 @@ not oracles in that sense:
 ``subgroup_as_group``, ``build_family`` and ``derived_subgroup``.
 ``first_light_failure`` checks associativity triple by triple but takes its
 middle factors from ``_right_generators``: which failing triple comes first
-depends on them.
+depends on them.  So does ``reference_table``, the per-entry table
+validator that the packed-row one in ``FiniteGroup.from_table`` must match
+message for message.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from perfcode.extraspecial import Family, _central_involution, build_family, is_extraspecial
 from perfcode.group import (
@@ -143,6 +146,112 @@ def first_light_failure(rows) -> tuple[int, int, int] | None:
                 if rows[rows[x][a]][y] != rows[x][rows[a][y]]:
                     return x, a, y
     return None
+
+
+Rows = list[tuple[int, ...]]
+
+
+def reference_table(rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The canonical table and the inverses that the per-entry reference
+    validator below gives ``rows``, or the ValueError it raises first.  The
+    order checks of ``from_table`` (non-empty, within the cap) come before
+    it and are not repeated here."""
+    norm = _canonicalize_rows(_coerce_rows(rows))
+    inverse = _validate_rows(norm)
+    return tuple(norm), inverse
+
+
+# The reference validator: every entry is visited by Python-level code
+# (tuples, sets, ``itemgetter`` relabelling), as ``FiniteGroup.from_table``
+# did before it packed rows into bytes.  Only ``_right_generators`` is
+# shared, because it fixes which failing triple is reported first.
+
+
+def _int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple, or ValueError naming the first entry whose
+    type is not exactly ``int`` (so bools, floats and strings fail)."""
+    out = tuple(values)
+    if not set(map(type, out)) <= {int}:
+        v = next(v for v in out if type(v) is not int)
+        raise ValueError(f"{what} entry {v!r} is not an integer")
+    return out
+
+
+def _coerce_rows(rows: Sequence[Sequence[int]]) -> Rows:
+    n = len(rows)
+    valid = set(range(n))
+    out: Rows = []
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
+        row = _int_tuple(row, f"table row {i}")
+        if not valid.issuperset(row):
+            v = next(v for v in row if v not in valid)
+            raise ValueError(f"table entry {v} out of range [0, {n - 1}]")
+        out.append(row)
+    return out
+
+
+def _find_identity(rows: Rows) -> int | None:
+    n = len(rows)
+    ident = tuple(range(n))
+    for e in range(n):
+        if rows[e] == ident and all(rows[x][e] == x for x in range(n)):
+            return e
+    return None
+
+
+def _canonicalize_rows(rows: Rows) -> Rows:
+    """Reindex so the two-sided identity lands at index 0."""
+    e = _find_identity(rows)
+    if e is None:
+        raise ValueError("table has no two-sided identity element")
+    if e == 0:
+        return rows
+    return _relabel(rows, [e] + [i for i in range(len(rows)) if i != e])
+
+
+def _relabel(table: Sequence[Sequence[int]], old: list[int]) -> Rows:
+    """The products among the elements ``old`` of ``table``, which must be
+    closed under them, with ``old[i]`` renamed i."""
+    pos = dict(zip(old, range(len(old))))
+    if len(old) == 1:
+        return [(pos[table[old[0]][old[0]]],)]
+    pick = itemgetter(*old)
+    return [itemgetter(*pick(table[a]))(pos) for a in old]
+
+
+def _validate_rows(rows: Rows) -> tuple[int, ...]:
+    """Check the group axioms; return the inverses.  The caller has already
+    put a verified two-sided identity at index 0 (``_canonicalize_rows``).
+
+    Associativity uses Light's test (Clifford & Preston, *The Algebraic
+    Theory of Semigroups* I, 1961): the set of a with (xa)y = x(ay) for all
+    x, y contains the identity and is closed under products, so checking the
+    generators of ``_right_generators`` as the middle factor covers every
+    element.  Up to order 256 every index fits in a byte, and translating
+    row a through row x, padded to a 256-byte table, gives x(ay) for every
+    y in one C call; larger orders compose rows with ``itemgetter``.
+    """
+    n = len(rows)
+    if any(len(set(row)) != n for row in rows):
+        raise ValueError("some row is not a permutation of the elements")
+    if any(len(set(col)) != n for col in zip(*rows)):
+        raise ValueError("some column is not a permutation of the elements")
+    inverse = tuple(row.index(0) for row in rows)
+    if any(rows[b][x] != 0 for x, b in enumerate(inverse)):
+        raise ValueError("missing two-sided inverses")
+    small = n <= 256
+    by_index = list(map(bytes, rows)) if small else rows
+    lookups = [row.ljust(256, b"\0") for row in by_index] if small else rows
+    for a in _right_generators(rows):
+        times_a = by_index[a].translate if small else itemgetter(*rows[a])
+        lefts = map(by_index.__getitem__, [row[a] for row in rows])
+        for x, (left, right) in enumerate(zip(lefts, map(times_a, lookups))):
+            if left != right:
+                y = next(y for y in range(n) if left[y] != right[y])
+                raise ValueError(f"associativity fails at triple ({x}, {a}, {y})")
+    return inverse
 
 
 def brute_normalizer(G: FiniteGroup, members, within=None) -> frozenset[int]:

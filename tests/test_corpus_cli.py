@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import gc
 import json
+import random
 import weakref
 
 import pytest
 
+from oracles import relabel_rows
 from perfcode import cli, codes, construct, extraspecial
 from perfcode.codes import decide, search_connection_set
 from perfcode.corpus import (
@@ -407,3 +409,40 @@ def test_cli_decide_matches_library(tmp_path, capsys, q8):
     doc = json.loads(capsys.readouterr().out)
     H = closure(q8, [1])
     assert doc["is_perfect_code"] == decide(q8, H).is_perfect_code
+
+
+def test_cli_check_maps_onto_a_relabelled_order_256_file(tmp_path, capsys):
+    """With the identity off index 0 the file loads with the identity first
+    and the other labels in file order; each verdict is the canonical
+    file's, with its indices mapped."""
+    G = construct.build_named("product(gm1(3),cyclic(2))")
+    perm = random.Random(256).sample(range(1, G.order), G.order - 1)
+    perm.insert(1, 0)  # element a is written perm[a]; the identity as perm[0]
+    canonical = _write_group(tmp_path, G, "canonical.json")
+    relabelled = tmp_path / "relabelled.json"
+    rows = relabel_rows(G, perm)
+    relabelled.write_text(json.dumps({"order": G.order, "table": rows}), encoding="utf-8")
+    loaded = [perm[0]] + [p for p in range(G.order) if p != perm[0]]
+    phi = [loaded.index(perm[a]) for a in range(G.order)]
+    verdicts = []
+    for gens in ([1], [2], [5, 9], [7, 100]):
+        argv = ["--subgroup", ",".join(map(str, gens)), "--witness"]
+        assert cli.main(["check", str(canonical), *argv]) == 0
+        want = json.loads(capsys.readouterr().out)
+        argv[1] = ",".join(str(phi[g]) for g in gens)
+        assert cli.main(["check", str(relabelled), *argv]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["subgroup"] == sorted(phi[h] for h in want["subgroup"])
+        for key in ("is_perfect_code", "criterion"):
+            assert got[key] == want[key]
+        assert ("witness" in got, "counterexample" in got) == (
+            "witness" in want, "counterexample" in want
+        )
+        verdicts.append(got["is_perfect_code"])
+    assert verdicts == [True, False, True, False]
+    rows[5][rows[5].index(1)] = True
+    relabelled.write_text(json.dumps({"order": G.order, "table": rows}), encoding="utf-8")
+    assert cli.main(["check", str(relabelled), "--subgroup", "1", "--witness"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: table row 5 entry True is not an integer\n"

@@ -16,6 +16,7 @@ from oracles import (
 )
 from perfcode import construct, extraspecial
 from perfcode.codes import Criterion, decide
+from perfcode.corpus import make_entry
 from perfcode.extraspecial import (
     ExtraspecialClassification,
     Family,
@@ -199,6 +200,19 @@ def test_sylow_classification_of_gm1_2_times_z3():
     assert sylow_2_classification(G) == ExtraspecialClassification(
         True, m=2, family=Family.GM1
     )
+
+
+@pytest.mark.parametrize("spec, family", [("gm1(2)", Family.GM1), ("gm2(2)", Family.GM2)])
+def test_a_two_group_stores_one_classification(spec, family):
+    # The Sylow 2-subgroup of a 2-group is all of G: it shares the P=None entry.
+    entry = make_entry(construct.build_named(spec))
+    G = entry.group
+    stored = [key for key in G._store if key[0].__name__ == "_is_extraspecial"]
+    assert stored == [(extraspecial._is_extraspecial.__wrapped__, (None,))]
+    expected = ExtraspecialClassification(True, m=2, family=family)
+    assert is_extraspecial(G) == is_extraspecial(G, full_subgroup(G)) == expected
+    assert sylow_2_classification(G) == expected
+    assert len([key for key in G._store if key[0].__name__ == "_is_extraspecial"]) == 1
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from enum import IntEnum
 from itertools import combinations
 from pathlib import Path
 
@@ -18,11 +19,13 @@ from oracles import (
     element_order,
     first_light_failure,
     is_associative,
+    reference_table,
     relabel_rows,
     squares,
     subgroup_from_elements,
 )
 from perfcode import construct
+from perfcode import group as group_module
 from perfcode.group import (
     FiniteGroup,
     closure,
@@ -222,6 +225,87 @@ def test_from_table_reports_the_first_failed_check(rows, defect, messages):
         with pytest.raises(ValueError) as caught:
             FiniteGroup.from_table(table)
         assert str(caught.value) == message
+
+
+def _from_table(rows):
+    G = FiniteGroup.from_table(rows)
+    return G.table, G.inverse
+
+
+def _outcome(build, rows):
+    """``build(rows)``, or the message of the ValueError it raises."""
+    try:
+        return build(rows)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_matches_reference(rows):
+    """from_table gives ``rows`` the reference validator's table and
+    inverses, or raises its first message; return that outcome."""
+    expected = _outcome(reference_table, rows)
+    assert _outcome(_from_table, rows) == expected
+    return expected
+
+
+@pytest.mark.parametrize("rows, defect, messages", REJECTIONS)
+def test_rejections_match_the_reference_validator(rows, defect, messages):
+    accepted = rows not in (ONE_SIDED_INVERSE_LOOP, NON_ASSOCIATIVE_LOOP)
+    for label in (list(range(len(rows))), LABELS[len(rows)]):
+        table = _renamed(rows, label)
+        assert isinstance(_assert_matches_reference(table), tuple) == accepted
+        defect(table, label)
+        assert _assert_matches_reference(table).startswith("ValueError: ")
+
+
+class _Bit(IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+def _corrupted(rows: list[list[int]], kind, rng: random.Random) -> list[list]:
+    """A copy of ``rows`` with one seeded entry changed, or two swapped."""
+    n = len(rows)
+    out = [list(row) for row in rows]
+    r = out.index(list(range(n))) if kind == "identity swap" else rng.randrange(n)
+    if str(kind).endswith("swap"):
+        c1, c2 = rng.sample(range(n), 2)
+        out[r][c1], out[r][c2] = out[r][c2], out[r][c1]
+    elif kind in ("True", "False", "IntEnum"):  # where the value is 0 or 1
+        bit = int(kind != "False")
+        c = out[r].index(bit)
+        out[r][c] = _Bit(bit) if kind == "IntEnum" else bool(bit)
+    else:
+        out[r][rng.randrange(n)] = {"1.0": 1.0, "'1'": "1"}.get(kind, kind)
+    return out
+
+
+CORRUPTIONS = [
+    "swap", "identity swap", 256, 300, -1, 2**70, "True", "False", "1.0", "'1'", "IntEnum"
+]
+
+
+@pytest.mark.parametrize("spec", ["product(gm1(3),cyclic(2))", "dihedral(256)"])
+def test_order_256_corruptions_match_the_reference_validator(spec):
+    G = construct.build_named(spec)
+    rng = random.Random(G.order)
+    perm = rng.sample(range(1, G.order), G.order - 1)
+    perm.insert(1, 0)  # the identity is renamed perm[0], not 0
+    rows = relabel_rows(G, perm)
+    assert isinstance(_assert_matches_reference(rows), tuple)
+    messages = set()
+    for kind in CORRUPTIONS:
+        for _ in range(2):
+            outcome = _assert_matches_reference(_corrupted(rows, kind, rng))
+            assert outcome.startswith("ValueError: "), kind
+            messages.add(re.sub(r"\d+", "k", outcome.split(" entry ")[-1]))
+    assert messages == {
+        "ValueError: some column is not a permutation of the elements",
+        "ValueError: table has no two-sided identity element",
+        "k out of range [k, k]", "-k out of range [k, k]",
+        "True is not an integer", "False is not an integer", "k.k is not an integer",
+        "'k' is not an integer", "<_Bit.ONE: k> is not an integer",
+    }
 
 
 def test_order_cap_env_override(monkeypatch):
@@ -563,6 +647,56 @@ def test_near_group_above_order_256_reports_the_first_failing_triple(monkeypatch
     assert FiniteGroup.from_table([list(row) for row in G.table]).table == G.table
     rng = random.Random(G.order)
     assert _assert_first_light_failure_reported(_sampled_near_group(G, rng))
+
+
+@pytest.mark.parametrize(
+    "spec, order", [("cyclic(256)", 256), ("cyclic(257)", 257), ("product(s4,cyclic(11))", 264)]
+)
+def test_tables_either_side_of_order_256_match_the_reference(monkeypatch, spec, order):
+    """Rows pack as bytes up to order 256 and as tuples above it; both give
+    the reference validator's table, inverses and first message."""
+    monkeypatch.setenv("PCL_MAX_ORDER", "300")
+    G = construct.build_named(spec)
+    assert G.order == order
+    rng = random.Random(order)
+    perm = rng.sample(range(1, order), order - 1)
+    perm.insert(1, 0)
+    rows = relabel_rows(G, perm)
+    assert isinstance(_assert_matches_reference(rows), tuple)
+    R = FiniteGroup.from_table(rows)
+    assert R.element_orders == tuple(element_order(R, g) for g in range(order))
+    assert sorted(R.element_orders) == sorted(G.element_orders)
+    assert _assert_matches_reference(_corrupted(rows, "swap", rng)) == (
+        "ValueError: some column is not a permutation of the elements"
+    )
+    assert _assert_matches_reference(_corrupted(rows, order, rng)) == (
+        f"ValueError: table entry {order} out of range [0, {order - 1}]"
+    )
+
+
+def test_permutation_columns_pack_by_order_not_degree(monkeypatch):
+    """Generators of degree 300 whose group has order at most 256 still
+    build byte columns; degree 15 with order 264 builds tuple columns."""
+    monkeypatch.setenv("PCL_MAX_ORDER", "300")
+    packings = []
+
+    class Recording(group_module._Packing):
+        def __init__(self, n):
+            super().__init__(n)
+            packings.append((n, self.small))
+
+    monkeypatch.setattr(group_module, "_Packing", Recording)
+    cases = [
+        ([_cycle(300, [0, 299])], 300),  # a transposition: order 2
+        ([_cycle(300, [296, 297, 298, 299]), _cycle(300, [297, 299]), _cycle(300, [0, 1, 2, 3])],
+         300),  # D8 x Z4: order 32
+        ([_cycle(15, [0, 1]), _cycle(15, [0, 1, 2, 3]), _cycle(15, list(range(4, 15)))],
+         15),  # S4 x Z11: order 264
+    ]
+    for gens, degree in cases:
+        G = group_from_permutations(gens, degree=degree)
+        assert [list(row) for row in G.table] == brute_permutation_table(gens, degree)
+    assert packings == [(n, n <= 256) for n in (2, 2, 32, 32, 264, 264)]
 
 
 @pytest.mark.parametrize(
