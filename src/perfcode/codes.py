@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .group import FiniteGroup, Subgroup
 from .subgroups import (
@@ -53,10 +53,10 @@ class ConnectionSet:
         return sorted(self.elements)
 
 
-def _as_elements(G: FiniteGroup, elements: Subgroup | Iterable[int]) -> frozenset[int]:
-    """A subgroup's members, or else ``elements`` as indices checked in range."""
+def _as_elements(G: FiniteGroup, elements: Subgroup | Iterable[int]) -> Collection[int]:
+    """A subgroup's packed members, or else ``elements`` as indices checked in range."""
     if isinstance(elements, Subgroup):
-        return elements.elements
+        return elements.members
     members = frozenset(int(g) for g in elements)
     for g in members:
         if not 0 <= g < G.order:
@@ -239,8 +239,7 @@ def connection_set_from_transversal(
 def _odd_index_intersection(G: FiniteGroup, H: Subgroup, x: int) -> bool:
     """True iff |H| / |H meet H^x| is odd.  H^(hx) = H^x for h in H, so the
     value is constant on the right coset Hx (and on the double coset HxH)."""
-    members = H.elements
-    size = sum(1 for h in members if G.conjugate(h, x) in members)
+    size = sum(H.mask >> G.conjugate(h, x) & 1 for h in H)
     return (len(H) // size) % 2 == 1
 
 
@@ -255,13 +254,15 @@ def square_coset_condition(
     containing H.  Both the index and the involution test are constant on
     Hx, so each right coset is decided once, at its least x with x^2 in H.
     """
-    if within is not None and not H.elements <= within.elements:
+    if within is not None and H.mask & ~within.mask:
         raise ValueError("ambient subgroup must contain H")
     t = G.table
-    members = H.elements
+    inside = bytearray(G.order)  # H's indicator, for the scan over every y
+    for h in H:
+        inside[h] = 1
     failing = []
     for block in coset_decomposition(G, H, within).blocks:
-        roots = [y for y in block if t[y][y] in members]
+        roots = [y for y in block if inside[t[y][y]]]
         # an involution y would be among the roots, since y^2 = 1 lies in H
         if roots and all(t[y][y] for y in roots) and _odd_index_intersection(G, H, roots[0]):
             failing.append(roots[0])
@@ -279,12 +280,12 @@ def double_coset_condition(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
     least-x order, and each is decided at its representative.
     """
     t = G.table
-    members = H.elements
+    mask = H.mask
     dec = coset_decomposition(G, H)
     for x, block in zip(dec.representatives, dec.blocks):
         if (
             all(t[y][y] for y in block)
-            and any(t[t[x][b]][x] in members for b in members)
+            and any(mask >> t[t[x][b]][x] & 1 for b in H)
             and _odd_index_intersection(G, H, x)
         ):
             return CodeVerdict(False, Criterion.DOUBLE_COSET, counterexample=x)
@@ -301,17 +302,16 @@ def omega_coset_sets(
     those containing an element of order at most 2.  H must be normal in N.
     The second set is always contained in the first.
     """
-    if not H.elements <= N.elements:
+    if H.mask & ~N.mask:
         raise ValueError("H must be contained in N")
     if not is_normal(G, H, N):
         raise ValueError("H must be normal in N")
-    members = H.elements
     t = G.table
     dec = coset_decomposition(G, H, N)
     quotient = frozenset(
         dec.representatives[i]
         for i, block in enumerate(dec.blocks)
-        if t[block[0]][block[0]] in members
+        if H.mask >> t[block[0]][block[0]] & 1
     )
     lifted = frozenset(
         dec.representatives[i]
@@ -321,10 +321,6 @@ def omega_coset_sets(
     return quotient, lifted
 
 
-def _is_2_group_order(n: int) -> bool:
-    return n & (n - 1) == 0
-
-
 def omega_criterion(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
     """Involution-coset criterion inside the normalizer of H.
 
@@ -332,7 +328,7 @@ def omega_criterion(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
     when every coset of H in N_G(H) that squares into H contains an
     involution.  For other subgroups use ``sylow_reduction`` or ``decide``.
     """
-    if not _is_2_group_order(len(H)) and not is_normal(G, H):
+    if len(H) & (len(H) - 1) and not is_normal(G, H):
         raise ValueError(
             "omega criterion requires a 2-group or a normal subgroup; "
             "use sylow_reduction/decide for general subgroups"

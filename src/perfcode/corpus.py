@@ -203,11 +203,11 @@ def cross_check(
         subs = all_subgroups(G, None, max(128, max_order))
         if dedupe_conjugates:
             keep = []
-            seen: set[frozenset[int]] = set()
+            seen: set[int] = set()
             for H in subs:
                 rep = minimal_conjugate(G, H)
-                if rep.elements not in seen:
-                    seen.add(rep.elements)
+                if rep.mask not in seen:
+                    seen.add(rep.mask)
                     keep.append(rep)
             subs = tuple(keep)
         for H in subs:

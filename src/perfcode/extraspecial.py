@@ -40,7 +40,7 @@ class ExtraspecialClassification:
 
 def _central_involution(G: FiniteGroup) -> int:
     Z = center(G, full_subgroup(G))
-    invol = [g for g in Z.elements if g != 0 and G.table[g][g] == 0]
+    invol = [g for g in Z if g != 0 and G.table[g][g] == 0]
     if len(invol) != 1:
         raise ValueError(
             f"group {G.name or '?'} has {len(invol)} central involutions, need exactly 1"
@@ -128,17 +128,17 @@ def _is_extraspecial(G: FiniteGroup, P: Subgroup | None) -> ExtraspecialClassifi
     n = len(P)
     if n < 8 or n & (n - 1):
         return ExtraspecialClassification(False)
-    central = center(G, P).elements
-    if len(central) != 2:
+    Z = center(G, P)
+    if len(Z) != 2:
         return ExtraspecialClassification(False)
     t = G.table
-    if any(t[g][g] not in central for g in P.elements):
+    if any(t[g][g] not in Z for g in P):
         return ExtraspecialClassification(False)
     exponent = n.bit_length() - 1
     if exponent % 2 == 0:
         raise RuntimeError("central quotient of an extraspecial group has even rank")
     m = (exponent - 1) // 2
-    count = len(omega1(G) & P.elements)
+    count = len(omega1(G).intersection(P.members))
     if count == 4**m + 2**m:
         family = Family.GM1
     elif count == 4**m - 2**m:

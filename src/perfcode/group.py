@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import json
 import os
+from array import array
 from dataclasses import dataclass, field
 from functools import wraps
 from itertools import chain
@@ -90,36 +91,65 @@ class FiniteGroup:
         return f"FiniteGroup({label}, order={self.order})"
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    """A subgroup as a frozen set of element indices of one ambient group.
+    """A subgroup of one ambient group: ``mask`` has bit g set for each
+    member g, and ``members`` holds them packed once in increasing order.
 
-    Equality and hashing use the element set only; ``generators`` records how
-    the subgroup was built, when known.  Recorded generators must generate
-    the subgroup: the structure operators test them in place of its members.
+    The mask is the identity: equality, hashing and per-group store keys use
+    it alone, so equal subgroups built apart share stored results.  Recorded
+    ``generators``, when known, must generate the subgroup: the structure
+    operators test them in place of its members.  Never mutated.
     """
 
-    elements: frozenset[int]
-    generators: tuple[int, ...] | None = field(default=None, compare=False)
+    __slots__ = ("mask", "members", "generators", "_elements")
+
+    def __init__(
+        self, mask: int, elems: Iterable[int], generators: tuple[int, ...] | None = None
+    ) -> None:
+        members = sorted(elems)
+        self.mask = mask
+        self.members = _packed(members, members[-1] + 1)
+        self.generators = generators
+        self._elements = None
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Subgroup) and self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash(self.mask)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.mask.bit_count()
 
     def __contains__(self, g: int) -> bool:
-        return g in self.elements
+        return g >= 0 and self.mask >> g & 1 == 1
 
     def __iter__(self):
-        return iter(sorted(self.elements))
+        return iter(self.members)
+
+    @property
+    def elements(self) -> frozenset[int]:
+        """The members as a frozenset, for callers outside the library,
+        which never reads it: built from ``members`` on the first read and
+        kept, so callers holding many element sets share one per subgroup."""
+        if self._elements is None:
+            self._elements = frozenset(self.members)
+        return self._elements
 
     def indices(self) -> list[int]:
         """Sorted element indices, the JSON exchange format for subgroups."""
-        return sorted(self.elements)
-
-    def bitmask(self) -> int:
-        return bitmask(self.elements)
+        return list(self.members)
 
     def __repr__(self) -> str:
         return f"Subgroup({self.indices()})"
+
+
+def _packed(values: Iterable[int], n: int) -> Sequence[int]:
+    """``values``, each below n, as ``bytes`` when n <= 256 and otherwise
+    as an ``array`` of the narrowest unsigned type that holds n - 1."""
+    if n <= 256:
+        return bytes(values)
+    return array(next(c for c in "HIQ" if n <= 1 << 8 * array(c).itemsize), values)
 
 
 def bitmask(elems: Iterable[int]) -> int:
@@ -154,11 +184,13 @@ def per_group(fn):
 
 
 def trivial_subgroup() -> Subgroup:
-    return Subgroup(frozenset({0}), generators=())
+    return Subgroup(1, (0,), ())
 
 
+@per_group
 def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(frozenset(range(G.order)))
+    """G as a subgroup of itself, once per group, with the generators ``generate`` picks."""
+    return Subgroup((1 << G.order) - 1, G.elements(), generate(G, G.elements())[1])
 
 
 class _Packing:
@@ -216,7 +248,8 @@ def _packed_rows(rows: Sequence[Sequence[int]], P: _Packing) -> list:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
-        packed = P.pack(_ints(row, f"table row {i}"))
+        # a bytes row holds only ints 0-255, so only the range is left to check
+        packed = P.pack(row if type(row) is bytes else _ints(row, f"table row {i}"))
         if packed is None:
             v = next(v for v in row if not 0 <= v < n)
             raise ValueError(f"table entry {v} out of range [0, {n - 1}]")
@@ -391,29 +424,25 @@ def group_from_permutations(
     if not gens:
         return FiniteGroup.from_table([[0]], name=name)
     ident = tuple(range(degree))
-    seen = {ident}
-    links = []  # (r, c, j) with r = c * gens[j], c reached before r
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for j, q in enumerate(gens):
-                r = tuple(map(q.__getitem__, p))
-                if r not in seen:
-                    if len(seen) >= cap:
-                        raise ValueError(
-                            f"permutation closure exceeds the configured cap {cap}"
-                        )
-                    seen.add(r)
-                    nxt.append(r)
-                    links.append((r, p, j))
-        frontier = nxt
-    elements = sorted(seen)
-    n = len(elements)
-    index = dict(zip(elements, range(n)))
+    perms = [ident]  # in breadth-first order of discovery
+    found = {ident: 0}
+    products: list[list[int]] = [[] for _ in gens]  # [j][i]: perms[i] * gens[j]
+    links = []  # (r, c, j) with perms[r] = perms[c] * gens[j], c found before r
+    for c, p in enumerate(perms):
+        for j, q in enumerate(gens):
+            r = tuple(map(q.__getitem__, p))
+            k = found.setdefault(r, len(perms))
+            if k == len(perms):
+                if k >= cap:
+                    raise ValueError(f"permutation closure exceeds the configured cap {cap}")
+                perms.append(r)
+                links.append((k, c, j))
+            products[j].append(k)
+    n = len(perms)
+    order = sorted(range(n), key=perms.__getitem__)
+    index = sorted(range(n), key=order.__getitem__)  # the inverse of order
     P = _Packing(n)
-    times = [P.lookup(P.pack([index[tuple(map(q.__getitem__, p))] for p in elements]))
-             for q in gens]
+    times = [P.lookup(P.pack([index[prod[i]] for i in order])) for prod in products]
     columns = [P.ident] + [None] * (n - 1)
     for r, c, j in links:
         columns[index[r]] = P.composer(columns[index[c]])(times[j])
@@ -485,7 +514,8 @@ def closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
         if not 0 <= g < G.order:
             raise ValueError(f"generator index {g} out of range for order {G.order}")
         gen_list.append(g)
-    return Subgroup(closure_elements(G, gen_list), generators=tuple(gen_list))
+    elems = generate(G, gen_list)[0]
+    return Subgroup(bitmask(elems), elems, tuple(gen_list))
 
 
 def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -494,7 +524,7 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, tuple[i
     Returns the subgroup's own multiplication table plus the map from new
     indices back to the ambient group's element indices.
     """
-    old = sorted(H.elements)
+    old = list(H.members)
     rows = _relabel(G.table, old)
     label = f"{G.name}<{len(old)}>" if G.name else None
     return FiniteGroup.from_table(rows, name=label), tuple(old)

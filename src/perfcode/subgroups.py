@@ -2,23 +2,25 @@
 normalizers, centralizers, centers, cosets and least conjugates.
 
 The operators test a generating set of each subgroup, not its members:
-its recorded ``generators``, or else a greedy one stored per group.  Every
-subgroup they return is the one ``Subgroup`` instance of G with its element
-set (see ``_subgroup``), so the lattice and the stored results share it."""
+its recorded ``generators``, or else a greedy one stored per group.  They
+test membership on a subgroup's bitmask and walk its packed members; equal
+subgroups share stored results, since a ``Subgroup`` is keyed by its mask."""
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .group import (
     FiniteGroup,
     Subgroup,
+    _packed,
     bitmask,
+    full_subgroup,
     generate,
     join_element,
     per_group,
+    trivial_subgroup,
 )
 
 DEFAULT_ENUMERATION_CAP = 128
@@ -26,11 +28,7 @@ DEFAULT_ENUMERATION_CAP = 128
 
 def two_part(n: int) -> int:
     """Largest power of 2 dividing n."""
-    t = 1
-    while n % 2 == 0:
-        n //= 2
-        t *= 2
-    return t
+    return n & -n
 
 
 def all_subgroups(
@@ -38,17 +36,17 @@ def all_subgroups(
     within: Subgroup | None = None,
     max_order: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[Subgroup, ...]:
-    """Every subgroup of ``within`` (default: of G), each exactly once and
-    with its generators recorded (unless an operator built it first),
-    ordered by cardinality then bitmask: the trivial subgroup comes first
-    and the whole of ``within`` last.  G's lattice is stored once per group
-    and returned itself for ``within=None``; otherwise its members inside
-    ``within`` are.  ``max_order`` caps the order of G."""
+    """Every subgroup of ``within`` (default: of G), each exactly once with
+    the generators its enumeration joined, ordered by cardinality then
+    bitmask: the trivial subgroup comes first and the whole of ``within``
+    last.  G's lattice is stored once per group and returned itself for
+    ``within=None``; otherwise its members inside ``within`` are.
+    ``max_order`` caps the order of G."""
     if G.order > max_order:
         raise ValueError(f"subgroup enumeration supports order <= {max_order}, got {G.order}")
     if within is None:
         return _lattice(G)
-    return tuple(H for H in _lattice(G) if H.elements <= within.elements)
+    return tuple(H for H in _lattice(G) if not H.mask & ~within.mask)
 
 
 @per_group
@@ -135,51 +133,30 @@ def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
         if top in subs:
             break
     order = sorted(subs, key=lambda m: (m.bit_count(), m))
-    return tuple(_subgroup(G, *subs[m], m) for m in order)
-
-
-@per_group
-def _interned(G: FiniteGroup) -> dict[int, Subgroup]:
-    """The subgroups of G built so far, by bitmask."""
-    return {}
-
-
-def _subgroup(
-    G: FiniteGroup, elems: Iterable[int], generators: tuple[int, ...] | None = None,
-    mask: int | None = None,
-) -> Subgroup:
-    """The one ``Subgroup`` instance of G with these elements: the first
-    one built, with the generators it recorded, is returned ever after.
-    ``mask``, when given, is the bitmask of ``elems``."""
-    interned = _interned(G)
-    if mask is None:
-        mask = bitmask(elems)
-    H = interned.get(mask)
-    if H is None:
-        H = interned[mask] = Subgroup(frozenset(elems), generators)
-    return H
+    return tuple(Subgroup(m, *subs[m]) for m in order)
 
 
 def _generators(G: FiniteGroup, H: Subgroup | None = None) -> tuple[int, ...]:
     """H's recorded generators, or else the greedy span ``generate`` picks
     from its members in index order, stored per group; H=None means G."""
-    if H is not None and H.generators is not None:
+    if H is None:
+        H = full_subgroup(G)
+    if H.generators is not None:
         return H.generators
     return _greedy_generators(G, H)
 
 
 @per_group
-def _greedy_generators(G: FiniteGroup, H: Subgroup | None) -> tuple[int, ...]:
-    return generate(G, G.elements() if H is None else sorted(H.elements))[1]
+def _greedy_generators(G: FiniteGroup, H: Subgroup) -> tuple[int, ...]:
+    return generate(G, H.members)[1]
 
 
-def _normalizes(G: FiniteGroup, K: Subgroup):
-    """The test of g for K^g = K.  Conjugation by g maps K onto a subgroup
-    of the same order, so it is enough that it maps K's generators into K."""
+def _normalizes(G: FiniteGroup, mask: int, gens: tuple[int, ...]):
+    """The test of g for K^g = K, for the K with bitmask ``mask`` that
+    ``gens`` generate.  Conjugation by g maps K onto a subgroup of the same
+    order, so it is enough that it maps K's generators into K."""
     t, inv = G.table, G.inverse
-    members = K.elements
-    gens = _generators(G, K)
-    return lambda g: all(t[t[inv[g]][k]][g] in members for k in gens)
+    return lambda g: all(mask >> t[t[inv[g]][k]][g] & 1 for k in gens)
 
 
 def is_abelian_subgroup(G: FiniteGroup, H: Subgroup) -> bool:
@@ -191,20 +168,22 @@ def is_abelian_subgroup(G: FiniteGroup, H: Subgroup) -> bool:
 def is_normal(G: FiniteGroup, H: Subgroup, within: Subgroup | None = None) -> bool:
     """H^g = H for every g of the ambient subgroup (default: G), tested on
     that subgroup's generators."""
-    return all(map(_normalizes(G, H), _generators(G, within)))
+    return all(map(_normalizes(G, H.mask, _generators(G, H)), _generators(G, within)))
 
 
 @per_group
 def normalizer(G: FiniteGroup, K: Subgroup) -> Subgroup:
-    """{g : K^g = K}, grown from K by walking G in index order: a g that
-    normalizes K is joined to N, the part found so far; one that does not
-    rules out its whole right coset N g, since n g normalizes K iff g does.
-    N records K's generators and the g joined."""
-    normalizes = _normalizes(G, K)
+    """{g : K^g = K}: G if K is normal, else grown from K by walking G in
+    index order.  A g that normalizes K is joined to N, the part found so
+    far; one that does not rules out its whole right coset N g, since n g
+    normalizes K iff g does.  N records K's generators and the g joined."""
     t = G.table
     gens = _generators(G, K)
-    elems = sorted(K.elements)
-    mask = decided = bitmask(elems)
+    normalizes = _normalizes(G, K.mask, gens)
+    if all(map(normalizes, _generators(G))):
+        return full_subgroup(G)
+    elems = list(K.members)
+    mask = decided = K.mask
     for g in G.elements():
         if decided >> g & 1:
             continue
@@ -215,7 +194,7 @@ def normalizer(G: FiniteGroup, K: Subgroup) -> Subgroup:
         else:
             for n in elems:
                 decided |= 1 << t[n][g]
-    return _subgroup(G, elems, gens, mask)
+    return Subgroup(mask, elems, gens)
 
 
 @per_group
@@ -223,12 +202,14 @@ def centralizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """{g : gh = hg for all h in H}; g is tested on H's generators."""
     t = G.table
     gens = _generators(G, H)
-    return _subgroup(G, [g for g in G.elements() if all(t[g][h] == t[h][g] for h in gens)])
+    members = [g for g in G.elements() if all(t[g][h] == t[h][g] for h in gens)]
+    return Subgroup(bitmask(members), members)
 
 
 def center(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """{h in H : hx = xh for all x in H}."""
-    return _subgroup(G, centralizer(G, H).elements & H.elements)
+    C = centralizer(G, H).mask
+    return Subgroup(C & H.mask, [h for h in H if C >> h & 1])
 
 
 @per_group
@@ -241,8 +222,10 @@ def sylow_2_subgroup(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """
     target = two_part(len(H))
     if target == 1:
-        return _subgroup(G, [0], (), 1)
-    current = _grow_2_subgroup(G, frozenset({0}), target, H)
+        return trivial_subgroup()
+    if target == len(H):
+        return H
+    current = _grow_2_subgroup(G, trivial_subgroup(), target, H)
     return _least_conjugate(G, current, _generators(G, H))
 
 
@@ -251,29 +234,28 @@ def sylow_2_overgroup(G: FiniteGroup, Q: Subgroup) -> Subgroup:
     size = len(Q)
     if size & (size - 1):
         raise ValueError("starting subgroup must be a 2-group")
-    grown = _grow_2_subgroup(G, Q.elements, two_part(G.order), None, _generators(G, Q))
-    return _subgroup(G, grown)
+    return _grow_2_subgroup(G, Q, two_part(G.order), None)
 
 
 def _grow_2_subgroup(
-    G: FiniteGroup, current: frozenset[int], target: int, within: Subgroup | None,
-    gens: tuple[int, ...] = (),
-) -> frozenset[int]:
-    """Grow the 2-subgroup ``current``, generated by ``gens``, to order
-    ``target`` by index-2 steps, each adjoining the least g of ``within``
-    (default: G) that lies outside it, squares into it and normalizes it (by
-    Sylow's theorem one exists while current is below the 2-part of that
-    ambient group).  The cheap tests go first, and no normalizer is built."""
+    G: FiniteGroup, start: Subgroup, target: int, within: Subgroup | None
+) -> Subgroup:
+    """Grow the 2-subgroup ``start`` to order ``target`` by index-2 steps,
+    each adjoining the least g of ``within`` (default: G) that lies outside
+    it, squares into it and normalizes it (by Sylow's theorem one exists
+    while it is below the 2-part of that ambient group).  The cheap tests go
+    first, and no normalizer is built."""
     t = G.table
-    domain = sorted(within.elements) if within is not None else G.elements()
-    while len(current) < target:
-        normalizes = _normalizes(G, Subgroup(current, gens))
+    domain = within.members if within is not None else G.elements()
+    mask, elems, gens = start.mask, list(start.members), _generators(G, start)
+    while len(elems) < target:
+        normalizes = _normalizes(G, mask, gens)
         x = next(
-            g for g in domain if g not in current and t[g][g] in current and normalizes(g)
+            g for g in domain if not mask >> g & 1 and mask >> t[g][g] & 1 and normalizes(g)
         )
-        current = current | frozenset(t[q][x] for q in current)
+        mask, elems = join_element(G, mask, elems, gens, x)
         gens += (x,)
-    return current
+    return Subgroup(mask, elems, gens)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,7 +265,7 @@ class CosetDecomposition:
     ``blocks`` holds each coset's members in increasing order, and
     ``_position`` the index of g's coset at index g, for every g of G (one
     outside the ambient set maps past the last coset); both are packed by
-    ``_packed``."""
+    ``group._packed``, like a subgroup's members."""
 
     representatives: tuple[int, ...]
     blocks: tuple[Sequence[int], ...]
@@ -292,14 +274,6 @@ class CosetDecomposition:
     def coset_of(self, g: int) -> int:
         """Index (into ``representatives``) of the coset containing g."""
         return self._position[g]
-
-
-def _packed(values: Iterable[int], n: int) -> Sequence[int]:
-    """``values``, each below n, as ``bytes`` when n <= 256 and otherwise
-    as an ``array`` of the narrowest unsigned type that holds n - 1."""
-    if n <= 256:
-        return bytes(values)
-    return array(next(c for c in "HIQ" if n <= 1 << 8 * array(c).itemsize), values)
 
 
 def coset_decomposition(
@@ -315,9 +289,9 @@ def coset_decomposition(
 
 @per_group
 def _cosets(G: FiniteGroup, H: Subgroup, within: Subgroup | None) -> CosetDecomposition:
-    domain = sorted(within.elements) if within is not None else range(G.order)
+    domain = within.members if within is not None else range(G.order)
     n, t = G.order, G.table
-    helems = sorted(H.elements)
+    helems = H.members
     # a proper ambient subgroup has at most n/2 cosets, so k itself packs
     k = len(domain) // len(helems)
     position = [k] * n
@@ -357,7 +331,7 @@ def is_maximal_abelian(G: FiniteGroup, H: Subgroup) -> bool:
     """
     if not is_abelian_subgroup(G, H):
         return False
-    return centralizer(G, H).elements == H.elements
+    return centralizer(G, H) == H
 
 
 def minimal_conjugate(G: FiniteGroup, H: Subgroup) -> Subgroup:
@@ -365,18 +339,16 @@ def minimal_conjugate(G: FiniteGroup, H: Subgroup) -> Subgroup:
     it is normal, else found by an orbit walk."""
     if is_normal(G, H):
         return H
-    return _least_conjugate(G, H.elements, _generators(G))
+    return _least_conjugate(G, H, _generators(G))
 
 
-def _least_conjugate(
-    G: FiniteGroup, members: frozenset[int], gens: tuple[int, ...]
-) -> Subgroup:
-    """The least-bitmask conjugate of ``members`` by the group ``gens``
-    generate.  The orbit under conjugation by the generators alone is the
-    whole orbit under that group, so it is walked breadth-first."""
+def _least_conjugate(G: FiniteGroup, H: Subgroup, gens: tuple[int, ...]) -> Subgroup:
+    """The least-bitmask conjugate of H (H itself if least) by the group
+    ``gens`` generate.  The orbit under conjugation by the generators alone
+    is the whole orbit under that group, so it is walked breadth-first."""
     t, inv = G.table, G.inverse
-    orbit = {bitmask(members): members}
-    frontier = [members]
+    orbit: dict[int, Sequence[int]] = {H.mask: H.members}
+    frontier = [H.members]
     for current in frontier:
         for x in gens:
             row = t[inv[x]]
@@ -386,4 +358,4 @@ def _least_conjugate(
                 orbit[key] = image
                 frontier.append(image)
     least = min(orbit)
-    return _subgroup(G, orbit[least], mask=least)
+    return H if least == H.mask else Subgroup(least, orbit[least])

@@ -7,12 +7,14 @@ cosets, perfect codes from every pair of vertices, right cosets from every
 product, associativity from every triple, normalizers, centralizers and
 commutativity from every member, Sylow growth steps from whole normalizers,
 coset-criterion counterexamples from a scan of every x, permutation tables
-from composing every pair of a closure grown by squaring, and counts from
-closed formulas, so a bug in the fast path cannot
-hide in the oracle as well.
+from composing every pair of a closure grown by squaring, the deciding
+clause of the Sylow-extraspecial classification from brute normalizers and
+commutativity, and counts from closed formulas, so a bug in the fast path
+cannot hide in the oracle as well.
 
 The helpers below them (the join-every-cyclic lattice, element orders,
-squares, checked and conjugate subgroups, commutators, derived and Frattini
+squares, bitmasks and ``Subgroup`` builds from element sets, checked and
+conjugate subgroups, commutators, derived and Frattini
 subgroups, abelian invariants, the symplectic form of an extraspecial
 group, conjugacy class sizes and the small-order isomorphism search) are
 not oracles in that sense:
@@ -298,6 +300,27 @@ def _fails_coset_test(G: FiniteGroup, members, x: int) -> bool:
     return (len(members) // meet) % 2 == 1 and all(t[y][y] != 0 for y in coset)
 
 
+def sylow_extraspecial_clause(G: FiniteGroup, members) -> str:
+    """Which clause of the closed form for an extraspecial Sylow 2-subgroup
+    G2 decides H, from the definitions: ``odd-order``; else, with H2 a
+    Sylow 2-subgroup of H, ``non-abelian`` H2; ``normalizer`` when the
+    2-part of |N_G(H2)| is below |G2|; ``maximal-abelian`` when
+    |H2|^2 = 2|G2|; otherwise ``none``."""
+    size = len(members)
+    if size % 2:
+        return "odd-order"
+    H2 = brute_grow_2_subgroup(G, {0}, size & -size, members)
+    sylow_order = G.order & -G.order  # n & -n is the 2-part of n
+    if not brute_is_abelian(G, H2):
+        return "non-abelian"
+    norm = len(brute_normalizer(G, H2))
+    if norm & -norm < sylow_order:
+        return "normalizer"
+    if len(H2) ** 2 == 2 * sylow_order:
+        return "maximal-abelian"
+    return "none"
+
+
 def brute_square_coset_counterexample(G: FiniteGroup, members, within=None) -> int | None:
     """Least x of within (default: G) with x^2 in H that fails the coset test."""
     domain = range(G.order) if within is None else sorted(within)
@@ -402,8 +425,7 @@ def join_every_cyclic_lattice(G: FiniteGroup, within: Subgroup | None = None) ->
                 subs[jm] = (joined, gens + (cyclic_gens[i],))
                 queue.append(jm)
     return tuple(
-        Subgroup(frozenset(subs[m][0]), generators=subs[m][1])
-        for m in sorted(subs, key=lambda m: (m.bit_count(), m))
+        Subgroup(m, *subs[m]) for m in sorted(subs, key=lambda m: (m.bit_count(), m))
     )
 
 
@@ -420,6 +442,19 @@ def squares(G: FiniteGroup) -> frozenset[int]:
     return frozenset(t[g][g] for g in G.elements()) - {0}
 
 
+def mask_of(elems: Iterable[int]) -> int:
+    """The bitmask of an element set: bit g set for each member g."""
+    return sum(1 << g for g in frozenset(elems))
+
+
+def as_subgroup(elems: Iterable[int], generators: tuple[int, ...] | None = None) -> Subgroup:
+    """The ``Subgroup`` with these element indices, unchecked: the tests'
+    one conversion from an element set to the library's bitmask and packed
+    members."""
+    members = frozenset(elems)
+    return Subgroup(mask_of(members), members, generators)
+
+
 def subgroup_from_elements(G: FiniteGroup, elems: Iterable[int]) -> Subgroup:
     """Wrap an element set as a Subgroup, verifying the subgroup axioms."""
     members = frozenset(int(g) for g in elems)
@@ -433,14 +468,14 @@ def subgroup_from_elements(G: FiniteGroup, elems: Iterable[int]) -> Subgroup:
         for b in members:
             if t[a][b] not in members:
                 raise ValueError("element set is not closed under the product")
-    return Subgroup(members)
+    return as_subgroup(members)
 
 
 def conjugate_subgroup(G: FiniteGroup, H: Subgroup, x: int) -> Subgroup:
     """The conjugate {x^-1 h x : h in H}."""
     if not 0 <= x < G.order:
         raise ValueError(f"element index {x} out of range for order {G.order}")
-    return Subgroup(frozenset(G.conjugate(h, x) for h in H.elements))
+    return as_subgroup(G.conjugate(h, x) for h in H.elements)
 
 
 def commutator(G: FiniteGroup, x: int, y: int) -> int:
@@ -453,7 +488,7 @@ def derived_subgroup(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """Subgroup generated by all commutators of H."""
     elems = sorted(H.elements)
     gens = {commutator(G, x, y) for x in elems for y in elems}
-    return Subgroup(closure_elements(G, gens))
+    return as_subgroup(closure_elements(G, gens))
 
 
 def frattini_subgroup(G: FiniteGroup, H: Subgroup) -> Subgroup:
@@ -463,8 +498,8 @@ def frattini_subgroup(G: FiniteGroup, H: Subgroup) -> Subgroup:
         S for S in subs if not any(S < T for T in subs if len(T) > len(S))
     ]
     if not maximal:
-        return Subgroup(H.elements)
-    return Subgroup(reduce(frozenset.__and__, maximal))
+        return as_subgroup(H.elements)
+    return as_subgroup(reduce(frozenset.__and__, maximal))
 
 
 def extraspecial_by_definition(G: FiniteGroup, P: Subgroup) -> tuple[int, Family] | None:

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from oracles import (
+    as_subgroup,
     brute_double_coset_counterexample,
     brute_inverse_closed_transversal_exists,
     brute_is_perfect_code,
@@ -35,7 +36,6 @@ from perfcode.codes import (
 from perfcode.corpus import builtin_corpus
 from perfcode.group import (
     FiniteGroup,
-    Subgroup,
     closure,
     full_subgroup,
     trivial_subgroup,
@@ -200,7 +200,7 @@ def test_transversal_dead_end_is_local_to_its_double_coset_pair():
     # an order-4 subgroup of G(2,1) x Z3 (order 96) that is not a code; a
     # search across all cosets at once backtracks for seconds before failing
     G = construct.build_named("product(gm1(2),cyclic(3))")
-    H = Subgroup(frozenset({0, 6, 60, 66}))
+    H = as_subgroup({0, 6, 60, 66})
     assert any(K.elements == H.elements for K in all_subgroups(G))
     assert not decide(G, H).is_perfect_code
     start = time.perf_counter()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,11 +13,12 @@ from oracles import (
     isomorphic_small,
     relabel_rows,
     squares,
+    sylow_extraspecial_clause,
     symplectic_form,
 )
 from perfcode import construct, extraspecial
 from perfcode.codes import Criterion, decide
-from perfcode.corpus import make_entry
+from perfcode.corpus import cross_check, make_entry
 from perfcode.extraspecial import (
     ExtraspecialClassification,
     Family,
@@ -364,3 +366,35 @@ def test_classify_sylow_odd_subgroups_are_codes(sl23):
     for H in all_subgroups(sl23):
         if len(H) % 2 == 1:
             assert classify_sylow_extraspecial(sl23, H).is_perfect_code
+
+
+@pytest.mark.parametrize("second, family", [("dihedral(8)", Family.GM2), ("q8", Family.GM1)])
+def test_sylow_classification_clauses_where_the_odd_part_acts(second, family):
+    """SL(2,3) o D8 and SL(2,3) o Q8 have order 96 and extraspecial Sylow
+    2-subgroups G(2,2) and G(2,1), on which the Z3 of SL(2,3) acts
+    nontrivially.  Over one subgroup per conjugacy class every clause of
+    ``classify_sylow_extraspecial`` decides rows; the maximal-abelian size
+    gives a code under G(2,1) only.  The clause comes from the definitions
+    (``sylow_extraspecial_clause``), and every criterion agrees."""
+    G0 = central_product(construct.special_linear_2_3(), construct.build_named(second))
+    perm = [0] + random.Random(11).sample(range(1, G0.order), G0.order - 1)
+    G = FiniteGroup.from_table(relabel_rows(G0, perm), name=G0.name)
+    assert sylow_2_classification(G) == ExtraspecialClassification(True, m=2, family=family)
+    entry = make_entry(G)
+    assert "sylow2-extraspecial" in entry.tags
+    report = cross_check([entry], max_order=96, dedupe_conjugates=True)
+    assert len(report.rows) == 46
+    assert report.summary["disagreements"] == 0
+    assert report.summary["unchecked"] == 0
+    decided = Counter()
+    for row in report.rows:
+        clause = sylow_extraspecial_clause(G, frozenset(row["subgroup"]))
+        code = row["verdicts"]["sylow-extraspecial-classification"]
+        assert code == row["perfect_code"], row["subgroup"]
+        assert code == (
+            clause != "none" and (clause != "maximal-abelian" or family is Family.GM1)
+        ), (clause, row["subgroup"])
+        decided[clause] += 1
+    assert decided == {
+        "odd-order": 2, "non-abelian": 22, "normalizer": 5, "maximal-abelian": 5, "none": 12
+    }
