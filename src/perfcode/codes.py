@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable
 
-from .group import FiniteGroup, Subgroup
+from .group import FiniteGroup, Subgroup, _ints
 from .subgroups import (
     coset_decomposition,
     is_normal,
@@ -54,10 +54,11 @@ class ConnectionSet:
 
 
 def _as_elements(G: FiniteGroup, elements: Subgroup | Iterable[int]) -> Collection[int]:
-    """A subgroup's packed members, or else ``elements`` as indices checked in range."""
+    """A subgroup's packed members, or else ``elements`` as indices checked
+    to be exact ints in range."""
     if isinstance(elements, Subgroup):
         return elements.members
-    members = frozenset(int(g) for g in elements)
+    members = frozenset(_ints(tuple(elements), "element list"))
     for g in members:
         if not 0 <= g < G.order:
             raise ValueError(f"element index {g} out of range for order {G.order}")
@@ -166,11 +167,13 @@ def find_inverse_closed_transversal(
     is the first one in canonical coset order over all of G.
     """
     dec = coset_decomposition(G, H)
-    k = len(dec.representatives)
+    members, size = dec.members, dec.stride
+    k = len(members) // size
     inv = G.inverse
     t = G.table
     candidates: list[list[int]] = []
-    for block in dec.blocks:
+    for i in range(0, len(members), size):
+        block = members[i : i + size]
         invol = [g for g in block if t[g][g] == 0]
         rest = [g for g in block if t[g][g] != 0]
         candidates.append(invol + rest)
@@ -211,9 +214,9 @@ def find_inverse_closed_transversal(
             continue
         # the inverses of one coset of HxH meet every right coset of
         # Hx^-1H, and the inverses of one of those meet every coset of HxH
-        component = {dec.coset_of(inv[g]) for g in dec.blocks[start]}
+        component = {dec.coset_of(inv[g]) for g in candidates[start]}
         mirror = next(iter(component))
-        component.update(dec.coset_of(inv[g]) for g in dec.blocks[mirror])
+        component.update(dec.coset_of(inv[g]) for g in candidates[mirror])
         if not search(sorted(component), 0):
             return None
     reps = tuple(g for g in chosen if g is not None)
@@ -231,7 +234,8 @@ def connection_set_from_transversal(
         raise ValueError("transversal must be inverse-closed")
     dec = coset_decomposition(G, H)
     hit = {dec.coset_of(g) for g in reps}
-    if len(reps) != len(dec.representatives) or len(hit) != len(dec.representatives):
+    k = len(dec.members) // dec.stride
+    if len(reps) != k or len(hit) != k:
         raise ValueError("representatives do not form a right transversal")
     return ConnectionSet(reps - {0})
 
@@ -261,8 +265,10 @@ def square_coset_condition(
     for h in H:
         inside[h] = 1
     failing = []
-    for block in coset_decomposition(G, H, within).blocks:
-        roots = [y for y in block if inside[t[y][y]]]
+    dec = coset_decomposition(G, H, within)
+    members, size = dec.members, dec.stride
+    for i in range(0, len(members), size):
+        roots = [y for y in members[i : i + size] if inside[t[y][y]]]
         # an involution y would be among the roots, since y^2 = 1 lies in H
         if roots and all(t[y][y] for y in roots) and _odd_index_intersection(G, H, roots[0]):
             failing.append(roots[0])
@@ -282,9 +288,11 @@ def double_coset_condition(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
     t = G.table
     mask = H.mask
     dec = coset_decomposition(G, H)
-    for x, block in zip(dec.representatives, dec.blocks):
+    members, size = dec.members, dec.stride
+    for i in range(0, len(members), size):
+        x = members[i]
         if (
-            all(t[y][y] for y in block)
+            all(t[y][y] for y in members[i : i + size])
             and any(mask >> t[t[x][b]][x] & 1 for b in H)
             and _odd_index_intersection(G, H, x)
         ):
@@ -308,16 +316,10 @@ def omega_coset_sets(
         raise ValueError("H must be normal in N")
     t = G.table
     dec = coset_decomposition(G, H, N)
-    quotient = frozenset(
-        dec.representatives[i]
-        for i, block in enumerate(dec.blocks)
-        if H.mask >> t[block[0]][block[0]] & 1
-    )
-    lifted = frozenset(
-        dec.representatives[i]
-        for i, block in enumerate(dec.blocks)
-        if any(t[y][y] == 0 for y in block)
-    )
+    members, size = dec.members, dec.stride
+    quotient = frozenset(x for x in members[::size] if H.mask >> t[x][x] & 1)
+    # the coset at flat index i starts at i - i % size
+    lifted = frozenset(members[i - i % size] for i, y in enumerate(members) if not t[y][y])
     return quotient, lifted
 
 

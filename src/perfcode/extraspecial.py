@@ -115,16 +115,14 @@ def is_extraspecial(G: FiniteGroup, P: Subgroup | None = None) -> ExtraspecialCl
     order at most 2: 4^m + 2^m for GM1 and 4^m - 2^m for GM2, by the Arf
     invariant of the squaring form on P/Z(P).  Every extraspecial group of
     order 2^(2m+1) lies in one of the two families, so any other count is a
-    bug.  A P equal to G is taken as None, so both spellings share one
-    stored classification.
+    bug.  Subgroups are keyed by their masks, so every spelling of a P
+    equal to G shares one stored classification.
     """
-    return _is_extraspecial(G, None if P is not None and len(P) == G.order else P)
+    return _is_extraspecial(G, full_subgroup(G) if P is None else P)
 
 
 @per_group
-def _is_extraspecial(G: FiniteGroup, P: Subgroup | None) -> ExtraspecialClassification:
-    if P is None:
-        P = full_subgroup(G)
+def _is_extraspecial(G: FiniteGroup, P: Subgroup) -> ExtraspecialClassification:
     n = len(P)
     if n < 8 or n & (n - 1):
         return ExtraspecialClassification(False)

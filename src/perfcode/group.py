@@ -96,16 +96,14 @@ class Subgroup:
     member g, and ``members`` holds them packed once in increasing order.
 
     The mask is the identity: equality, hashing and per-group store keys use
-    it alone, so equal subgroups built apart share stored results.  Recorded
-    ``generators``, when known, must generate the subgroup: the structure
+    it alone, so equal subgroups built apart share stored results.  Every
+    subgroup records ``generators`` that generate it: the structure
     operators test them in place of its members.  Never mutated.
     """
 
     __slots__ = ("mask", "members", "generators", "_elements")
 
-    def __init__(
-        self, mask: int, elems: Iterable[int], generators: tuple[int, ...] | None = None
-    ) -> None:
+    def __init__(self, mask: int, elems: Iterable[int], generators: tuple[int, ...]) -> None:
         members = sorted(elems)
         self.mask = mask
         self.members = _packed(members, members[-1] + 1)
@@ -509,13 +507,12 @@ def join_element(
 
 def closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Least subgroup containing ``gens``; the empty list gives the trivial one."""
-    gen_list = []
-    for g in gens:
+    gen_list = _ints(tuple(gens), "generator list")
+    for g in gen_list:
         if not 0 <= g < G.order:
             raise ValueError(f"generator index {g} out of range for order {G.order}")
-        gen_list.append(g)
     elems = generate(G, gen_list)[0]
-    return Subgroup(bitmask(elems), elems, tuple(gen_list))
+    return Subgroup(bitmask(elems), elems, gen_list)
 
 
 def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:

@@ -1,10 +1,11 @@
 """Subgroup enumeration and structure operators: Sylow 2-subgroups,
 normalizers, centralizers, centers, cosets and least conjugates.
 
-The operators test a generating set of each subgroup, not its members:
-its recorded ``generators``, or else a greedy one stored per group.  They
-test membership on a subgroup's bitmask and walk its packed members; equal
-subgroups share stored results, since a ``Subgroup`` is keyed by its mask."""
+The operators test the ``generators`` every subgroup records, not its
+members, and record generators on every subgroup they build.  They test
+membership on a subgroup's bitmask and walk its packed members; equal
+subgroups share stored results, since a ``Subgroup`` is keyed by its mask.
+An ambient group left as None is G itself, taken as ``full_subgroup(G)``."""
 
 from __future__ import annotations
 
@@ -136,21 +137,6 @@ def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
     return tuple(Subgroup(m, *subs[m]) for m in order)
 
 
-def _generators(G: FiniteGroup, H: Subgroup | None = None) -> tuple[int, ...]:
-    """H's recorded generators, or else the greedy span ``generate`` picks
-    from its members in index order, stored per group; H=None means G."""
-    if H is None:
-        H = full_subgroup(G)
-    if H.generators is not None:
-        return H.generators
-    return _greedy_generators(G, H)
-
-
-@per_group
-def _greedy_generators(G: FiniteGroup, H: Subgroup) -> tuple[int, ...]:
-    return generate(G, H.members)[1]
-
-
 def _normalizes(G: FiniteGroup, mask: int, gens: tuple[int, ...]):
     """The test of g for K^g = K, for the K with bitmask ``mask`` that
     ``gens`` generate.  Conjugation by g maps K onto a subgroup of the same
@@ -161,14 +147,15 @@ def _normalizes(G: FiniteGroup, mask: int, gens: tuple[int, ...]):
 
 def is_abelian_subgroup(G: FiniteGroup, H: Subgroup) -> bool:
     t = G.table
-    gens = _generators(G, H)
+    gens = H.generators
     return all(t[a][b] == t[b][a] for i, a in enumerate(gens) for b in gens[:i])
 
 
 def is_normal(G: FiniteGroup, H: Subgroup, within: Subgroup | None = None) -> bool:
     """H^g = H for every g of the ambient subgroup (default: G), tested on
     that subgroup's generators."""
-    return all(map(_normalizes(G, H.mask, _generators(G, H)), _generators(G, within)))
+    ambient = full_subgroup(G) if within is None else within
+    return all(map(_normalizes(G, H.mask, H.generators), ambient.generators))
 
 
 @per_group
@@ -178,9 +165,9 @@ def normalizer(G: FiniteGroup, K: Subgroup) -> Subgroup:
     far; one that does not rules out its whole right coset N g, since n g
     normalizes K iff g does.  N records K's generators and the g joined."""
     t = G.table
-    gens = _generators(G, K)
+    gens = K.generators
     normalizes = _normalizes(G, K.mask, gens)
-    if all(map(normalizes, _generators(G))):
+    if all(map(normalizes, full_subgroup(G).generators)):
         return full_subgroup(G)
     elems = list(K.members)
     mask = decided = K.mask
@@ -199,17 +186,19 @@ def normalizer(G: FiniteGroup, K: Subgroup) -> Subgroup:
 
 @per_group
 def centralizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """{g : gh = hg for all h in H}; g is tested on H's generators."""
+    """{g : gh = hg for all h in H}; g is tested on H's generators.  The
+    result records the generators ``generate`` picks from its members."""
     t = G.table
-    gens = _generators(G, H)
+    gens = H.generators
     members = [g for g in G.elements() if all(t[g][h] == t[h][g] for h in gens)]
-    return Subgroup(bitmask(members), members)
+    return Subgroup(bitmask(members), members, generate(G, members)[1])
 
 
 def center(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """{h in H : hx = xh for all x in H}."""
+    """{h in H : hx = xh for all x in H}, with generators as ``centralizer``'s."""
     C = centralizer(G, H).mask
-    return Subgroup(C & H.mask, [h for h in H if C >> h & 1])
+    members = [h for h in H if C >> h & 1]
+    return Subgroup(C & H.mask, members, generate(G, members)[1])
 
 
 @per_group
@@ -226,7 +215,7 @@ def sylow_2_subgroup(G: FiniteGroup, H: Subgroup) -> Subgroup:
     if target == len(H):
         return H
     current = _grow_2_subgroup(G, trivial_subgroup(), target, H)
-    return _least_conjugate(G, current, _generators(G, H))
+    return _least_conjugate(G, current, H.generators)
 
 
 def sylow_2_overgroup(G: FiniteGroup, Q: Subgroup) -> Subgroup:
@@ -234,20 +223,18 @@ def sylow_2_overgroup(G: FiniteGroup, Q: Subgroup) -> Subgroup:
     size = len(Q)
     if size & (size - 1):
         raise ValueError("starting subgroup must be a 2-group")
-    return _grow_2_subgroup(G, Q, two_part(G.order), None)
+    return _grow_2_subgroup(G, Q, two_part(G.order), full_subgroup(G))
 
 
-def _grow_2_subgroup(
-    G: FiniteGroup, start: Subgroup, target: int, within: Subgroup | None
-) -> Subgroup:
+def _grow_2_subgroup(G: FiniteGroup, start: Subgroup, target: int, within: Subgroup) -> Subgroup:
     """Grow the 2-subgroup ``start`` to order ``target`` by index-2 steps,
-    each adjoining the least g of ``within`` (default: G) that lies outside
-    it, squares into it and normalizes it (by Sylow's theorem one exists
-    while it is below the 2-part of that ambient group).  The cheap tests go
-    first, and no normalizer is built."""
+    each adjoining the least g of ``within`` that lies outside it, squares
+    into it and normalizes it (by Sylow's theorem one exists while it is
+    below the 2-part of ``within``).  The cheap tests go first, and no
+    normalizer is built."""
     t = G.table
-    domain = within.members if within is not None else G.elements()
-    mask, elems, gens = start.mask, list(start.members), _generators(G, start)
+    domain = within.members
+    mask, elems, gens = start.mask, list(start.members), start.generators
     while len(elems) < target:
         normalizes = _normalizes(G, mask, gens)
         x = next(
@@ -258,18 +245,30 @@ def _grow_2_subgroup(
     return Subgroup(mask, elems, gens)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CosetDecomposition:
     """Right cosets Hg with least-element representatives, identity first.
 
-    ``blocks`` holds each coset's members in increasing order, and
-    ``_position`` the index of g's coset at index g, for every g of G (one
-    outside the ambient set maps past the last coset); both are packed by
-    ``group._packed``, like a subgroup's members."""
+    ``members`` holds every coset end to end, each in increasing order, so
+    coset i is the slice ``[i * stride : (i + 1) * stride]`` with ``stride``
+    = |H| and its representative is ``members[i * stride]``.  ``_position``
+    holds the index of g's coset at index g, for every g of G (one outside
+    the ambient set maps past the last coset).  Both are packed by
+    ``group._packed``, like a subgroup's members; ``representatives`` and
+    ``blocks`` are views built from ``members`` on each read."""
 
-    representatives: tuple[int, ...]
-    blocks: tuple[Sequence[int], ...]
+    members: Sequence[int]
+    stride: int
     _position: Sequence[int]
+
+    @property
+    def representatives(self) -> tuple[int, ...]:
+        return tuple(self.members[:: self.stride])
+
+    @property
+    def blocks(self) -> tuple[Sequence[int], ...]:
+        s = self.stride
+        return tuple(self.members[i : i + s] for i in range(0, len(self.members), s))
 
     def coset_of(self, g: int) -> int:
         """Index (into ``representatives``) of the coset containing g."""
@@ -279,34 +278,29 @@ class CosetDecomposition:
 def coset_decomposition(
     G: FiniteGroup, H: Subgroup, within: Subgroup | None = None
 ) -> CosetDecomposition:
-    """Right-coset decomposition of the ambient set (default: all of G) by
-    H.  An ambient subgroup equal to G is taken as None, so both spellings
-    share one stored decomposition."""
-    if within is not None and len(within) == G.order:
-        within = None
-    return _cosets(G, H, within)
+    """Right-coset decomposition of the ambient subgroup (default: G) by H.
+    Subgroups are keyed by their masks, so every spelling of an ambient
+    subgroup equal to G shares one stored decomposition."""
+    return _cosets(G, H, full_subgroup(G) if within is None else within)
 
 
 @per_group
-def _cosets(G: FiniteGroup, H: Subgroup, within: Subgroup | None) -> CosetDecomposition:
-    domain = within.members if within is not None else range(G.order)
+def _cosets(G: FiniteGroup, H: Subgroup, within: Subgroup) -> CosetDecomposition:
     n, t = G.order, G.table
     helems = H.members
-    # a proper ambient subgroup has at most n/2 cosets, so k itself packs
-    k = len(domain) // len(helems)
+    # below G, k is at most n/2, so positions left at k still pack
+    k = len(within) // len(helems)
     position = [k] * n
-    reps: list[int] = []
-    blocks: list[Sequence[int]] = []
-    for g in domain:
+    members: list[int] = []
+    for g in within.members:
         if position[g] < k:
             continue
         block = sorted(t[h][g] for h in helems)
-        idx = len(reps)
-        reps.append(g)
-        blocks.append(_packed(block, n))
+        idx = len(members) // len(helems)
+        members += block
         for member in block:
             position[member] = idx
-    return CosetDecomposition(tuple(reps), tuple(blocks), _packed(position, n))
+    return CosetDecomposition(_packed(members, n), len(helems), _packed(position, n))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -339,23 +333,29 @@ def minimal_conjugate(G: FiniteGroup, H: Subgroup) -> Subgroup:
     it is normal, else found by an orbit walk."""
     if is_normal(G, H):
         return H
-    return _least_conjugate(G, H, _generators(G))
+    return _least_conjugate(G, H, full_subgroup(G).generators)
 
 
 def _least_conjugate(G: FiniteGroup, H: Subgroup, gens: tuple[int, ...]) -> Subgroup:
     """The least-bitmask conjugate of H (H itself if least) by the group
     ``gens`` generate.  The orbit under conjugation by the generators alone
-    is the whole orbit under that group, so it is walked breadth-first."""
+    is the whole orbit under that group, so it is walked breadth-first,
+    keeping with each conjugate H^c the element c; the least one records
+    H's generators conjugated by its c."""
     t, inv = G.table, G.inverse
-    orbit: dict[int, Sequence[int]] = {H.mask: H.members}
-    frontier = [H.members]
-    for current in frontier:
+    orbit: dict[int, tuple[Sequence[int], int]] = {H.mask: (H.members, 0)}
+    frontier = [orbit[H.mask]]
+    for current, c in frontier:
         for x in gens:
             row = t[inv[x]]
             image = [t[row[h]][x] for h in current]
             key = bitmask(image)
             if key not in orbit:
-                orbit[key] = image
-                frontier.append(image)
+                orbit[key] = found = (image, t[c][x])
+                frontier.append(found)
     least = min(orbit)
-    return H if least == H.mask else Subgroup(least, orbit[least])
+    if least == H.mask:
+        return H
+    members, c = orbit[least]
+    row = t[inv[c]]
+    return Subgroup(least, members, tuple(t[row[k]][c] for k in H.generators))

@@ -450,8 +450,11 @@ def mask_of(elems: Iterable[int]) -> int:
 def as_subgroup(elems: Iterable[int], generators: tuple[int, ...] | None = None) -> Subgroup:
     """The ``Subgroup`` with these element indices, unchecked: the tests'
     one conversion from an element set to the library's bitmask and packed
-    members."""
+    members.  Without ``generators`` it records all its members, sorted,
+    which generate any subgroup."""
     members = frozenset(elems)
+    if generators is None:
+        generators = tuple(sorted(members))
     return Subgroup(mask_of(members), members, generators)
 
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 import time
+from enum import IntEnum
 from itertools import combinations
 
 import pytest
@@ -85,6 +87,20 @@ def test_graph_check_rejects_code_indices_out_of_range(d8):
     for bad in (-1, 8):
         with pytest.raises(ValueError, match="out of range"):
             is_perfect_code_in_cayley_graph(d8, set(range(1, 8)), [bad])
+
+
+class _Index(IntEnum):
+    THREE = 3
+
+
+@pytest.mark.parametrize("bad", [1.5, "4", True, _Index.THREE], ids=repr)
+def test_element_indices_must_be_exact_ints(d8, bad):
+    # int() would read 1.5 as 1, "4" as 4 and True as 1: an index must be an int
+    message = re.escape(f"element list entry {bad!r} is not an integer")
+    with pytest.raises(ValueError, match=message):
+        connection_set(d8, [bad, 3])
+    with pytest.raises(ValueError, match=message):
+        is_perfect_code_in_cayley_graph(d8, set(range(1, 8)), [bad])
 
 
 def _inverse_pairs(G: FiniteGroup) -> list[frozenset[int]]:

@@ -206,11 +206,11 @@ def test_sylow_classification_of_gm1_2_times_z3():
 
 @pytest.mark.parametrize("spec, family", [("gm1(2)", Family.GM1), ("gm2(2)", Family.GM2)])
 def test_a_two_group_stores_one_classification(spec, family):
-    # The Sylow 2-subgroup of a 2-group is all of G: it shares the P=None entry.
+    # The Sylow 2-subgroup of a 2-group is all of G: it shares the P=G entry.
     entry = make_entry(construct.build_named(spec))
     G = entry.group
     stored = [key for key in G._store if key[0].__name__ == "_is_extraspecial"]
-    assert stored == [(extraspecial._is_extraspecial.__wrapped__, (None,))]
+    assert stored == [(extraspecial._is_extraspecial.__wrapped__, (full_subgroup(G),))]
     expected = ExtraspecialClassification(True, m=2, family=family)
     assert is_extraspecial(G) == is_extraspecial(G, full_subgroup(G)) == expected
     assert sylow_2_classification(G) == expected

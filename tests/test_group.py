@@ -408,6 +408,13 @@ def test_closure_idempotent(s4, s4_elem):
     assert again.elements == H.elements
 
 
+@pytest.mark.parametrize("bad", [1.5, "1", True, _Bit.ONE], ids=repr)
+def test_closure_generators_must_be_exact_ints(s4, bad):
+    # True must not pass as element 1, and "1" must fail as bad input, not TypeError
+    with pytest.raises(ValueError, match=re.escape(f"generator list entry {bad!r} is not an integer")):
+        closure(s4, [2, bad])
+
+
 @given(st.sets(st.integers(min_value=0, max_value=23), max_size=4))
 @settings(max_examples=50, deadline=None)
 def test_closure_idempotent_random_seeds(seed):

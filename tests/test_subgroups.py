@@ -6,6 +6,7 @@ import tracemalloc
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     abelian_invariants,
@@ -131,6 +132,39 @@ def test_recorded_generators_close_to_the_subgroup(spec):
     G = construct.build_named(spec)
     for H in all_subgroups(G):
         assert closure_elements(G, H.generators) == H.elements, H.indices()
+
+
+@st.composite
+def _permutation_groups(draw):
+    """The group that 1-3 random permutations of degree at most 5 generate."""
+    degree = draw(st.integers(min_value=1, max_value=5))
+    count = draw(st.integers(min_value=1, max_value=3))
+    return group_from_permutations([draw(st.permutations(range(degree))) for _ in range(count)])
+
+
+@given(_permutation_groups())
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_operator_results_record_generators_of_themselves(G):
+    for H in all_subgroups(G):
+        for op in (normalizer, centralizer, center, sylow_2_subgroup, minimal_conjugate):
+            K = op(G, H)
+            assert closure_elements(G, K.generators) == K.elements, (op.__name__, H.indices())
+        assert closure_elements(G, H.generators) == H.elements, H.indices()
+
+
+@given(_permutation_groups())
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_coset_decompositions_match_brute_force_on_random_groups(G):
+    """Right cosets in G and in the normalizer, each led by its least member."""
+    for H in all_subgroups(G):
+        N = normalizer(G, H)
+        for within in (None, N):
+            domain = None if within is None else N.members
+            cosets = brute_right_cosets(G, H.elements, domain)
+            dec = coset_decomposition(G, H, within)
+            assert [list(block) for block in dec.blocks] == cosets, H.indices()
+            assert dec.representatives == tuple(min(c) for c in cosets), H.indices()
+            assert [dec.coset_of(c[-1]) for c in cosets] == list(range(len(cosets)))
 
 
 @pytest.mark.parametrize(
@@ -388,9 +422,10 @@ def test_store_keys_ignore_how_arguments_are_spelled(s4_elem):
 @pytest.mark.parametrize("recorded", [True, False])
 def test_structure_operators_match_brute_force(spec, recorded):
     """Each operator against its element-by-element oracle, on every
-    subgroup; normality also inside an ambient subgroup.  Without recorded
-    generators the subgroups go to a fresh copy of the group, whose store
-    has seen none, so every operator must find generators of its own."""
+    subgroup; normality also inside an ambient subgroup.  Without the
+    generators the lattice recorded, the subgroups, each generated by all
+    its members, go to a fresh copy of the group whose store has seen none
+    of them."""
     G, _ = _relabelled(construct.build_named(spec), 5)
     subs = all_subgroups(G)
     if not recorded:
@@ -562,11 +597,13 @@ def test_lattice_adopts_subgroups_built_before_it(s4_elem):
 
 
 # Bytes that product(q8,q8)'s store holds after cross_check over its 133
-# rows, by tracemalloc on CPython 3.11, with packed coset decompositions and
-# each subgroup a bitmask and packed members (325,130 when every subgroup was
-# one interned instance holding a frozenset; 1,710,480 when each
-# decomposition kept a dict and each operator result a frozenset of its own).
-Q8_Q8_STORE_BYTES = 228_878
+# rows, by tracemalloc on CPython 3.11, with each coset decomposition one
+# packed sequence of its cosets end to end and each subgroup a bitmask,
+# packed members and its generators (228,878 when each coset was packed
+# apart; 325,130 when every subgroup was one interned instance holding a
+# frozenset; 1,710,480 when each decomposition kept a dict and each
+# operator result a frozenset of its own).
+Q8_Q8_STORE_BYTES = 144_514
 
 
 def test_store_of_an_order_64_group_stays_compact():
