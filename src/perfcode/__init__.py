@@ -4,7 +4,6 @@ from .codes import (
     CodeVerdict,
     ConnectionSet,
     Criterion,
-    SylowReduction,
     Transversal,
     connection_set,
     connection_set_from_transversal,

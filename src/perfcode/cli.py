@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from functools import cache
 from pathlib import Path
 
 from .codes import decide, verdict_to_json
@@ -32,8 +34,12 @@ from .subgroups import all_subgroups
 
 
 def _parse_subgroup(G: FiniteGroup, text: str):
-    indices = [int(part) for part in text.split(",") if part.strip() != ""]
-    return closure(G, indices)
+    """Comma-separated element indices: ASCII digits after an optional minus."""
+    parts = [part for part in text.split(",") if part.strip() != ""]
+    for part in parts:
+        if not re.fullmatch(r"-?[0-9]+", part):
+            raise ValueError(f"subgroup index {part!r} is not an integer")
+    return closure(G, [int(part) for part in parts])
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -107,6 +113,7 @@ def _cmd_cross_check(args: argparse.Namespace) -> int:
     return 2 if report.disagreements else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perfcode",

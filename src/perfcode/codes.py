@@ -6,8 +6,9 @@ most 1 from exactly one code word).  The procedures here are the known
 equivalent criteria: explicit graph verification, inverse-closed transversal
 search, two coset conditions quantified over elements x with odd
 |H : H meet H^x|, the involution-coset comparison inside the normalizer,
-and a four-way reduction to the Sylow 2-subgroup.  They must all agree;
-the cross-check harness treats any disagreement as an implementation bug.
+and the subgroup chain on which the Sylow 2-subgroup reduction states them.
+They must all agree; the cross-check harness treats any disagreement as an
+implementation bug.
 """
 
 from __future__ import annotations
@@ -328,46 +329,21 @@ def omega_criterion(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
 
     Valid when H is a 2-group or normal in G: H is a perfect code exactly
     when every coset of H in N_G(H) that squares into H contains an
-    involution.  For other subgroups use ``sylow_reduction`` or ``decide``.
+    involution.  For other subgroups use ``decide``.
     """
     if len(H) & (len(H) - 1) and not is_normal(G, H):
         raise ValueError(
             "omega criterion requires a 2-group or a normal subgroup; "
-            "use sylow_reduction/decide for general subgroups"
+            "use decide for general subgroups"
         )
-    N = normalizer(G, H)
+    return CodeVerdict(_omega(G, H, normalizer(G, H)), Criterion.OMEGA_QUOTIENT)
+
+
+def _omega(G: FiniteGroup, H: Subgroup, N: Subgroup) -> bool:
+    """True iff every coset of H in N that squares into H contains an
+    element of order at most 2 (H normal in N)."""
     quotient, lifted = omega_coset_sets(G, N, H)
-    return CodeVerdict(quotient == lifted, Criterion.OMEGA_QUOTIENT)
-
-
-@dataclass(frozen=True)
-class SylowReduction:
-    """The four equivalent decision statements evaluated independently.
-
-    With H2 a Sylow 2-subgroup of H, N its normalizer, N2 a Sylow
-    2-subgroup of N and P a Sylow 2-subgroup of G containing N2:
-    ``h2_code_in_p`` decides H2 as a code of P, ``omega_sylow_quotient``
-    compares involution cosets inside N2, ``omega_full_quotient`` does the
-    same inside N, and ``h_code_in_g`` decides H in G directly.  All four
-    must agree; the harness asserts this rather than assuming it.
-    """
-
-    h2_code_in_p: bool
-    omega_sylow_quotient: bool
-    omega_full_quotient: bool
-    h_code_in_g: bool
-    sylow_part: Subgroup
-    norm: Subgroup
-    norm_sylow: Subgroup
-    ambient_sylow: Subgroup
-
-    def agree(self) -> bool:
-        return (
-            self.h2_code_in_p
-            == self.omega_sylow_quotient
-            == self.omega_full_quotient
-            == self.h_code_in_g
-        )
+    return quotient == lifted
 
 
 def _sylow_chain(G: FiniteGroup, H: Subgroup) -> tuple[Subgroup, Subgroup, Subgroup]:
@@ -377,22 +353,15 @@ def _sylow_chain(G: FiniteGroup, H: Subgroup) -> tuple[Subgroup, Subgroup, Subgr
     return H2, N, sylow_2_subgroup(G, N)
 
 
-def sylow_reduction(G: FiniteGroup, H: Subgroup) -> SylowReduction:
-    """Evaluate all four equivalent statements for (G, H)."""
+def sylow_reduction(
+    G: FiniteGroup, H: Subgroup
+) -> tuple[Subgroup, Subgroup, Subgroup, Subgroup]:
+    """The chain (H2, N, N2) of ``_sylow_chain`` and a Sylow 2-subgroup P
+    of G containing N2.  Four equivalent statements decide H on it: H2 a
+    code of P, the involution cosets of H2 in N2 and in N, and H a code of
+    G.  In a 2-group H2 = H, N2 = N and P = G, so they are two statements."""
     H2, N, N2 = _sylow_chain(G, H)
-    P = sylow_2_overgroup(G, N2)
-    q2, l2 = omega_coset_sets(G, N2, H2)
-    qn, ln = omega_coset_sets(G, N, H2)
-    return SylowReduction(
-        h2_code_in_p=square_coset_condition(G, H2, within=P).is_perfect_code,
-        omega_sylow_quotient=q2 == l2,
-        omega_full_quotient=qn == ln,
-        h_code_in_g=square_coset_condition(G, H).is_perfect_code,
-        sylow_part=H2,
-        norm=N,
-        norm_sylow=N2,
-        ambient_sylow=P,
-    )
+    return H2, N, N2, sylow_2_overgroup(G, N2)
 
 
 def decide(G: FiniteGroup, H: Subgroup, *, with_witness: bool = False) -> CodeVerdict:
@@ -411,8 +380,7 @@ def decide(G: FiniteGroup, H: Subgroup, *, with_witness: bool = False) -> CodeVe
             return _witnessed(G, H)
         return CodeVerdict(True, Criterion.ODD_ORDER)
     H2, _, N2 = _sylow_chain(G, H)
-    quotient, lifted = omega_coset_sets(G, N2, H2)
-    if quotient == lifted:
+    if _omega(G, H2, N2):
         if with_witness:
             return _witnessed(G, H)
         return CodeVerdict(True, Criterion.OMEGA_QUOTIENT)

@@ -10,12 +10,14 @@ from enum import Enum
 from . import construct
 from .codes import (
     GRAPH_SEARCH_CAP,
+    Criterion,
+    _omega,
+    _sylow_chain,
     connection_set_from_transversal,
     decide,
     double_coset_condition,
     find_inverse_closed_transversal,
     is_perfect_code_in_cayley_graph,
-    omega_criterion,
     search_connection_set,
     square_coset_condition,
     sylow_reduction,
@@ -28,8 +30,8 @@ from .extraspecial import (
     is_extraspecial,
     sylow_2_classification,
 )
-from .group import FiniteGroup, Subgroup
-from .subgroups import all_subgroups, is_normal, minimal_conjugate
+from .group import FiniteGroup, Subgroup, full_subgroup
+from .subgroups import all_subgroups, is_normal, minimal_conjugate, normalizer
 
 DEFAULT_CRITERIA = (
     "decide",
@@ -57,17 +59,11 @@ class CorpusEntry:
 
 
 def auto_tags(G: FiniteGroup) -> frozenset[str]:
-    """Structural labels computed at ingestion.
-
-    ``odd-order``; ``extraspecial``; ``sylow2-extraspecial`` when the Sylow
-    2-subgroup is extraspecial; ``code-perfect`` when no element has order 4
-    (in such groups every subgroup is a perfect code).
+    """Structural labels computed at ingestion, each selecting a closed-form
+    classification for the sweep: ``extraspecial``, and
+    ``sylow2-extraspecial`` when the Sylow 2-subgroup is extraspecial.
     """
     tags: set[str] = set()
-    if G.order % 2 == 1:
-        tags.add("odd-order")
-    if all(o != 4 for o in G.element_orders):
-        tags.add("code-perfect")
     if is_extraspecial(G).is_extraspecial:
         tags.add("extraspecial")
     if G.order % 2 == 0 and sylow_2_classification(G).is_extraspecial:
@@ -133,10 +129,47 @@ class CrossCheckReport:
         return self.summary["disagreements"]
 
 
-def _row_verdicts(G: FiniteGroup, H: Subgroup, criteria: tuple[str, ...], tags: frozenset[str]) -> dict:
+def _square_coset(G: FiniteGroup, H: Subgroup, within: Subgroup) -> bool:
+    return square_coset_condition(G, H, within=within).is_perfect_code
+
+
+def _row_verdicts(
+    G: FiniteGroup, H: Subgroup, criteria: tuple[str, ...], tags: frozenset[str]
+) -> tuple[dict[str, bool], dict[str, str]]:
+    """Each selected key's verdict, and ``same_as``: each key whose statement
+    (one implementation on its subgroups) another key evaluated, mapped to
+    that key.  A statement is evaluated once per row.  ``decide`` seeds the
+    statements it evaluated and is the alias of the one that settled it,
+    never the original.
+    """
+    full = full_subgroup(G)
     verdicts: dict[str, bool] = {}
+    same_as: dict[str, str] = {}
+    memo: dict[tuple, bool] = {}
+    first: dict[tuple, str] = {}
+    settled = None
+
+    def ask(key: str, *statement) -> None:
+        if statement in first:
+            same_as[key] = first[statement]
+        elif statement not in memo:
+            memo[statement] = statement[0](G, *statement[1:])
+        first.setdefault(statement, key)
+        verdicts[key] = memo[statement]
+
+    if "sylow-reduction" in criteria:
+        H2, N, N2, P = sylow_reduction(G, H)
     if "decide" in criteria:
-        verdicts["decide"] = decide(G, H).is_perfect_code
+        verdict = decide(G, H)
+        verdicts["decide"] = verdict.is_perfect_code
+        if verdict.criterion is not Criterion.ODD_ORDER:
+            # decide ran omega on (H2, N2); when that failed, the scan of H in G
+            H2, _, N2 = _sylow_chain(G, H)
+            settled = (_omega, H2, N2)
+            memo[settled] = verdict.criterion is Criterion.OMEGA_QUOTIENT
+            if verdict.criterion is Criterion.SQUARE_COSET:
+                settled = (_square_coset, H, full)
+                memo[settled] = verdict.is_perfect_code
     if "transversal" in criteria:
         T = find_inverse_closed_transversal(G, H)
         verdicts["transversal"] = T is not None
@@ -144,19 +177,18 @@ def _row_verdicts(G: FiniteGroup, H: Subgroup, criteria: tuple[str, ...], tags: 
             S = connection_set_from_transversal(G, H, T)
             verdicts["graph-witness"] = is_perfect_code_in_cayley_graph(G, S, H)
     if "square-coset" in criteria:
-        verdicts["square-coset"] = square_coset_condition(G, H).is_perfect_code
+        ask("square-coset", _square_coset, H, full)
     if "double-coset" in criteria:
         verdicts["double-coset"] = double_coset_condition(G, H).is_perfect_code
     if "omega-quotient" in criteria:
         size = len(H)
         if size & (size - 1) == 0 or is_normal(G, H):
-            verdicts["omega-quotient"] = omega_criterion(G, H).is_perfect_code
+            ask("omega-quotient", _omega, H, normalizer(G, H))
     if "sylow-reduction" in criteria:
-        red = sylow_reduction(G, H)
-        verdicts["reduction-h2-in-p"] = red.h2_code_in_p
-        verdicts["reduction-omega-n2"] = red.omega_sylow_quotient
-        verdicts["reduction-omega-n"] = red.omega_full_quotient
-        verdicts["reduction-h-in-g"] = red.h_code_in_g
+        ask("reduction-h2-in-p", _square_coset, H2, P)
+        ask("reduction-omega-n2", _omega, H2, N2)
+        ask("reduction-omega-n", _omega, H2, N)
+        ask("reduction-h-in-g", _square_coset, H, full)
     if "graph" in criteria and G.order <= GRAPH_SEARCH_CAP:
         verdicts["graph"] = search_connection_set(G, H) is not None
     if "extraspecial" in tags:
@@ -167,7 +199,9 @@ def _row_verdicts(G: FiniteGroup, H: Subgroup, criteria: tuple[str, ...], tags: 
         verdicts["sylow-extraspecial-classification"] = classify_sylow_extraspecial(
             G, H
         ).is_perfect_code
-    return verdicts
+    if settled in first:
+        same_as["decide"] = first[settled]
+    return verdicts, same_as
 
 
 def cross_check(
@@ -180,11 +214,12 @@ def cross_check(
 
     Groups larger than ``max_order`` are skipped.  Disagreements are counted,
     never resolved: the criteria are provably equivalent, so any disagreement
-    is an implementation bug.  A row with fewer than two verdicts is
-    ``unchecked``: it does not agree, is counted apart from disagreements,
-    and takes its consensus from ``decide``.  Each row records its consensus
-    as ``perfect_code``.  Rows are produced in canonical order, so the stable
-    report sections are identical byte-for-byte across runs.
+    is an implementation bug.  A key in the row's ``same_as`` repeats a
+    statement another key evaluated and is no vote; a row with fewer than
+    two votes is ``unchecked``: it does not agree, is counted apart from
+    disagreements, and takes its consensus from ``decide``.  Each row
+    records its consensus as ``perfect_code``.  Rows are produced in
+    canonical order, so stable report sections are byte-identical across runs.
     """
     selected = tuple(criteria) if criteria else DEFAULT_CRITERIA
     for name in selected:
@@ -212,9 +247,9 @@ def cross_check(
             subs = tuple(keep)
         for H in subs:
             start = time.perf_counter()
-            verdicts = _row_verdicts(G, H, selected, entry.tags)
+            verdicts, same_as = _row_verdicts(G, H, selected, entry.tags)
             timings.append((time.perf_counter() - start) * 1000.0)
-            checked = len(verdicts) >= 2
+            checked = len(verdicts) - len(same_as) >= 2
             agree = checked and len(set(verdicts.values())) == 1
             if "decide" in verdicts:
                 consensus = verdicts["decide"]
@@ -232,6 +267,7 @@ def cross_check(
                     "order": G.order,
                     "subgroup": H.indices(),
                     "verdicts": verdicts,
+                    "same_as": same_as,
                     "perfect_code": consensus,
                     "agree": agree,
                 }
@@ -254,15 +290,16 @@ def cross_check(
 
 
 def _agreement_block(rows: tuple[dict, ...], keys: tuple[str, ...]) -> tuple[int, int]:
-    """(rows where all present keys agree, rows where any key is present)."""
+    """(rows where all evaluated keys agree, rows where any key was evaluated)."""
     agreeing = 0
     present = 0
     for row in rows:
-        values = [row["verdicts"][k] for k in keys if k in row["verdicts"]]
+        verdicts, same_as = row["verdicts"], row["same_as"]
+        values = [verdicts[k] for k in keys if k in verdicts and k not in same_as]
         if not values:
             continue
         present += 1
-        baseline = row["verdicts"].get("decide", values[0])
+        baseline = verdicts.get("decide", values[0])
         if all(v == baseline for v in values):
             agreeing += 1
     return agreeing, present
@@ -288,7 +325,7 @@ def report_emit(
     (non-stable) trailing section."""
     if fmt == "json":
         doc: dict = {
-            "schema": "cross-check-report/v1",
+            "schema": "cross-check-report/v2",
             "summary": report.summary,
             "rows": list(report.rows),
         }
@@ -317,7 +354,7 @@ def report_emit(
         ]
         for title, keys in (
             ("Coset criteria (transversal / square / double / witness)", _COSET_KEYS),
-            ("Sylow reduction (four statements)", _REDUCTION_KEYS),
+            ("Sylow reduction (statements no other key evaluated)", _REDUCTION_KEYS),
             ("Classifications", _CLASSIFICATION_KEYS),
         ):
             agreeing, present = _agreement_block(report.rows, keys)
@@ -325,7 +362,8 @@ def report_emit(
         lines += ["", "## Rows", "", "| group | subgroup | perfect code | agree |", "| --- | --- | --- | --- |"]
         for row in report.rows:
             sub = ",".join(str(i) for i in row["subgroup"])
-            agree = str(row["agree"]).lower() if len(row["verdicts"]) >= 2 else "unchecked"
+            checked = len(row["verdicts"]) - len(row["same_as"]) >= 2
+            agree = str(row["agree"]).lower() if checked else "unchecked"
             lines.append(
                 f"| {row['group']} | {{{sub}}} | {str(row['perfect_code']).lower()} | {agree} |"
             )

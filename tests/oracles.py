@@ -22,8 +22,10 @@ not oracles in that sense:
 ``derived_subgroup`` calls ``closure_elements``,
 ``frattini_subgroup`` calls ``all_subgroups``, ``isomorphic_small`` and
 ``symplectic_form`` call ``generate``, ``abelian_invariants`` calls
-``is_abelian_subgroup``, and ``extraspecial_by_definition`` calls
-``subgroup_as_group``, ``build_family`` and ``derived_subgroup``.
+``is_abelian_subgroup``, ``extraspecial_by_definition`` calls
+``subgroup_as_group``, ``build_family`` and ``derived_subgroup``, and
+``reduction_statements`` evaluates the Sylow reduction's four statements
+with ``square_coset_condition`` and ``omega_coset_sets``.
 ``first_light_failure`` checks associativity triple by triple but takes its
 middle factors from ``_right_generators``: which failing triple comes first
 depends on them.  So does ``reference_table``, the per-entry table
@@ -40,6 +42,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+from perfcode.codes import omega_coset_sets, square_coset_condition, sylow_reduction
 from perfcode.extraspecial import Family, _central_involution, build_family, is_extraspecial
 from perfcode.group import (
     FiniteGroup,
@@ -319,6 +322,21 @@ def sylow_extraspecial_clause(G: FiniteGroup, members) -> str:
     if len(H2) ** 2 == 2 * sylow_order:
         return "maximal-abelian"
     return "none"
+
+
+def reduction_statements(G: FiniteGroup, H: Subgroup) -> tuple[bool, bool, bool, bool]:
+    """The Sylow reduction's four statements on the chain (H2, N, N2, P)
+    that ``sylow_reduction`` returns: H2 a code of P, the involution cosets
+    of H2 in N2 and in N, and H a code of G."""
+    H2, N, N2, P = sylow_reduction(G, H)
+    q2, l2 = omega_coset_sets(G, N2, H2)
+    qn, ln = omega_coset_sets(G, N, H2)
+    return (
+        square_coset_condition(G, H2, within=P).is_perfect_code,
+        q2 == l2,
+        qn == ln,
+        square_coset_condition(G, H).is_perfect_code,
+    )
 
 
 def brute_square_coset_counterexample(G: FiniteGroup, members, within=None) -> int | None:

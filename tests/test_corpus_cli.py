@@ -9,6 +9,7 @@ import pytest
 
 from oracles import relabel_rows
 from perfcode import cli, codes, construct, extraspecial
+from perfcode import corpus as corpus_module
 from perfcode.codes import decide, search_connection_set
 from perfcode.corpus import (
     CrossCheckReport,
@@ -40,8 +41,8 @@ def test_corpus_tags_s4_and_sl23(corpus):
     assert "sylow2-extraspecial" in by_name["S4"].tags
     assert "sylow2-extraspecial" in by_name["SL(2,3)"].tags
     assert "sylow2-extraspecial" in by_name["D8xZ3"].tags
-    assert "odd-order" in by_name["Z15"].tags
-    assert "code-perfect" in by_name["A4"].tags
+    assert by_name["Z15"].tags == frozenset()
+    assert by_name["A4"].tags == frozenset()
 
 
 def test_corpus_include_m3_flag():
@@ -168,7 +169,7 @@ def test_sylow_subgroup_is_classified_once_per_group(monkeypatch):
 def test_report_emit_empty_corpus():
     report = cross_check([], max_order=8)
     doc = json.loads(report_emit(report, "json"))
-    assert doc["schema"] == "cross-check-report/v1"
+    assert doc["schema"] == "cross-check-report/v2"
     assert doc["rows"] == []
     assert doc["summary"]["rows"] == 0
 
@@ -185,12 +186,91 @@ def test_report_stable_sections_byte_identical(d8, q8):
     assert json.dumps(stripped, indent=2) + "\n" == first
 
 
-def test_report_markdown_sections(d8):
+def test_report_markdown_sections(d8, s4):
     text = report_emit(cross_check([make_entry(d8)], max_order=8), "md")
     assert "## Summary" in text
     assert "## Criterion agreement" in text
-    assert "Sylow reduction" in text
     assert "| D8 |" in text
+    # D8 is a 2-group: every reduction statement is another key's, so the
+    # block counts no row, while each coset criterion is evaluated
+    assert "- Sylow reduction (statements no other key evaluated): 0/0 rows agree" in text
+    assert "- Coset criteria (transversal / square / double / witness): 10/10 rows agree" in text
+    text = report_emit(cross_check([make_entry(s4)], max_order=24), "md")
+    # in S4 the Sylow 2-subgroup P = D8 is not G, so the scan of H2 inside P
+    # is a statement of its own on every row
+    assert "- Sylow reduction (statements no other key evaluated): 30/30 rows agree" in text
+
+
+def _row(report, members):
+    return next(r for r in report.rows if r["subgroup"] == sorted(members))
+
+
+def test_cross_check_two_group_reduction_keys_are_aliases(d8):
+    report = cross_check([make_entry(d8)], max_order=8)
+    for H in all_subgroups(d8):
+        row = _row(report, H.members)
+        same_as = row["same_as"]
+        assert same_as["reduction-h-in-g"] == "square-coset"
+        assert same_as["reduction-h2-in-p"] == "square-coset"
+        assert same_as["reduction-omega-n2"] == "omega-quotient"
+        assert same_as["reduction-omega-n"] == "omega-quotient"
+        if len(H) > 1:
+            code = row["verdicts"]["decide"]
+            assert same_as["decide"] == ("omega-quotient" if code else "square-coset")
+        # aliases keep their verdicts, and at least two votes remain
+        assert set(same_as) < set(row["verdicts"])
+        assert len(row["verdicts"]) - len(same_as) >= 4
+    assert report.summary["unchecked"] == 0
+
+
+def test_cross_check_reduction_keys_evaluated_where_h2_differs(s4, s4_elem):
+    # A4 in S4: H2 = V4, N = S4, N2 = P = D8, so the reduction's statements
+    # are its own; only the square-coset scan of H in G is shared
+    A = closure(s4, [s4_elem[(1, 2, 0, 3)], s4_elem[(0, 2, 3, 1)]])
+    row = _row(cross_check([make_entry(s4)], max_order=24), A.members)
+    assert row["same_as"] == {
+        "reduction-h-in-g": "square-coset",
+        "decide": "reduction-omega-n2",
+    }
+    assert row["verdicts"]["reduction-omega-n"] is True
+    assert row["agree"] is True
+
+
+def test_cross_check_evaluates_each_statement_once(monkeypatch, d8):
+    calls = {"omega": 0, "square": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    omega = counted("omega", codes.omega_coset_sets)
+    square = counted("square", codes.square_coset_condition)
+    monkeypatch.setattr(codes, "omega_coset_sets", omega)
+    for module in (codes, corpus_module):
+        monkeypatch.setattr(module, "square_coset_condition", square)
+    report = cross_check([make_entry(d8)], max_order=8)
+    # one involution-coset comparison and one square-coset scan per row,
+    # whichever keys read them and whether or not decide ran them
+    assert calls == {"omega": 10, "square": 10} and report.summary["rows"] == 10
+
+
+def test_cross_check_catches_omega_fault_that_decide_hides(monkeypatch, d8):
+    # an involution-coset comparison that always fails: decide falls back to
+    # the square-coset scan and still finds the codes, so only the omega
+    # keys, read from the comparison decide ran, can expose the fault
+    def failing(G, N, H):
+        return frozenset({-1}), frozenset()
+
+    monkeypatch.setattr(codes, "omega_coset_sets", failing)
+    report = cross_check([make_entry(d8)], max_order=8)
+    row = _row(report, range(8))
+    assert row["verdicts"]["decide"] is True
+    assert row["verdicts"]["omega-quotient"] is False
+    assert row["agree"] is False
+    assert report.summary["disagreements"] >= 1
 
 
 def test_report_rejects_unknown_format(d8):
@@ -316,6 +396,22 @@ def test_cli_classify_family_mismatch_is_one_error_line(monkeypatch, tmp_path, c
 def test_cli_check_rejects_bad_indices(tmp_path, capsys, d8):
     path = _write_group(tmp_path, d8)
     assert cli.main(["check", str(path), "--subgroup", "42"]) == 1
+
+
+def test_cli_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", " 3"])
+def test_cli_check_rejects_non_ascii_digit_indices(tmp_path, capsys, d8, text):
+    path = _write_group(tmp_path, d8)
+    assert cli.main(["check", str(path), "--subgroup", text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: subgroup index {text!r} is not an integer\n"
+    # a sign is part of an integer, so -1 reaches the range check
+    assert cli.main(["check", str(path), "--subgroup=-1"]) == 1
+    assert "out of range" in capsys.readouterr().err
 
 
 def test_cli_construct_roundtrip(tmp_path, capsys):
