@@ -12,6 +12,7 @@ import json
 import re
 import sys
 from functools import cache
+from itertools import islice
 from pathlib import Path
 
 from .codes import decide, verdict_to_json
@@ -20,7 +21,7 @@ from .corpus import (
     builtin_corpus,
     cross_check,
     make_entry,
-    report_emit,
+    report_chunks,
 )
 from .extraspecial import (
     Family,
@@ -109,7 +110,9 @@ def _cmd_cross_check(args: argparse.Namespace) -> int:
         max_order=args.max_order,
         dedupe_conjugates=args.dedupe_conjugates,
     )
-    print(report_emit(report, fmt=args.format), end="")
+    chunks = report_chunks(report, fmt=args.format)
+    while batch := "".join(islice(chunks, 4096)):  # one write per batch of small chunks
+        sys.stdout.write(batch)
     return 2 if report.disagreements else 0
 
 

@@ -6,6 +6,7 @@ import json
 import time
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from . import construct
 from .codes import (
@@ -237,14 +238,10 @@ def cross_check(
         groups_run += 1
         subs = all_subgroups(G, None, max(128, max_order))
         if dedupe_conjugates:
-            keep = []
-            seen: set[int] = set()
-            for H in subs:
-                rep = minimal_conjugate(G, H)
-                if rep.mask not in seen:
-                    seen.add(rep.mask)
-                    keep.append(rep)
-            subs = tuple(keep)
+            reps: dict[int, Subgroup] = {}
+            for rep in (minimal_conjugate(G, H) for H in subs):
+                reps.setdefault(rep.mask, rep)
+            subs = tuple(reps.values())
         for H in subs:
             start = time.perf_counter()
             verdicts, same_as = _row_verdicts(G, H, selected, entry.tags)
@@ -318,11 +315,18 @@ _CLASSIFICATION_KEYS = (
 )
 
 
-def report_emit(
+def report_emit(report: CrossCheckReport, fmt: str = "json", include_timings: bool = True) -> str:
+    """Render a report: the chunks of ``report_chunks`` joined."""
+    return "".join(report_chunks(report, fmt, include_timings))
+
+
+def report_chunks(
     report: CrossCheckReport, fmt: str = "json", include_timings: bool = True
-) -> str:
-    """Render a report; field order is stable and timings sit in their own
-    (non-stable) trailing section."""
+) -> Iterator[str]:
+    """Render a report piece by piece, so a writer never holds the whole
+    text: JSON as ``JSONEncoder(indent=2).iterencode`` emits it (joined, it
+    is ``json.dumps(indent=2)``), markdown line by line.  Field order is
+    stable and timings sit in their own (non-stable) trailing section."""
     if fmt == "json":
         doc: dict = {
             "schema": "cross-check-report/v2",
@@ -334,8 +338,9 @@ def report_emit(
                 "row_ms": [round(ms, 3) for ms in report.row_ms],
                 "total_ms": round(sum(report.row_ms), 3),
             }
-        return json.dumps(doc, indent=2) + "\n"
-    if fmt in ("md", "markdown"):
+        yield from json.JSONEncoder(indent=2).iterencode(doc)
+        yield "\n"
+    elif fmt in ("md", "markdown"):
         s = report.summary
         lines = [
             "# Cross-check report",
@@ -360,19 +365,14 @@ def report_emit(
             agreeing, present = _agreement_block(report.rows, keys)
             lines.append(f"- {title}: {agreeing}/{present} rows agree")
         lines += ["", "## Rows", "", "| group | subgroup | perfect code | agree |", "| --- | --- | --- | --- |"]
+        yield from (line + "\n" for line in lines)
         for row in report.rows:
             sub = ",".join(str(i) for i in row["subgroup"])
             checked = len(row["verdicts"]) - len(row["same_as"]) >= 2
             agree = str(row["agree"]).lower() if checked else "unchecked"
-            lines.append(
-                f"| {row['group']} | {{{sub}}} | {str(row['perfect_code']).lower()} | {agree} |"
-            )
+            yield f"| {row['group']} | {{{sub}}} | {str(row['perfect_code']).lower()} | {agree} |\n"
         if include_timings:
-            lines += [
-                "",
-                "## Timings (non-stable)",
-                "",
-                f"- total: {sum(report.row_ms):.1f} ms over {len(report.row_ms)} rows",
-            ]
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unsupported report format {fmt!r}")
+            yield "\n## Timings (non-stable)\n\n"
+            yield f"- total: {sum(report.row_ms):.1f} ms over {len(report.row_ms)} rows\n"
+    else:
+        raise ValueError(f"unsupported report format {fmt!r}")

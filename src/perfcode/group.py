@@ -9,7 +9,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import wraps
 from itertools import chain
-from operator import countOf, itemgetter
+from operator import countOf
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -192,16 +192,15 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 class _Packing:
-    """Rows of an order-n table, each packed once, and C-level operations on
-    them, picked by the order alone: up to order 256 every index fits in a
-    byte, a row packs as ``bytes`` and each test or composition is one
-    ``translate`` (with a deletion set, or through a row padded to a
-    256-byte lookup table); larger orders keep int tuples, sets and
-    ``operator.itemgetter``."""
+    """Rows of an order-n table and element sets, each packed once, and
+    C-level operations on them, picked by the order alone: up to order 256
+    every index fits in a byte, a row packs as ``bytes`` and each operation
+    is one ``translate`` (with a deletion set, or through a row padded to a
+    256-byte lookup table); larger orders keep int tuples, sets and ``map``."""
 
     def __init__(self, n: int) -> None:
         self.n, self.small = n, n <= 256
-        self.ident = bytes(range(n)) if self.small else tuple(range(n))
+        self.ident = bytes.maketrans(b"", b"")[:n] if self.small else tuple(range(n))
 
     def pack(self, row: Sequence[int]) -> Sequence[int] | None:
         """The row packed, or None if an entry is not an index."""
@@ -213,10 +212,6 @@ class _Packing:
             return None
         return None if packed.translate(None, self.ident) else packed
 
-    def permutes(self, seq: Sequence[int]) -> bool:
-        """Whether ``seq``, n indices, holds every index."""
-        return not self.ident.translate(None, seq) if self.small else len(set(seq)) == self.n
-
     def flat(self, rows: list) -> Sequence[int]:
         """The rows end to end: column c is the stride slice ``[c::n]``."""
         return b"".join(rows) if self.small else tuple(chain.from_iterable(rows))
@@ -227,7 +222,18 @@ class _Packing:
 
     def composer(self, p: Sequence[int]):
         """The map taking ``lookup(q)`` to q[p[y]] for every y."""
-        return p.translate if self.small else itemgetter(*p)
+        return p.translate if self.small else lambda q: tuple(map(q.__getitem__, p))
+
+    def members(self, seq: Sequence[int]) -> Sequence[int]:
+        """The distinct entries of ``seq``, increasing: the key of an element
+        set.  As bytes: the indices with every index outside ``seq`` deleted."""
+        if not self.small:
+            return tuple(sorted(set(seq)))
+        return self.ident.translate(None, self.ident.translate(None, seq))
+
+    def outside(self, seq: Sequence[int], drop: Sequence[int]):
+        """The entries of ``seq`` not in ``drop``."""
+        return seq.translate(None, drop) if self.small else set(seq).difference(drop)
 
 
 def _ints(values: Sequence, what: str) -> Sequence:
@@ -275,10 +281,7 @@ def _relabel(table: Sequence[Sequence[int]], old: list[int]) -> list[tuple[int, 
     """The products among the elements ``old`` of ``table``, which must be
     closed under them, with ``old[i]`` renamed i."""
     pos = dict(zip(old, range(len(old))))
-    if len(old) == 1:
-        return [(pos[table[old[0]][old[0]]],)]
-    pick = itemgetter(*old)
-    return [itemgetter(*pick(table[a]))(pos) for a in old]
+    return [tuple(map(pos.__getitem__, map(table[a].__getitem__, old))) for a in old]
 
 
 def _validate_rows(rows: list, P: _Packing) -> tuple[int, ...]:
@@ -292,10 +295,10 @@ def _validate_rows(rows: list, P: _Packing) -> tuple[int, ...]:
     element.  Composing row a with row x gives x(ay) for every y at once.
     """
     n = len(rows)
-    if not all(map(P.permutes, rows)):
+    if any(P.outside(P.ident, row) for row in rows):
         raise ValueError("some row is not a permutation of the elements")
     flat = P.flat(rows)
-    if not all(P.permutes(flat[c::n]) for c in range(n)):
+    if any(P.outside(P.ident, flat[c::n]) for c in range(n)):
         raise ValueError("some column is not a permutation of the elements")
     inverse = tuple(row.index(0) for row in rows)
     if any(rows[b][x] != 0 for x, b in enumerate(inverse)):

@@ -15,6 +15,7 @@ from typing import Sequence
 from .group import (
     FiniteGroup,
     Subgroup,
+    _Packing,
     _packed,
     bitmask,
     full_subgroup,
@@ -62,79 +63,79 @@ def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
     maximal subgroup M of H misses z, so H = <M, z> with z^p in M.
 
     A first round also requires z to normalize K, tested on K's recorded
-    generators; each join K<z> then has index exactly p.  Every solvable
-    group has a normal subgroup of prime index, so this round finds every
-    subgroup when G is solvable, and it reaches G only then.  Otherwise a
-    second round runs the same loop over everything found, without the
-    normalizing test: a subgroup the first round processed is joined only
-    with the z that round passed over for not normalizing it, so no join is
-    made twice.
+    generators; each join K<z> then has index exactly p (``_normal_join``).
+    Every solvable group has a normal subgroup of prime index, so this round
+    finds every subgroup when G is solvable, and it reaches G only then.
+    Otherwise a second round runs ``join_element`` over everything found,
+    without the normalizing test: a subgroup the first round processed is
+    joined only with the z that round passed over, so no join is repeated.
 
-    Subgroups are keyed by bitmask.  Bit i of ``cyclic_bit[g]`` is set when
-    g generates the i-th cyclic subgroup, and of ``root_bit[g]`` when g is
-    the p-th power of its generator.  When a join has prime index over K no
-    subgroup lies strictly between them, so joining K with any other cyclic
-    subgroup of that join is skipped.  A join records K's generators outside
-    <z>, then z.
+    Each C is named by its least generator z, so K's mask holds the C inside
+    K; bit z of ``root_bit[y]`` is set when y = z^p, so K's ``root_bit`` sum
+    to the z with z^p in K.  Subgroups are keyed by packed members.  When a
+    join has prime index over K no subgroup lies strictly between them, so
+    joining K with any other cyclic subgroup of that join is skipped.  A join
+    records K's generators outside <z>, then z.  The tables of the z last as
+    long as this call.
     """
-    t, inv, orders = G.table, G.inverse, G.element_orders
-    cyclic_gens: list[int] = []
-    cyclic_masks: list[int] = []
-    cyclic_bit = [0] * G.order
-    root_bit = [0] * G.order
-    for g in G.elements():
-        primes = _prime_factors(orders[g])
-        if not cyclic_bit[g] and len(primes) == 1:
-            bit = 1 << len(cyclic_gens)
+    n, t, inv, orders = G.order, G.table, G.inverse, G.element_orders
+    P = _Packing(n)
+    rows = [_packed(row, n) for row in t]
+    flat = P.flat(rows)
+    prime = [p[0] if len(p) == 1 else 0 for p in map(_prime_factors, orders)]
+    root_bit = [0] * n
+    covered, cyclic_mask, columns, conjugation = 0, {}, {}, {}
+    for z in G.elements():
+        if prime[z] and not covered >> z & 1:
             powers = [0]
-            for _ in range(orders[g] - 1):
-                powers.append(t[powers[-1]][g])
-            for y in powers:
-                if orders[y] == orders[g]:
-                    cyclic_bit[y] = bit
-            root_bit[powers[primes[0] % orders[g]]] |= bit
-            cyclic_gens.append(g)
-            cyclic_masks.append(bitmask(powers))
+            for _ in range(orders[z] - 1):
+                powers.append(t[powers[-1]][z])
+            covered |= bitmask(y for y in powers if orders[y] == orders[z])
+            root_bit[powers[prime[z] % orders[z]]] |= 1 << z
+            cyclic_mask[z] = bitmask(powers)
+            columns[z] = P.lookup(flat[z::n])
+            conjugation[z] = P.lookup(P.composer(rows[inv[z]])(columns[z]))
 
-    def bits_in(bits: list[int], elems: list[int]) -> int:
-        out = 0
-        for y in elems:
-            out |= bits[y]
-        return out
-
-    top = (1 << G.order) - 1
-    subs: dict[int, tuple[list[int], tuple[int, ...]]] = {1: ([0], ())}
-    passed_over: dict[int, int] = {}
+    subs: dict[Sequence[int], tuple] = {P.ident[:1]: (1, P.ident[:1], (), root_bit[0])}
+    passed_over: dict[Sequence[int], int] = {}
     for normal_only in (True, False):
-        queue = list(subs)
-        for m in queue:
-            elems, gens = subs[m]
-            todo = passed_over.get(m)
-            if todo is None:
-                todo = bits_in(root_bit, elems) & ~bits_in(cyclic_bit, elems)
-            skipped = 0
+        queue = list(subs.values())
+        for mask, members, gens, todo in queue:
+            todo = passed_over.get(members, todo)
+            gens_image, skipped = P.composer(_packed(gens, n)), 0
             while todo:
-                i = (todo & -todo).bit_length() - 1
-                todo ^= 1 << i
-                z = cyclic_gens[i]
-                if normal_only:
-                    row = t[inv[z]]
-                    if not all(m >> t[row[k]][z] & 1 for k in gens):
-                        skipped |= 1 << i
-                        continue
-                jm, joined = join_element(G, m, elems, gens, z)
-                index = len(joined) // len(elems)
-                if _prime_factors(index) == [index]:
-                    todo &= ~bits_in(cyclic_bit, joined)
-                if jm not in subs:
-                    inside = cyclic_masks[i]
-                    subs[jm] = (joined, tuple(k for k in gens if not inside >> k & 1) + (z,))
-                    queue.append(jm)
-            passed_over[m] = skipped
-        if top in subs:
+                z = (todo & -todo).bit_length() - 1
+                todo ^= 1 << z
+                if not normal_only:
+                    joined = P.members(_packed(join_element(G, mask, members, gens, z)[1], n))
+                elif not P.outside(gens_image(conjugation[z]), members):
+                    joined = _normal_join(P, members, columns[z], prime[z])
+                else:
+                    skipped |= 1 << z
+                    continue
+                entry = subs.get(joined)
+                if entry is None:
+                    jm, roots = bitmask(joined), sum(map(root_bit.__getitem__, joined))
+                    kept = tuple(k for k in gens if not cyclic_mask[z] >> k & 1)
+                    entry = subs[joined] = (jm, joined, kept + (z,), roots & ~jm)
+                    queue.append(entry)
+                index = len(joined) // len(members)
+                if normal_only or _prime_factors(index) == [index]:
+                    todo &= ~entry[0]
+            passed_over[members] = skipped
+        if P.ident in subs:
             break
-    order = sorted(subs, key=lambda m: (m.bit_count(), m))
-    return tuple(Subgroup(m, *subs[m]) for m in order)
+    order = sorted(subs.values(), key=lambda e: (e[0].bit_count(), e[0]))
+    return tuple(Subgroup(mask, members, gens) for mask, members, gens, _ in order)
+
+
+def _normal_join(P: _Packing, members: Sequence[int], column: Sequence[int], p: int):
+    """K<z> as K, Kz, ..., Kz^(p-1), for z that normalizes K with z^p in K,
+    from K's packed ``members`` and the lookup ``column`` of y -> yz."""
+    cosets = [members]
+    for _ in range(p - 1):
+        cosets.append(P.composer(cosets[-1])(column))
+    return P.members(P.flat(cosets))
 
 
 def _normalizes(G: FiniteGroup, mask: int, gens: tuple[int, ...]):
@@ -215,7 +216,7 @@ def sylow_2_subgroup(G: FiniteGroup, H: Subgroup) -> Subgroup:
     if target == len(H):
         return H
     current = _grow_2_subgroup(G, trivial_subgroup(), target, H)
-    return _least_conjugate(G, current, H.generators)
+    return _least_conjugate(G, current, _conjugations(G, H.generators))
 
 
 def sylow_2_overgroup(G: FiniteGroup, Q: Subgroup) -> Subgroup:
@@ -329,33 +330,48 @@ def is_maximal_abelian(G: FiniteGroup, H: Subgroup) -> bool:
 
 
 def minimal_conjugate(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """The least-bitmask member of the conjugacy class of H: H itself when
-    it is normal, else found by an orbit walk."""
-    if is_normal(G, H):
-        return H
-    return _least_conjugate(G, H, full_subgroup(G).generators)
+    """The least-bitmask member of the conjugacy class of H (H itself when it
+    is normal), walked through the stored conjugation lookups of G's generators."""
+    return _least_conjugate(G, H, _generator_conjugations(G))
 
 
-def _least_conjugate(G: FiniteGroup, H: Subgroup, gens: tuple[int, ...]) -> Subgroup:
-    """The least-bitmask conjugate of H (H itself if least) by the group
-    ``gens`` generate.  The orbit under conjugation by the generators alone
-    is the whole orbit under that group, so it is walked breadth-first,
-    keeping with each conjugate H^c the element c; the least one records
-    H's generators conjugated by its c."""
+@per_group
+def _generator_conjugations(G: FiniteGroup) -> tuple:
+    return _conjugations(G, full_subgroup(G).generators)
+
+
+def _conjugations(G: FiniteGroup, gens: tuple[int, ...]) -> tuple:
+    """Each x of ``gens`` with the lookup of its conjugation y -> x^-1 y x."""
+    n, t, inv = G.order, G.table, G.inverse
+    P = _Packing(n)
+    return tuple((x, P.lookup(_packed([t[r][x] for r in t[inv[x]]], n))) for x in gens)
+
+
+def _least_conjugate(G: FiniteGroup, H: Subgroup, conjugations: tuple) -> Subgroup:
+    """The least-bitmask conjugate of H (H itself if least) by the group the
+    x of ``conjugations`` generate, each with its conjugation lookup.  The
+    orbit under conjugation by the generators alone is the whole orbit, so
+    it is walked breadth-first on packed members, keeping with each H^c the
+    element c; the least one records H's generators conjugated by its c.
+    Sets of one size compare by members in decreasing order as by masks."""
     t, inv = G.table, G.inverse
-    orbit: dict[int, tuple[Sequence[int], int]] = {H.mask: (H.members, 0)}
-    frontier = [orbit[H.mask]]
-    for current, c in frontier:
-        for x in gens:
-            row = t[inv[x]]
-            image = [t[row[h]][x] for h in current]
-            key = bitmask(image)
-            if key not in orbit:
-                orbit[key] = found = (image, t[c][x])
-                frontier.append(found)
-    least = min(orbit)
-    if least == H.mask:
+    P = _Packing(G.order)
+    gens_image = P.composer(_packed(H.generators, G.order))
+    if not any(P.outside(gens_image(table), H.members) for _, table in conjugations):
         return H
-    members, c = orbit[least]
+    start = P.members(H.members)
+    orbit = {start: 0}
+    frontier = [(start, 0)]
+    for current, c in frontier:
+        image = P.composer(current)
+        for x, table in conjugations:
+            key = P.members(image(table))
+            if key not in orbit:
+                orbit[key] = found = t[c][x]
+                frontier.append((key, found))
+    least = min(orbit, key=lambda key: key[::-1])
+    if least == start:
+        return H
+    c = orbit[least]
     row = t[inv[c]]
-    return Subgroup(least, members, tuple(t[row[k]][c] for k in H.generators))
+    return Subgroup(bitmask(least), least, tuple(t[row[k]][c] for k in H.generators))

@@ -195,6 +195,11 @@ def test_report_markdown_sections(d8, s4):
     # block counts no row, while each coset criterion is evaluated
     assert "- Sylow reduction (statements no other key evaluated): 0/0 rows agree" in text
     assert "- Coset criteria (transversal / square / double / witness): 10/10 rows agree" in text
+    # one item per line: the header, a table row per subgroup, the timings last
+    lines = text.splitlines()
+    assert lines[:5] == ["# Cross-check report", "", "## Summary", "", "- groups: 1"]
+    assert sum(line.startswith("| D8 | {") for line in lines) == 10
+    assert lines[-3:-1] == ["## Timings (non-stable)", ""] and text.endswith(" rows\n")
     text = report_emit(cross_check([make_entry(s4)], max_order=24), "md")
     # in S4 the Sylow 2-subgroup P = D8 is not G, so the scan of H2 inside P
     # is a statement of its own on every row
@@ -447,6 +452,18 @@ def test_cli_cross_check_json(capsys):
     assert cli.main(["cross-check", "--max-order", "8", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"]["disagreements"] == 0
+
+
+@pytest.mark.parametrize("fmt", ["json", "md"])
+def test_cli_cross_check_streams_the_report_emit_bytes(monkeypatch, capsys, s4, fmt):
+    """The CLI writes ``report_chunks`` in batches; the JSON report on two
+    copies of S4 runs to more chunks than one batch holds."""
+    report = cross_check([make_entry(s4), make_entry(s4)], max_order=24)
+    monkeypatch.setattr(cli, "cross_check", lambda *a, **k: report)
+    assert cli.main(["cross-check", "--max-order", "24", "--format", fmt]) == 0
+    assert capsys.readouterr().out == report_emit(report, fmt)
+    if fmt == "json":
+        assert len(list(corpus_module.report_chunks(report, fmt))) > 4096
 
 
 def test_cli_cross_check_exit_code_on_disagreement(monkeypatch, capsys):

@@ -6,7 +6,7 @@ import tracemalloc
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     abelian_invariants,
@@ -135,9 +135,9 @@ def test_recorded_generators_close_to_the_subgroup(spec):
 
 
 @st.composite
-def _permutation_groups(draw):
+def _permutation_groups(draw, min_degree: int = 1):
     """The group that 1-3 random permutations of degree at most 5 generate."""
-    degree = draw(st.integers(min_value=1, max_value=5))
+    degree = draw(st.integers(min_value=min_degree, max_value=5))
     count = draw(st.integers(min_value=1, max_value=3))
     return group_from_permutations([draw(st.permutations(range(degree))) for _ in range(count)])
 
@@ -215,18 +215,26 @@ def test_lattice_matches_join_every_cyclic_on_nonsolvable_groups(name, count):
 @pytest.mark.parametrize("name", sorted(NONSOLVABLE))
 def test_fallback_round_repeats_no_join(monkeypatch, name):
     """The fallback round joins a subgroup of the first round only with the
-    cyclic subgroups that round passed over, so no (K, z) join repeats."""
-    calls = []
-    join = subgroups.join_element
+    cyclic subgroups that round passed over, so no (K, z) join repeats.
+    First-round joins go through ``_normal_join``, whose right-multiplication
+    column for z has z at entry 0; fallback joins through ``join_element``."""
+    first, fallback = [], []
+    join, normal_join = subgroups.join_element, subgroups._normal_join
 
     def recording(G, mask, elems, gens, g):
-        calls.append((mask, g))
+        fallback.append((mask, g))
         return join(G, mask, elems, gens, g)
 
+    def recording_normal(P, members, column, p):
+        first.append((mask_of(members), column[0]))
+        return normal_join(P, members, column, p)
+
     monkeypatch.setattr(subgroups, "join_element", recording)
+    monkeypatch.setattr(subgroups, "_normal_join", recording_normal)
     G = NONSOLVABLE[name]()
     all_subgroups(G, None, G.order)
-    assert calls and len(set(calls)) == len(calls)
+    calls = first + fallback
+    assert first and fallback and len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("order", [24, 60])
@@ -252,19 +260,20 @@ def _prime_index_containments(subs) -> int:
 
 @pytest.mark.parametrize("spec", ["dihedral(64)", "dicyclic(128)", "gm2(3)"])
 def test_lattice_joins_have_prime_index(monkeypatch, spec):
-    """On a solvable group every join is a normal step of prime index.  In a
-    2-group every subgroup of index 2 is normal, and each is reached from
-    each of its index-2 subgroups exactly once."""
+    """On a solvable group every join is a normal step of prime index, made
+    by ``_normal_join``.  In a 2-group every subgroup of index 2 is normal,
+    and each is reached from each of its index-2 subgroups exactly once."""
     G, _ = _relabelled(construct.build_named(spec), 7)
     indices = []
-    join = subgroups.join_element
+    join = subgroups._normal_join
 
-    def counted(G, mask, elems, gens, g):
-        out = join(G, mask, elems, gens, g)
-        indices.append(len(out[1]) // len(elems))
+    def counted(P, members, column, p):
+        out = join(P, members, column, p)
+        indices.append(len(out) // len(members))
         return out
 
-    monkeypatch.setattr(subgroups, "join_element", counted)
+    monkeypatch.setattr(subgroups, "_normal_join", counted)
+    monkeypatch.setattr(subgroups, "join_element", None)  # the fallback round never runs
     subs = all_subgroups(G)
     assert indices and all(_prime_factors(i) == [i] for i in indices)
     if spec == "dihedral(64)":
@@ -707,6 +716,34 @@ def test_least_conjugates_match_brute_force(spec):
         P = sylow_2_subgroup(G, H).elements
         H_conjugates = (frozenset(G.conjugate(p, x) for p in P) for x in H.elements)
         assert P == min(H_conjugates, key=mask_of)
+
+
+def test_lattice_and_least_conjugates_above_order_256(monkeypatch):
+    """Order 264 packs element sets as tuples and sets, not bytes."""
+    monkeypatch.setenv("PCL_MAX_ORDER", "300")
+    G, _ = _relabelled(construct.build_named("product(s4,cyclic(11))"), 5)
+    subs = all_subgroups(G, None, G.order)
+    assert [H.elements for H in subs] == [H.elements for H in join_every_cyclic_lattice(G)]
+    for H in subs:
+        assert closure_elements(G, H.generators) == H.elements, H.indices()
+        conjugates = [frozenset(G.conjugate(h, x) for h in H.elements) for x in G.elements()]
+        assert minimal_conjugate(G, H).elements == min(conjugates, key=mask_of), H.indices()
+
+
+@given(_permutation_groups(min_degree=5))
+@example(construct.alternating(5))
+@example(construct.symmetric(5))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_lattice_and_least_conjugates_match_oracles_on_random_groups(G):
+    """Subgroups of S5 drawn at degree 5, and A5 and S5 themselves, where the
+    fallback round runs.  H^(hx) = H^x, so x runs over one element per right
+    coset Hx."""
+    subs = all_subgroups(G)
+    assert [H.elements for H in subs] == [H.elements for H in join_every_cyclic_lattice(G)]
+    for H in subs:
+        xs = (coset[0] for coset in brute_right_cosets(G, H.elements))
+        least = min((conjugate_subgroup(G, H, x) for x in xs), key=lambda K: K.mask)
+        assert minimal_conjugate(G, H).elements == least.elements, H.indices()
 
 
 def test_conjugacy_class_sizes_s4(s4):
