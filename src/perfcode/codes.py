@@ -259,14 +259,12 @@ def square_coset_condition(
     containing H.  Both the index and the involution test are constant on
     Hx, so each right coset is decided once, at its least x with x^2 in H.
     """
-    if within is not None and H.mask & ~within.mask:
-        raise ValueError("ambient subgroup must contain H")
+    dec = coset_decomposition(G, H, within)
     t = G.table
     inside = bytearray(G.order)  # H's indicator, for the scan over every y
     for h in H:
         inside[h] = 1
     failing = []
-    dec = coset_decomposition(G, H, within)
     members, size = dec.members, dec.stride
     for i in range(0, len(members), size):
         roots = [y for y in members[i : i + size] if inside[t[y][y]]]

@@ -155,28 +155,27 @@ def bitmask(elems: Iterable[int]) -> int:
     return sum(1 << g for g in elems)
 
 
+_MISSING = object()
+
+
 def per_group(fn):
     """Memoize ``fn(G, *args, **kwargs)`` in G's store, keyed on the function
-    object and the arguments after G, made positional with the defaults
-    filled in: each value is computed once per group, however its arguments
-    are spelled, and lives exactly as long as the group does."""
+    object and the arguments after G, made positional: each value is computed
+    once per group, however its arguments are spelled, and lives exactly as
+    long as the group does.  ``fn`` takes no parameter defaults, so only a
+    call with keywords needs binding to reach that key."""
     signature = inspect.signature(fn)
-    defaults = tuple(p.default for p in signature.parameters.values())[1:]
-    required = defaults.count(inspect.Parameter.empty)
 
     @wraps(fn)
     def memoized(G: FiniteGroup, *args, **kwargs):
-        if kwargs or not required <= len(args) <= len(defaults):
-            bound = signature.bind(G, *args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args[1:]
-        else:
-            args += defaults[len(args):]
+        if kwargs:
+            args = signature.bind(G, *args, **kwargs).args[1:]
         key = (fn, args)
         store = G._store
-        if key not in store:
-            store[key] = fn(G, *args)
-        return store[key]
+        value = store.get(key, _MISSING)
+        if value is _MISSING:
+            value = store[key] = fn(G, *args)
+        return value
 
     return memoized
 

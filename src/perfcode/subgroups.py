@@ -204,19 +204,14 @@ def center(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
 @per_group
 def sylow_2_subgroup(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """A Sylow 2-subgroup of H, deterministically chosen.
-
-    One Sylow 2-subgroup is grown from the trivial subgroup inside H (see
-    ``_grow_2_subgroup``); among its H-conjugates (all Sylow 2-subgroups of
-    H, by Sylow's theorem) the one with least bitmask is returned.
-    """
+    """The Sylow 2-subgroup of H grown from the trivial subgroup inside H
+    by ``_grow_2_subgroup`` (H itself when H is a 2-group).  All Sylow
+    2-subgroups of H are conjugate in H (Sylow's theorem), so every criterion
+    decides H alike on each of them, and no other one is walked."""
     target = two_part(len(H))
-    if target == 1:
-        return trivial_subgroup()
     if target == len(H):
         return H
-    current = _grow_2_subgroup(G, trivial_subgroup(), target, H)
-    return _least_conjugate(G, current, _conjugations(G, H.generators))
+    return _grow_2_subgroup(G, trivial_subgroup(), target, H)
 
 
 def sylow_2_overgroup(G: FiniteGroup, Q: Subgroup) -> Subgroup:
@@ -281,8 +276,12 @@ def coset_decomposition(
 ) -> CosetDecomposition:
     """Right-coset decomposition of the ambient subgroup (default: G) by H.
     Subgroups are keyed by their masks, so every spelling of an ambient
-    subgroup equal to G shares one stored decomposition."""
-    return _cosets(G, H, full_subgroup(G) if within is None else within)
+    subgroup equal to G shares one stored decomposition.  An ambient
+    subgroup that does not contain H raises ValueError."""
+    ambient = full_subgroup(G) if within is None else within
+    if H.mask & ~ambient.mask:
+        raise ValueError("ambient subgroup must contain H")
+    return _cosets(G, H, ambient)
 
 
 @per_group
@@ -331,31 +330,14 @@ def is_maximal_abelian(G: FiniteGroup, H: Subgroup) -> bool:
 
 def minimal_conjugate(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """The least-bitmask member of the conjugacy class of H (H itself when it
-    is normal), walked through the stored conjugation lookups of G's generators."""
-    return _least_conjugate(G, H, _generator_conjugations(G))
-
-
-@per_group
-def _generator_conjugations(G: FiniteGroup) -> tuple:
-    return _conjugations(G, full_subgroup(G).generators)
-
-
-def _conjugations(G: FiniteGroup, gens: tuple[int, ...]) -> tuple:
-    """Each x of ``gens`` with the lookup of its conjugation y -> x^-1 y x."""
-    n, t, inv = G.order, G.table, G.inverse
-    P = _Packing(n)
-    return tuple((x, P.lookup(_packed([t[r][x] for r in t[inv[x]]], n))) for x in gens)
-
-
-def _least_conjugate(G: FiniteGroup, H: Subgroup, conjugations: tuple) -> Subgroup:
-    """The least-bitmask conjugate of H (H itself if least) by the group the
-    x of ``conjugations`` generate, each with its conjugation lookup.  The
-    orbit under conjugation by the generators alone is the whole orbit, so
-    it is walked breadth-first on packed members, keeping with each H^c the
+    is normal or least).  The orbit under conjugation by G's generators alone
+    is the whole orbit, so it is walked breadth-first on packed members
+    through their stored conjugation lookups, keeping with each H^c the
     element c; the least one records H's generators conjugated by its c.
     Sets of one size compare by members in decreasing order as by masks."""
     t, inv = G.table, G.inverse
     P = _Packing(G.order)
+    conjugations = _generator_conjugations(G)
     gens_image = P.composer(_packed(H.generators, G.order))
     if not any(P.outside(gens_image(table), H.members) for _, table in conjugations):
         return H
@@ -375,3 +357,12 @@ def _least_conjugate(G: FiniteGroup, H: Subgroup, conjugations: tuple) -> Subgro
     c = orbit[least]
     row = t[inv[c]]
     return Subgroup(bitmask(least), least, tuple(t[row[k]][c] for k in H.generators))
+
+
+@per_group
+def _generator_conjugations(G: FiniteGroup) -> tuple:
+    """Each generator x of G with the lookup of its conjugation y -> x^-1 y x."""
+    n, t, inv = G.order, G.table, G.inverse
+    P = _Packing(n)
+    gens = full_subgroup(G).generators
+    return tuple((x, P.lookup(_packed([t[r][x] for r in t[inv[x]]], n))) for x in gens)

@@ -31,6 +31,7 @@ from oracles import (
     subspace_count,
 )
 from perfcode import construct, subgroups
+from perfcode.codes import square_coset_condition
 from perfcode.corpus import cross_check, make_entry
 from perfcode.group import (
     FiniteGroup,
@@ -42,7 +43,6 @@ from perfcode.group import (
     trivial_subgroup,
 )
 from perfcode.subgroups import (
-    _grow_2_subgroup,
     _prime_factors,
     all_subgroups,
     center,
@@ -143,6 +143,8 @@ def _permutation_groups(draw, min_degree: int = 1):
 
 
 @given(_permutation_groups())
+@example(construct.alternating(5))
+@example(construct.symmetric(5))
 @settings(max_examples=12, deadline=None, derandomize=True)
 def test_operator_results_record_generators_of_themselves(G):
     for H in all_subgroups(G):
@@ -153,6 +155,8 @@ def test_operator_results_record_generators_of_themselves(G):
 
 
 @given(_permutation_groups())
+@example(construct.alternating(5))
+@example(construct.symmetric(5))
 @settings(max_examples=12, deadline=None, derandomize=True)
 def test_coset_decompositions_match_brute_force_on_random_groups(G):
     """Right cosets in G and in the normalizer, each led by its least member."""
@@ -351,10 +355,9 @@ def test_all_sylow_2_subgroups_conjugate_in_s4(s4):
         )
 
 
-def test_sylow_choice_is_least_bitmask(s4):
+def test_sylow_choice_is_the_grown_one(s4):
     chosen = sylow_2_subgroup(s4, full_subgroup(s4))
-    sylows = [H for H in all_subgroups(s4) if len(H) == 8]
-    assert chosen.mask == min(H.mask for H in sylows)
+    assert chosen.elements == brute_grow_2_subgroup(s4, {0}, 8)
 
 
 def test_sylow_overgroup_contains_seed(s4, s4_elem):
@@ -380,10 +383,7 @@ def test_sylow_growth_matches_brute_force(spec):
             grown = brute_grow_2_subgroup(G, H.elements, target)
             assert sylow_2_overgroup(G, H).elements == grown, label
         inside = brute_grow_2_subgroup(G, {0}, two_part(len(H)), H.elements)
-        grown = _grow_2_subgroup(G, trivial_subgroup(), two_part(len(H)), H)
-        assert grown.elements == inside, label
-        H_conjugates = (frozenset(G.conjugate(p, x) for p in inside) for x in H.elements)
-        assert sylow_2_subgroup(G, H).elements == min(H_conjugates, key=mask_of), label
+        assert sylow_2_subgroup(G, H).elements == inside, label
 
 
 def test_sylow_growth_stores_no_normalizer():
@@ -534,6 +534,17 @@ def test_coset_decomposition_partitions(s4, s4_elem):
             assert dec.coset_of(g) == i
     for h in H.elements:
         assert dec.coset_of(h) == 0
+
+
+def test_ambient_subgroup_must_contain_h():
+    """H = {0, 1} in the ambient {0, 23} is refused before a coset is stored."""
+    G = construct.symmetric(4)
+    H, ambient = closure(G, [1]), closure(G, [23])
+    assert len(H) == len(ambient) == 2 and H != ambient
+    for scan in (coset_decomposition, square_coset_condition):
+        with pytest.raises(ValueError, match="^ambient subgroup must contain H$"):
+            scan(G, H, ambient)
+    assert not [key for key in G._store if key[0] is subgroups._cosets.__wrapped__]
 
 
 def _assert_matches_brute_cosets(G, H, within=None):
@@ -712,10 +723,6 @@ def test_least_conjugates_match_brute_force(spec):
         assert minimal_conjugate(G, H).elements == min(conjugates, key=mask_of)
         if is_normal(G, H):
             assert minimal_conjugate(G, H) is H
-        # a Sylow 2-subgroup of H is the least of its own H-conjugates
-        P = sylow_2_subgroup(G, H).elements
-        H_conjugates = (frozenset(G.conjugate(p, x) for p in P) for x in H.elements)
-        assert P == min(H_conjugates, key=mask_of)
 
 
 def test_lattice_and_least_conjugates_above_order_256(monkeypatch):
