@@ -3,24 +3,24 @@
 from __future__ import annotations
 
 import re
-from itertools import product
+from itertools import chain, product
 
-from .group import FiniteGroup, group_from_permutations
+from .group import FiniteGroup, check_order, group_from_permutations
 
 
 def cyclic(n: int) -> FiniteGroup:
     """Z_n with additive indexing: element i is the residue i."""
     if n < 1:
         raise ValueError(f"cyclic order must be positive, got {n}")
-    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup.from_table(rows, name=f"Z{n}")
+    sums = list(range(check_order(n))) * 2
+    return FiniteGroup.from_table([sums[i : i + n] for i in range(n)], name=f"Z{n}")
 
 
 def elementary_abelian(k: int) -> FiniteGroup:
     """Z2^k with bit-vector indexing: the product is XOR of indices."""
     if k < 1:
         raise ValueError(f"rank must be positive, got {k}")
-    n = 1 << k
+    n = check_order(1 << k)
     rows = [[i ^ j for j in range(n)] for i in range(n)]
     return FiniteGroup.from_table(rows, name=f"Z2^{k}")
 
@@ -33,16 +33,7 @@ def dihedral(order: int) -> FiniteGroup:
     """
     if order < 4 or order % 2:
         raise ValueError(f"dihedral order must be an even number >= 4, got {order}")
-    n = order // 2
-
-    def mul(i: int, j: int) -> int:
-        ri, fi = i % n, i // n
-        rj, fj = j % n, j // n
-        rot = (ri + rj) % n if fi == 0 else (ri - rj) % n
-        return rot + n * (fi ^ fj)
-
-    rows = [[mul(i, j) for j in range(order)] for i in range(order)]
-    return FiniteGroup.from_table(rows, name=f"D{order}")
+    return FiniteGroup.from_table(_rotation_rows(check_order(order) // 2, 0), name=f"D{order}")
 
 
 def dicyclic(order: int) -> FiniteGroup:
@@ -53,23 +44,24 @@ def dicyclic(order: int) -> FiniteGroup:
     """
     if order < 8 or order % 4:
         raise ValueError(f"dicyclic order must be a multiple of 4 >= 8, got {order}")
-    m = order // 4
-    n = 2 * m
-
-    def mul(i: int, j: int) -> int:
-        ri, fi = i % n, i // n
-        rj, fj = j % n, j // n
-        if fi == 0:
-            rot = (ri + rj) % n
-        else:
-            rot = (ri - rj) % n
-            if fj:
-                rot = (rot + m) % n
-        return rot + n * (fi ^ fj)
-
     name = f"Q{order}" if order in (8, 16) else f"Dic{order}"
-    rows = [[mul(i, j) for j in range(order)] for i in range(order)]
+    rows = _rotation_rows(check_order(order) // 2, order // 4)
     return FiniteGroup.from_table(rows, name=name)
+
+
+def _rotation_rows(n: int, twist: int) -> list[list[int]]:
+    """The table of the group of order 2n on r^i (index i) and r^i s (index
+    n + i) with s r = r^-1 s and s^2 = r^twist.  Each row is two slices of
+    the rotation list (i + j) % n or of the difference list (i - j) % n, as
+    they are or shifted up by n."""
+    sums = list(range(n)) * 2  # (i + j) % n is sums[i + j]
+    ups = [x + n for x in sums]
+    diffs, up_diffs = sums[::-1], ups[::-1]  # (i - j) % n is diffs[n - 1 - i + j]
+    rows = [sums[i : i + n] + ups[i : i + n] for i in range(n)]
+    for i in range(n):
+        k, t = n - 1 - i, n - 1 - (i + twist) % n
+        rows.append(up_diffs[k : k + n] + diffs[t : t + n])
+    return rows
 
 
 def quaternion8() -> FiniteGroup:
@@ -123,17 +115,17 @@ def special_linear_2_3() -> FiniteGroup:
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, *, name: str | None = None) -> FiniteGroup:
     """A x B with pairs packed as a * |B| + b."""
-    nb = B.order
-    n = A.order * nb
-
-    def mul(i: int, j: int) -> int:
-        a1, b1 = divmod(i, nb)
-        a2, b2 = divmod(j, nb)
-        return A.table[a1][a2] * nb + B.table[b1][b2]
-
-    rows = [[mul(i, j) for j in range(n)] for i in range(n)]
+    rows = list(map(product_rows(A, B), range(check_order(A.order * B.order))))
     label = name or f"{A.name or '?'}x{B.name or '?'}"
     return FiniteGroup.from_table(rows, name=label)
+
+
+def product_rows(A: FiniteGroup, B: FiniteGroup):
+    """The map from a * |B| + b to its row of A x B, chained from A's row a
+    and the |A| copies of B's row b lifted by x * |B| for each x of A."""
+    nb = B.order
+    lifted = [[[x * nb + y for y in row] for x in A.elements()] for row in B.table]
+    return lambda i: list(chain.from_iterable(map(lifted[i % nb].__getitem__, A.table[i // nb])))
 
 
 _NAMED_RE = re.compile(r"^([a-z0-9_]+)(?:\((.*)\))?$")

@@ -7,10 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
+from operator import itemgetter
 
 from .codes import CodeVerdict, Criterion
-from .construct import dihedral, quaternion8
-from .group import FiniteGroup, Subgroup, full_subgroup, omega1, order_cap, per_group
+from .construct import dihedral, product_rows, quaternion8
+from .group import FiniteGroup, Subgroup, check_order, full_subgroup, omega1, per_group
 from .subgroups import (
     center,
     is_abelian_subgroup,
@@ -57,31 +58,15 @@ def central_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     za = _central_involution(A)
     zb = _central_involution(B)
     nb = B.order
-    n = A.order * nb
-
-    def partner(i: int) -> int:
-        a, b = divmod(i, nb)
-        return A.table[a][za] * nb + B.table[b][zb]
-
-    rep_of: dict[int, int] = {}
-    reps: list[int] = []
-    for i in range(n):
-        if i in rep_of:
-            continue
-        j = partner(i)
-        rep_of[i] = i
-        rep_of[j] = i
-        reps.append(i)
-    index = {r: k for k, r in enumerate(reps)}
-
-    def mul(x: int, y: int) -> int:
-        a1, b1 = divmod(reps[x], nb)
-        a2, b2 = divmod(reps[y], nb)
-        prod = A.table[a1][a2] * nb + B.table[b1][b2]
-        return index[rep_of[prod]]
-
-    k = len(reps)
-    rows = [[mul(x, y) for y in range(k)] for x in range(k)]
+    check_order(A.order * nb // 2)
+    row_of = product_rows(A, B)
+    label, reps = [-1] * (A.order * nb), []
+    for i, j in enumerate(row_of(za * nb + zb)):
+        if label[i] < 0:
+            label[i] = label[j] = len(reps)
+            reps.append(i)
+    pick = itemgetter(*reps)
+    rows = [list(map(label.__getitem__, pick(row_of(r)))) for r in reps]
     return FiniteGroup.from_table(rows, name=f"({A.name or '?'}o{B.name or '?'})")
 
 
@@ -93,10 +78,7 @@ def build_family(m: int, family: Family) -> FiniteGroup:
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    if 2 ** (2 * m + 1) > order_cap():
-        raise ValueError(
-            f"order 2^{2 * m + 1} exceeds the configured cap {order_cap()}"
-        )
+    check_order(2 ** (2 * m + 1))
     family = Family(family)
     factors = [dihedral(8) for _ in range(m)]
     if family is Family.GM2:

@@ -31,6 +31,15 @@ def order_cap() -> int:
     return value
 
 
+def check_order(n: int) -> int:
+    """n, or the ValueError of an order above ``order_cap()``: constructors
+    call it before they build a table of n rows."""
+    cap = order_cap()
+    if n > cap:
+        raise ValueError(f"group order {n} exceeds the configured cap {cap}")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A group of order n on indices 0..n-1 with the identity pinned at 0.
@@ -39,8 +48,9 @@ class FiniteGroup:
     and ``element_orders[a]`` the least k >= 1 with a^k = identity.  All
     tables are precomputed at construction and never mutated.  Derived
     structure goes into a private store that ``per_group`` functions fill
-    lazily and that dies with the group; a stored value never changes, so
-    threads sharing a group at worst compute one value twice.
+    lazily and that dies with the group.  A stored value never changes but
+    the least-conjugate class map, which only grows, so threads sharing a
+    group at worst compute one value twice or walk one class twice.
     """
 
     order: int
@@ -59,12 +69,9 @@ class FiniteGroup:
         The table is reindexed so the identity sits at index 0, then checked
         for the Latin-square property, two-sided inverses and associativity.
         """
-        cap = order_cap()
-        n = len(rows)
+        n = check_order(len(rows))
         if n == 0:
             raise ValueError("group table must be non-empty")
-        if n > cap:
-            raise ValueError(f"group order {n} exceeds the configured cap {cap}")
         P = _Packing(n)
         rows = _canonicalize_rows(_packed_rows(rows, P), P)
         inverse = _validate_rows(rows, P)

@@ -329,19 +329,22 @@ def is_maximal_abelian(G: FiniteGroup, H: Subgroup) -> bool:
 
 
 def minimal_conjugate(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """The least-bitmask member of the conjugacy class of H (H itself when it
-    is normal or least).  The orbit under conjugation by G's generators alone
-    is the whole orbit, so it is walked breadth-first on packed members
-    through their stored conjugation lookups, keeping with each H^c the
-    element c; the least one records H's generators conjugated by its c.
-    Sets of one size compare by members in decreasing order as by masks."""
-    t, inv = G.table, G.inverse
+    """The least-bitmask member of the conjugacy class of H, one object per
+    class: the first call on a class walks it, and G's stored class map then
+    hands that answer to every member (it is H itself when H was walked and
+    least, so always when H is normal).  The orbit under conjugation by G's
+    non-central generators alone is the whole orbit, so it is walked
+    breadth-first on packed members through their stored conjugation
+    lookups, keeping with each H^c the element c; a least one other than H
+    records H's generators conjugated by its c.  Sets of one size compare by
+    members in decreasing order as by masks."""
     P = _Packing(G.order)
-    conjugations = _generator_conjugations(G)
-    gens_image = P.composer(_packed(H.generators, G.order))
-    if not any(P.outside(gens_image(table), H.members) for _, table in conjugations):
-        return H
     start = P.members(H.members)
+    classes = _least_conjugates(G)
+    if start in classes:
+        return classes[start]
+    t, inv = G.table, G.inverse
+    conjugations = _generator_conjugations(G)
     orbit = {start: 0}
     frontier = [(start, 0)]
     for current, c in frontier:
@@ -351,18 +354,33 @@ def minimal_conjugate(G: FiniteGroup, H: Subgroup) -> Subgroup:
             if key not in orbit:
                 orbit[key] = found = t[c][x]
                 frontier.append((key, found))
-    least = min(orbit, key=lambda key: key[::-1])
-    if least == start:
-        return H
-    c = orbit[least]
-    row = t[inv[c]]
-    return Subgroup(bitmask(least), least, tuple(t[row[k]][c] for k in H.generators))
+    key = min(orbit, key=lambda k: k[::-1])
+    if key == start:
+        least = H
+    else:
+        c = orbit[key]
+        row = t[inv[c]]
+        least = Subgroup(bitmask(key), key, tuple(t[row[k]][c] for k in H.generators))
+    classes.update(dict.fromkeys(orbit, least))
+    return least
+
+
+@per_group
+def _least_conjugates(G: FiniteGroup) -> dict:
+    """``minimal_conjugate``'s map from packed members to least conjugate,
+    the one stored value that changes: each walk adds a class, none goes."""
+    return {}
 
 
 @per_group
 def _generator_conjugations(G: FiniteGroup) -> tuple:
-    """Each generator x of G with the lookup of its conjugation y -> x^-1 y x."""
+    """Each non-central generator x of G with the lookup of its conjugation
+    y -> x^-1 y x; a central one fixes every subgroup."""
     n, t, inv = G.order, G.table, G.inverse
     P = _Packing(n)
     gens = full_subgroup(G).generators
-    return tuple((x, P.lookup(_packed([t[r][x] for r in t[inv[x]]], n))) for x in gens)
+    return tuple(
+        (x, P.lookup(_packed([t[r][x] for r in t[inv[x]]], n)))
+        for x in gens
+        if any(t[x][g] != t[g][x] for g in gens)
+    )

@@ -7,7 +7,10 @@ cosets, perfect codes from every pair of vertices, right cosets from every
 product, associativity from every triple, normalizers, centralizers and
 commutativity from every member, Sylow growth steps from whole normalizers,
 coset-criterion counterexamples from a scan of every x, permutation tables
-from composing every pair of a closure grown by squaring, the deciding
+from composing every pair of a closure grown by squaring, the tables of
+the cyclic, dihedral and dicyclic groups and of direct and central
+products from one call per product (the constructors before they built
+whole rows), the deciding
 clause of the Sylow-extraspecial classification from brute normalizers and
 commutativity, and counts from closed formulas, so a bug in the fast path
 cannot hide in the oracle as well.
@@ -36,7 +39,7 @@ message for message.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import product
 from operator import itemgetter
@@ -371,6 +374,109 @@ def brute_permutation_table(generators, degree: int) -> list[list[int]]:
     ordered = sorted(elements)
     index = {p: i for i, p in enumerate(ordered)}
     return [[index[tuple(q[i] for i in p)] for q in ordered] for p in ordered]
+
+
+def reference_cyclic(n: int) -> FiniteGroup:
+    """The cyclic table by one sum per product."""
+    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return FiniteGroup.from_table(rows, name=f"Z{n}")
+
+
+def reference_dihedral(order: int) -> FiniteGroup:
+    """The dihedral table by one call per product: r^i at i, r^i s at n + i."""
+    n = order // 2
+
+    def mul(i: int, j: int) -> int:
+        ri, fi = i % n, i // n
+        rj, fj = j % n, j // n
+        rot = (ri + rj) % n if fi == 0 else (ri - rj) % n
+        return rot + n * (fi ^ fj)
+
+    rows = [[mul(i, j) for j in range(order)] for i in range(order)]
+    return FiniteGroup.from_table(rows, name=f"D{order}")
+
+
+def reference_dicyclic(order: int) -> FiniteGroup:
+    """The dicyclic table by one call per product: a^i at i, a^i b at 2m + i."""
+    m = order // 4
+    n = 2 * m
+
+    def mul(i: int, j: int) -> int:
+        ri, fi = i % n, i // n
+        rj, fj = j % n, j // n
+        if fi == 0:
+            rot = (ri + rj) % n
+        else:
+            rot = (ri - rj) % n
+            if fj:
+                rot = (rot + m) % n
+        return rot + n * (fi ^ fj)
+
+    name = f"Q{order}" if order in (8, 16) else f"Dic{order}"
+    rows = [[mul(i, j) for j in range(order)] for i in range(order)]
+    return FiniteGroup.from_table(rows, name=name)
+
+
+def reference_direct_product(
+    A: FiniteGroup, B: FiniteGroup, *, name: str | None = None
+) -> FiniteGroup:
+    """A x B by one call per product, pairs packed as a * |B| + b."""
+    nb = B.order
+    n = A.order * nb
+
+    def mul(i: int, j: int) -> int:
+        a1, b1 = divmod(i, nb)
+        a2, b2 = divmod(j, nb)
+        return A.table[a1][a2] * nb + B.table[b1][b2]
+
+    rows = [[mul(i, j) for j in range(n)] for i in range(n)]
+    label = name or f"{A.name or '?'}x{B.name or '?'}"
+    return FiniteGroup.from_table(rows, name=label)
+
+
+def reference_central_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
+    """A x B modulo its pair of central involutions, by one call per product:
+    each class is named by its first member, the classes in that order."""
+    za = _central_involution(A)
+    zb = _central_involution(B)
+    nb = B.order
+    n = A.order * nb
+
+    def partner(i: int) -> int:
+        a, b = divmod(i, nb)
+        return A.table[a][za] * nb + B.table[b][zb]
+
+    rep_of: dict[int, int] = {}
+    reps: list[int] = []
+    for i in range(n):
+        if i in rep_of:
+            continue
+        j = partner(i)
+        rep_of[i] = i
+        rep_of[j] = i
+        reps.append(i)
+    index = {r: k for k, r in enumerate(reps)}
+
+    def mul(x: int, y: int) -> int:
+        a1, b1 = divmod(reps[x], nb)
+        a2, b2 = divmod(reps[y], nb)
+        prod = A.table[a1][a2] * nb + B.table[b1][b2]
+        return index[rep_of[prod]]
+
+    k = len(reps)
+    rows = [[mul(x, y) for y in range(k)] for x in range(k)]
+    return FiniteGroup.from_table(rows, name=f"({A.name or '?'}o{B.name or '?'})")
+
+
+def reference_family(m: int, family: Family) -> FiniteGroup:
+    """``build_family`` from the reference dihedral, dicyclic and central products."""
+    factors = [reference_dihedral(8) for _ in range(m)]
+    if family is Family.GM2:
+        factors[-1] = reference_dicyclic(8)
+    result = reduce(reference_central_product, factors)
+    if m == 1:
+        return result
+    return replace(result, name=f"G({m},{1 if family is Family.GM1 else 2})")
 
 
 def relabel_rows(G: FiniteGroup, perm: list[int]) -> list[list[int]]:

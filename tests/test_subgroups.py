@@ -725,6 +725,22 @@ def test_least_conjugates_match_brute_force(spec):
             assert minimal_conjugate(G, H) is H
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["s4", "product(q8,cyclic(6))", "product(cyclic(4),elementary(2))", "product(s4,cyclic(11))"],
+)
+def test_least_conjugate_is_one_object_per_class(monkeypatch, spec):
+    """The class map hands every member of a class the object its first walk
+    built, here from the last member of the lattice in its class."""
+    monkeypatch.setenv("PCL_MAX_ORDER", "300")
+    G, _ = _relabelled(construct.build_named(spec), 8)
+    for H in reversed(all_subgroups(G, None, G.order)):
+        rep = minimal_conjugate(G, H)
+        assert closure(G, rep.generators) == rep
+        for x in G.elements():
+            assert minimal_conjugate(G, conjugate_subgroup(G, H, x)) is rep, (H.indices(), x)
+
+
 def test_lattice_and_least_conjugates_above_order_256(monkeypatch):
     """Order 264 packs element sets as tuples and sets, not bytes."""
     monkeypatch.setenv("PCL_MAX_ORDER", "300")
