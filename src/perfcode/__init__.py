@@ -2,9 +2,7 @@
 
 from .codes import (
     CodeVerdict,
-    ConnectionSet,
     Criterion,
-    Transversal,
     connection_set,
     connection_set_from_transversal,
     decide,

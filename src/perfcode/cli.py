@@ -102,7 +102,7 @@ def _cmd_cross_check(args: argparse.Namespace) -> int:
         for path in sorted(directory.glob("*.json")):
             corpus.append(make_entry(load_group(path), Provenance.FILE))
     criteria = None
-    if args.criteria:
+    if args.criteria is not None:
         criteria = tuple(part.strip() for part in args.criteria.split(",") if part.strip())
     report = cross_check(
         corpus,

@@ -13,7 +13,7 @@ implementation bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Collection, Iterable
 
@@ -22,7 +22,6 @@ from .subgroups import (
     coset_decomposition,
     is_normal,
     normalizer,
-    sylow_2_overgroup,
     sylow_2_subgroup,
 )
 
@@ -32,26 +31,12 @@ GRAPH_SEARCH_CAP = 16
 class Criterion(str, Enum):
     """Which decision procedure produced a verdict."""
 
-    TRANSVERSAL = "transversal"
     SQUARE_COSET = "square-coset"
     DOUBLE_COSET = "double-coset"
     OMEGA_QUOTIENT = "omega-quotient"
     EXTRASPECIAL = "extraspecial-classification"
     SYLOW_EXTRASPECIAL = "sylow-extraspecial-classification"
     ODD_ORDER = "odd-order"
-
-
-@dataclass(frozen=True)
-class ConnectionSet:
-    """An inverse-closed, identity-free subset of a group (a Cayley graph)."""
-
-    elements: frozenset[int]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def indices(self) -> list[int]:
-        return sorted(self.elements)
 
 
 def _as_elements(G: FiniteGroup, elements: Subgroup | Iterable[int]) -> Collection[int]:
@@ -66,42 +51,31 @@ def _as_elements(G: FiniteGroup, elements: Subgroup | Iterable[int]) -> Collecti
     return members
 
 
-def connection_set(G: FiniteGroup, elements: Iterable[int]) -> ConnectionSet:
-    """Validated connection set: no identity, closed under inversion."""
-    members = _as_elements(G, elements)
+def connection_set(G: FiniteGroup, elements: Iterable[int]) -> frozenset[int]:
+    """Validated connection set (a Cayley graph): no identity, closed under
+    inversion."""
+    members = frozenset(_as_elements(G, elements))
     if 0 in members:
         raise ValueError("connection set must not contain the identity")
     if any(G.inverse[g] not in members for g in members):
         raise ValueError("connection set must be inverse-closed")
-    return ConnectionSet(members)
-
-
-@dataclass(frozen=True)
-class Transversal:
-    """Right-coset representatives, one per coset, in canonical coset order."""
-
-    representatives: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.representatives)
-
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.representatives)
+    return members
 
 
 @dataclass(frozen=True)
 class CodeVerdict:
     """Outcome of one decision procedure.
 
-    ``witness`` carries a constructive certificate (a transversal or a
-    connection set) for positive verdicts when one was produced;
+    ``witness`` carries a constructive certificate for positive verdicts
+    when one was produced: an inverse-closed right transversal, its
+    representatives in canonical coset order;
     ``counterexample`` is the least failing element for negative verdicts of
     the element-scanning criteria.
     """
 
     is_perfect_code: bool
     criterion: Criterion
-    witness: Transversal | ConnectionSet | None = None
+    witness: tuple[int, ...] | None = None
     counterexample: int | None = None
 
 
@@ -113,17 +87,15 @@ def verdict_to_json(G: FiniteGroup, H: Subgroup, verdict: CodeVerdict) -> dict:
         "is_perfect_code": verdict.is_perfect_code,
         "criterion": verdict.criterion.value,
     }
-    if isinstance(verdict.witness, Transversal):
-        doc["witness"] = list(verdict.witness.representatives)
-    elif isinstance(verdict.witness, ConnectionSet):
-        doc["witness"] = verdict.witness.indices()
+    if verdict.witness is not None:
+        doc["witness"] = list(verdict.witness)
     if verdict.counterexample is not None:
         doc["counterexample"] = verdict.counterexample
     return doc
 
 
 def is_perfect_code_in_cayley_graph(
-    G: FiniteGroup, S: ConnectionSet | Iterable[int], C: Subgroup | Iterable[int]
+    G: FiniteGroup, S: Iterable[int], C: Subgroup | Iterable[int]
 ) -> bool:
     """Graph-level check that C is a perfect code of Cay(G, S), by the
     definition: the closed neighbourhoods {c} u Sc, c in C, partition G.
@@ -132,12 +104,12 @@ def is_perfect_code_in_cayley_graph(
     Sc.  The |C| (|S| + 1) products must then be |G| distinct elements,
     which takes O(|G|) table lookups.
     """
-    conn = connection_set(G, S.elements if isinstance(S, ConnectionSet) else S)
+    conn = connection_set(G, S)
     code = _as_elements(G, C)
     if len(code) * (len(conn) + 1) != G.order:
         return False
     t = G.table
-    closed = (0, *conn.elements)
+    closed = (0, *conn)
     covered = bytearray(G.order)
     for c in code:
         for s in closed:
@@ -148,10 +120,9 @@ def is_perfect_code_in_cayley_graph(
     return True
 
 
-def find_inverse_closed_transversal(
-    G: FiniteGroup, H: Subgroup
-) -> Transversal | None:
-    """An inverse-closed right transversal of H containing the identity, if any.
+def find_inverse_closed_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, ...] | None:
+    """An inverse-closed right transversal of H containing the identity, if
+    any, as its representatives in canonical coset order.
 
     Inversion maps the right cosets in a double coset HxH onto the left
     cosets of Hx^-1H, so it links right cosets only within one pair
@@ -220,15 +191,14 @@ def find_inverse_closed_transversal(
         component.update(dec.coset_of(inv[g]) for g in candidates[mirror])
         if not search(sorted(component), 0):
             return None
-    reps = tuple(g for g in chosen if g is not None)
-    return Transversal(representatives=reps)
+    return tuple(g for g in chosen if g is not None)
 
 
 def connection_set_from_transversal(
-    G: FiniteGroup, H: Subgroup, T: Transversal
-) -> ConnectionSet:
+    G: FiniteGroup, H: Subgroup, T: Iterable[int]
+) -> frozenset[int]:
     """S = T minus the identity, the Cayley graph admitting H as a code."""
-    reps = T.as_set()
+    reps = frozenset(T)
     if 0 not in reps:
         raise ValueError("transversal must contain the identity")
     if any(G.inverse[g] not in reps for g in reps):
@@ -238,7 +208,7 @@ def connection_set_from_transversal(
     k = len(dec.members) // dec.stride
     if len(reps) != k or len(hit) != k:
         raise ValueError("representatives do not form a right transversal")
-    return ConnectionSet(reps - {0})
+    return reps - {0}
 
 
 def _odd_index_intersection(G: FiniteGroup, H: Subgroup, x: int) -> bool:
@@ -322,44 +292,27 @@ def omega_coset_sets(
     return quotient, lifted
 
 
-def omega_criterion(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
-    """Involution-coset criterion inside the normalizer of H.
+def omega_criterion(G: FiniteGroup, H: Subgroup, N: Subgroup) -> CodeVerdict:
+    """Involution-coset comparison of H inside N, with H normal in N.
 
-    Valid when H is a 2-group or normal in G: H is a perfect code exactly
-    when every coset of H in N_G(H) that squares into H contains an
-    involution.  For other subgroups use ``decide``.
+    Positive when every coset of H in N that squares into H contains an
+    element of order at most 2.  It decides whether H is a perfect code of
+    G when H is a 2-group or normal in G and N = N_G(H), and it decides H2
+    in N2 and in N on the chain of ``sylow_reduction``.
     """
-    if len(H) & (len(H) - 1) and not is_normal(G, H):
-        raise ValueError(
-            "omega criterion requires a 2-group or a normal subgroup; "
-            "use decide for general subgroups"
-        )
-    return CodeVerdict(_omega(G, H, normalizer(G, H)), Criterion.OMEGA_QUOTIENT)
-
-
-def _omega(G: FiniteGroup, H: Subgroup, N: Subgroup) -> bool:
-    """True iff every coset of H in N that squares into H contains an
-    element of order at most 2 (H normal in N)."""
     quotient, lifted = omega_coset_sets(G, N, H)
-    return quotient == lifted
+    return CodeVerdict(quotient == lifted, Criterion.OMEGA_QUOTIENT)
 
 
-def _sylow_chain(G: FiniteGroup, H: Subgroup) -> tuple[Subgroup, Subgroup, Subgroup]:
-    """H2 = a Sylow 2-subgroup of H, N = N_G(H2) and N2 = a Sylow 2-subgroup of N."""
+def sylow_reduction(G: FiniteGroup, H: Subgroup) -> tuple[Subgroup, Subgroup, Subgroup]:
+    """The chain (H2, N, N2): H2 a Sylow 2-subgroup of H, N = N_G(H2) and N2
+    a Sylow 2-subgroup of N.  With P = ``sylow_2_overgroup(G, N2)``, four
+    equivalent statements decide H on it: H2 a code of P, the involution
+    cosets of H2 in N2 and in N, and H a code of G.  In a 2-group H2 = H,
+    N2 = N and P = G, so they are two statements."""
     H2 = sylow_2_subgroup(G, H)
     N = normalizer(G, H2)
     return H2, N, sylow_2_subgroup(G, N)
-
-
-def sylow_reduction(
-    G: FiniteGroup, H: Subgroup
-) -> tuple[Subgroup, Subgroup, Subgroup, Subgroup]:
-    """The chain (H2, N, N2) of ``_sylow_chain`` and a Sylow 2-subgroup P
-    of G containing N2.  Four equivalent statements decide H on it: H2 a
-    code of P, the involution cosets of H2 in N2 and in N, and H a code of
-    G.  In a 2-group H2 = H, N2 = N and P = G, so they are two statements."""
-    H2, N, N2 = _sylow_chain(G, H)
-    return H2, N, N2, sylow_2_overgroup(G, N2)
 
 
 def decide(G: FiniteGroup, H: Subgroup, *, with_witness: bool = False) -> CodeVerdict:
@@ -368,35 +321,31 @@ def decide(G: FiniteGroup, H: Subgroup, *, with_witness: bool = False) -> CodeVe
     Odd-order subgroups are codes unconditionally.  Otherwise the cheapest
     equivalent statement is evaluated: the involution-coset comparison for
     the Sylow 2-part of H inside the Sylow 2-subgroup of its normalizer.
-    On a positive verdict ``with_witness`` attaches an inverse-closed
-    transversal, and raises ``RuntimeError`` if the search finds none (the
-    criteria would then disagree); a negative verdict is re-derived by the
-    square-coset scan so a concrete counterexample can be reported.
+    A negative verdict is re-derived by the square-coset scan so a concrete
+    counterexample can be reported.  On a positive verdict ``with_witness``
+    attaches an inverse-closed transversal to the deciding criterion's
+    verdict, and raises ``RuntimeError`` if the search finds none (the
+    criteria would then disagree).
     """
     if len(H) % 2 == 1:
-        if with_witness:
-            return _witnessed(G, H)
-        return CodeVerdict(True, Criterion.ODD_ORDER)
-    H2, _, N2 = _sylow_chain(G, H)
-    if _omega(G, H2, N2):
-        if with_witness:
-            return _witnessed(G, H)
-        return CodeVerdict(True, Criterion.OMEGA_QUOTIENT)
-    return square_coset_condition(G, H)
+        verdict = CodeVerdict(True, Criterion.ODD_ORDER)
+    else:
+        H2, _, N2 = sylow_reduction(G, H)
+        verdict = omega_criterion(G, H2, N2)
+        if not verdict.is_perfect_code:
+            return square_coset_condition(G, H)
+    if with_witness:
+        witness = find_inverse_closed_transversal(G, H)
+        if witness is None:
+            raise RuntimeError(
+                f"positive verdict for subgroup {H.indices()} of {G.name or 'G'} "
+                "but no inverse-closed transversal was found"
+            )
+        verdict = replace(verdict, witness=witness)
+    return verdict
 
 
-def _witnessed(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
-    """Positive verdict carrying a transversal; a missing one is a bug."""
-    witness = find_inverse_closed_transversal(G, H)
-    if witness is None:
-        raise RuntimeError(
-            f"positive verdict for subgroup {H.indices()} of {G.name or 'G'} "
-            "but no inverse-closed transversal was found"
-        )
-    return CodeVerdict(True, Criterion.TRANSVERSAL, witness=witness)
-
-
-def search_connection_set(G: FiniteGroup, C: Subgroup | Iterable[int]) -> ConnectionSet | None:
+def search_connection_set(G: FiniteGroup, C: Subgroup | Iterable[int]) -> frozenset[int] | None:
     """Exhaustive oracle: the first connection set admitting C as a code.
 
     Enumerates every inverse-closed subset of G minus the identity, so it is
@@ -420,7 +369,7 @@ def search_connection_set(G: FiniteGroup, C: Subgroup | Iterable[int]) -> Connec
         for bit, atom in enumerate(atoms):
             if mask >> bit & 1:
                 chosen.update(atom)
-        S = ConnectionSet(frozenset(chosen))
+        S = frozenset(chosen)
         if is_perfect_code_in_cayley_graph(G, S, code):
             return S
     return None

@@ -12,13 +12,12 @@ from . import construct
 from .codes import (
     GRAPH_SEARCH_CAP,
     Criterion,
-    _omega,
-    _sylow_chain,
     connection_set_from_transversal,
     decide,
     double_coset_condition,
     find_inverse_closed_transversal,
     is_perfect_code_in_cayley_graph,
+    omega_criterion,
     search_connection_set,
     square_coset_condition,
     sylow_reduction,
@@ -32,7 +31,7 @@ from .extraspecial import (
     sylow_2_classification,
 )
 from .group import FiniteGroup, Subgroup, full_subgroup
-from .subgroups import all_subgroups, is_normal, minimal_conjugate, normalizer
+from .subgroups import all_subgroups, is_normal, minimal_conjugate, normalizer, sylow_2_overgroup
 
 DEFAULT_CRITERIA = (
     "decide",
@@ -120,7 +119,6 @@ class CrossCheckReport:
     timings in row order and is excluded from stable output.
     """
 
-    criteria: tuple[str, ...]
     rows: tuple[dict, ...]
     summary: dict
     row_ms: tuple[float, ...]
@@ -130,10 +128,6 @@ class CrossCheckReport:
         return self.summary["disagreements"]
 
 
-def _square_coset(G: FiniteGroup, H: Subgroup, within: Subgroup) -> bool:
-    return square_coset_condition(G, H, within=within).is_perfect_code
-
-
 def _row_verdicts(
     G: FiniteGroup, H: Subgroup, criteria: tuple[str, ...], tags: frozenset[str]
 ) -> tuple[dict[str, bool], dict[str, str]]:
@@ -141,7 +135,8 @@ def _row_verdicts(
     (one implementation on its subgroups) another key evaluated, mapped to
     that key.  A statement is evaluated once per row.  ``decide`` seeds the
     statements it evaluated and is the alias of the one that settled it,
-    never the original.
+    never the original.  Each implementation is read from this module's
+    names at the call, so a wrapper bound over one is what runs.
     """
     full = full_subgroup(G)
     verdicts: dict[str, bool] = {}
@@ -154,22 +149,20 @@ def _row_verdicts(
         if statement in first:
             same_as[key] = first[statement]
         elif statement not in memo:
-            memo[statement] = statement[0](G, *statement[1:])
+            memo[statement] = statement[0](G, *statement[1:]).is_perfect_code
         first.setdefault(statement, key)
         verdicts[key] = memo[statement]
 
-    if "sylow-reduction" in criteria:
-        H2, N, N2, P = sylow_reduction(G, H)
     if "decide" in criteria:
         verdict = decide(G, H)
         verdicts["decide"] = verdict.is_perfect_code
         if verdict.criterion is not Criterion.ODD_ORDER:
             # decide ran omega on (H2, N2); when that failed, the scan of H in G
-            H2, _, N2 = _sylow_chain(G, H)
-            settled = (_omega, H2, N2)
+            H2, _, N2 = sylow_reduction(G, H)
+            settled = (omega_criterion, H2, N2)
             memo[settled] = verdict.criterion is Criterion.OMEGA_QUOTIENT
             if verdict.criterion is Criterion.SQUARE_COSET:
-                settled = (_square_coset, H, full)
+                settled = (square_coset_condition, H, full)
                 memo[settled] = verdict.is_perfect_code
     if "transversal" in criteria:
         T = find_inverse_closed_transversal(G, H)
@@ -178,18 +171,19 @@ def _row_verdicts(
             S = connection_set_from_transversal(G, H, T)
             verdicts["graph-witness"] = is_perfect_code_in_cayley_graph(G, S, H)
     if "square-coset" in criteria:
-        ask("square-coset", _square_coset, H, full)
+        ask("square-coset", square_coset_condition, H, full)
     if "double-coset" in criteria:
         verdicts["double-coset"] = double_coset_condition(G, H).is_perfect_code
     if "omega-quotient" in criteria:
         size = len(H)
         if size & (size - 1) == 0 or is_normal(G, H):
-            ask("omega-quotient", _omega, H, normalizer(G, H))
+            ask("omega-quotient", omega_criterion, H, normalizer(G, H))
     if "sylow-reduction" in criteria:
-        ask("reduction-h2-in-p", _square_coset, H2, P)
-        ask("reduction-omega-n2", _omega, H2, N2)
-        ask("reduction-omega-n", _omega, H2, N)
-        ask("reduction-h-in-g", _square_coset, H, full)
+        H2, N, N2 = sylow_reduction(G, H)
+        ask("reduction-h2-in-p", square_coset_condition, H2, sylow_2_overgroup(G, N2))
+        ask("reduction-omega-n2", omega_criterion, H2, N2)
+        ask("reduction-omega-n", omega_criterion, H2, N)
+        ask("reduction-h-in-g", square_coset_condition, H, full)
     if "graph" in criteria and G.order <= GRAPH_SEARCH_CAP:
         verdicts["graph"] = search_connection_set(G, H) is not None
     if "extraspecial" in tags:
@@ -222,7 +216,9 @@ def cross_check(
     records its consensus as ``perfect_code``.  Rows are produced in
     canonical order, so stable report sections are byte-identical across runs.
     """
-    selected = tuple(criteria) if criteria else DEFAULT_CRITERIA
+    selected = DEFAULT_CRITERIA if criteria is None else tuple(criteria)
+    if not selected or len(set(selected)) < len(selected):
+        raise ValueError(f"select each criterion at most once and at least one, got {selected}")
     for name in selected:
         if name not in ALL_CRITERIA:
             raise ValueError(f"unknown criterion {name!r}; choose from {ALL_CRITERIA}")
@@ -278,12 +274,7 @@ def cross_check(
         "criteria": list(selected),
         "max_order": max_order,
     }
-    return CrossCheckReport(
-        criteria=selected,
-        rows=tuple(rows),
-        summary=summary,
-        row_ms=tuple(timings),
-    )
+    return CrossCheckReport(rows=tuple(rows), summary=summary, row_ms=tuple(timings))
 
 
 def _agreement_block(rows: tuple[dict, ...], keys: tuple[str, ...]) -> tuple[int, int]:

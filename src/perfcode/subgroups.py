@@ -227,7 +227,12 @@ def _grow_2_subgroup(G: FiniteGroup, start: Subgroup, target: int, within: Subgr
     each adjoining the least g of ``within`` that lies outside it, squares
     into it and normalizes it (by Sylow's theorem one exists while it is
     below the 2-part of ``within``).  The cheap tests go first, and no
-    normalizer is built."""
+    normalizer is built.  ``start`` at order ``target`` is returned as it
+    is, and a result of order |G| is the stored ``full_subgroup(G)``."""
+    if target == G.order:
+        return full_subgroup(G)
+    if len(start) == target:
+        return start
     t = G.table
     domain = within.members
     mask, elems, gens = start.mask, list(start.members), start.generators

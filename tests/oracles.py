@@ -58,7 +58,7 @@ from perfcode.group import (
     per_group,
     subgroup_as_group,
 )
-from perfcode.subgroups import _prime_factors, all_subgroups, is_abelian_subgroup
+from perfcode.subgroups import _prime_factors, all_subgroups, is_abelian_subgroup, sylow_2_overgroup
 
 DEFAULT_ISOMORPHISM_CAP = 64
 
@@ -328,10 +328,11 @@ def sylow_extraspecial_clause(G: FiniteGroup, members) -> str:
 
 
 def reduction_statements(G: FiniteGroup, H: Subgroup) -> tuple[bool, bool, bool, bool]:
-    """The Sylow reduction's four statements on the chain (H2, N, N2, P)
-    that ``sylow_reduction`` returns: H2 a code of P, the involution cosets
-    of H2 in N2 and in N, and H a code of G."""
-    H2, N, N2, P = sylow_reduction(G, H)
+    """The Sylow reduction's four statements on the chain (H2, N, N2) that
+    ``sylow_reduction`` returns and P = ``sylow_2_overgroup(G, N2)``: H2 a
+    code of P, the involution cosets of H2 in N2 and in N, and H a code of G."""
+    H2, N, N2 = sylow_reduction(G, H)
+    P = sylow_2_overgroup(G, N2)
     q2, l2 = omega_coset_sets(G, N2, H2)
     qn, ln = omega_coset_sets(G, N, H2)
     return (

@@ -24,7 +24,7 @@ from perfcode.codes import (
     search_connection_set,
     square_coset_condition,
 )
-from perfcode.corpus import builtin_corpus
+from perfcode.corpus import builtin_corpus, cross_check, make_entry
 from perfcode.extraspecial import (
     Family,
     build_family,
@@ -249,3 +249,65 @@ def test_exhaustive_graph_oracle_confirms_decision():
     ok = not violations
     _report("graph-search-oracle", ok)
     assert ok, violations[:5]
+
+
+def _extraspecial_non_codes(m: int, family: Family) -> int:
+    """Non-code subgroups of an extraspecial group of order 2^(2m+1), by
+    arithmetic alone: the totally isotropic subspaces of F_2^(2m) of
+    dimension k, for k < m (GM1) or k <= m (GM2), each counted as
+    prod_{i<k} (2^(2(m-i)) - 1) / (2^(i+1) - 1)."""
+    total = 0
+    for k in range(m if family is Family.GM1 else m + 1):
+        count = 1
+        for i in range(k):
+            count = count * (4 ** (m - i) - 1) // (2 ** (i + 1) - 1)
+        total += count
+    return total
+
+
+def test_extraspecial_non_code_counts_match_closed_form():
+    """decide finds exactly the closed-form number of non-codes among all
+    subgroups of each extraspecial family group at m <= 3."""
+    expected = {(1, Family.GM1): 1, (1, Family.GM2): 4, (2, Family.GM1): 16,
+                (2, Family.GM2): 31, (3, Family.GM1): 379, (3, Family.GM2): 514}
+    counts = {}
+    for m, family in expected:
+        assert _extraspecial_non_codes(m, family) == expected[m, family]
+        G = build_family(m, family)
+        counts[m, family] = sum(
+            not decide(G, H).is_perfect_code for H in all_subgroups(G, None, 128)
+        )
+    ok = counts == expected
+    _report("extraspecial-non-code-counts", ok)
+    assert ok, counts
+
+
+def test_cyclic_subgroup_codes_match_closed_form():
+    """A subgroup of order d of Z_n is a code iff d or n/d is odd, for every
+    subgroup of Z_1 to Z_64 (one per divisor of n)."""
+    violations = []
+    for n in range(1, 65):
+        G = construct.cyclic(n)
+        subs = all_subgroups(G)
+        if sorted(len(H) for H in subs) != [d for d in range(1, n + 1) if n % d == 0]:
+            violations.append((n, "lattice"))
+        for H in subs:
+            d = len(H)
+            if decide(G, H).is_perfect_code != (d % 2 == 1 or (n // d) % 2 == 1):
+                violations.append((n, d))
+    ok = not violations
+    _report("cyclic-closed-form", ok)
+    assert ok, violations[:5]
+
+
+def test_nonsolvable_groups_cross_check():
+    """Every criterion agrees on a subgroup of each conjugacy class of A5
+    (9 classes), S5 (19) and A5 x Z2 (22), each row with two votes or more."""
+    A5 = construct.alternating(5)
+    groups = [A5, construct.symmetric(5), construct.direct_product(A5, construct.cyclic(2))]
+    report = cross_check([make_entry(G) for G in groups], max_order=120, dedupe_conjugates=True)
+    votes = min(len(r["verdicts"]) - len(r["same_as"]) for r in report.rows)
+    s = report.summary
+    ok = (s["rows"], s["disagreements"], s["unchecked"]) == (50, 0, 0) and votes >= 2
+    _report("nonsolvable-cross-check", ok)
+    assert ok, (s, votes)

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import time
+from dataclasses import replace
 from enum import IntEnum
 from itertools import combinations
 
@@ -33,7 +34,6 @@ from perfcode.codes import (
     search_connection_set,
     square_coset_condition,
     sylow_reduction,
-    Transversal,
     verdict_to_json,
 )
 from perfcode.corpus import builtin_corpus
@@ -43,7 +43,7 @@ from perfcode.group import (
     full_subgroup,
     trivial_subgroup,
 )
-from perfcode.subgroups import all_subgroups, normalizer
+from perfcode.subgroups import all_subgroups, normalizer, sylow_2_overgroup
 
 
 def test_connection_set_rejects_identity(d8):
@@ -136,17 +136,17 @@ def test_graph_check_matches_brute_oracle_on_witnesses(s4, a4, sl23):
                 continue
             S = connection_set_from_transversal(G, H, T)
             assert is_perfect_code_in_cayley_graph(G, S, H)
-            assert brute_is_perfect_code(G, S.elements, H.elements)
+            assert brute_is_perfect_code(G, S, H.elements)
             for pair in _inverse_pairs(G):
-                if pair <= S.elements:
-                    dropped = S.elements - pair
+                if pair <= S:
+                    dropped = S - pair
                     assert not is_perfect_code_in_cayley_graph(G, dropped, H)
                     assert not brute_is_perfect_code(G, dropped, H.elements)
                     break
             for _ in range(3):
                 size = G.order // (len(S) + 1)
                 C = rng.sample(range(G.order), size)
-                expected = brute_is_perfect_code(G, S.elements, C)
+                expected = brute_is_perfect_code(G, S, C)
                 assert is_perfect_code_in_cayley_graph(G, S, C) == expected, (
                     G.name, H.indices(), C,
                 )
@@ -160,13 +160,13 @@ def test_search_connection_set_order_cap(g21):
 def test_transversal_of_whole_group(d8):
     T = find_inverse_closed_transversal(d8, full_subgroup(d8))
     assert T is not None
-    assert T.representatives == (0,)
+    assert T == (0,)
 
 
 def test_transversal_of_trivial_subgroup(d8):
     T = find_inverse_closed_transversal(d8, trivial_subgroup())
     assert T is not None
-    assert T.as_set() == frozenset(d8.elements())
+    assert frozenset(T) == frozenset(d8.elements())
 
 
 def test_no_transversal_for_d8_center(d8):
@@ -178,7 +178,7 @@ def test_transversal_for_transposition_subgroup(s4, s4_elem):
     T = find_inverse_closed_transversal(s4, H)
     assert T is not None
     assert len(T) == 12
-    reps = T.as_set()
+    reps = frozenset(T)
     assert reps == frozenset(s4.inv(g) for g in reps)
     S = connection_set_from_transversal(s4, H, T)
     assert is_perfect_code_in_cayley_graph(s4, S, H)
@@ -246,20 +246,20 @@ def test_transversal_recursion_depth_is_bounded_by_pair_size():
     finally:
         sys.setrecursionlimit(limit)
     assert T is not None
-    assert T.as_set() == frozenset(G.elements())
+    assert frozenset(T) == frozenset(G.elements())
 
 
 def test_connection_set_from_transversal_roundtrip_a4(s4, s4_elem):
     A = closure(s4, [s4_elem[(1, 2, 0, 3)], s4_elem[(0, 2, 3, 1)]])
-    T = Transversal(representatives=(0, s4_elem[(1, 0, 2, 3)]))
+    T = (0, s4_elem[(1, 0, 2, 3)])
     S = connection_set_from_transversal(s4, A, T)
-    assert S.elements == frozenset({s4_elem[(1, 0, 2, 3)]})
+    assert S == frozenset({s4_elem[(1, 0, 2, 3)]})
     assert is_perfect_code_in_cayley_graph(s4, S, A)
 
 
 def test_connection_set_from_transversal_requires_identity(s4, s4_elem):
     A = closure(s4, [s4_elem[(1, 2, 0, 3)], s4_elem[(0, 2, 3, 1)]])
-    bad = Transversal(representatives=(s4_elem[(1, 0, 2, 3)], s4_elem[(0, 1, 3, 2)]))
+    bad = (s4_elem[(1, 0, 2, 3)], s4_elem[(0, 1, 3, 2)])
     with pytest.raises(ValueError, match="identity"):
         connection_set_from_transversal(s4, A, bad)
 
@@ -268,7 +268,7 @@ def test_connection_set_from_transversal_requires_inverse_closed(s4, s4_elem):
     H = closure(s4, [s4_elem[(1, 0, 2, 3)], s4_elem[(0, 1, 3, 2)]])  # order 4
     four_cycle = s4_elem[(1, 2, 3, 0)]
     # identity plus one 4-cycle is not inverse-closed
-    bad = Transversal(representatives=(0, four_cycle))
+    bad = (0, four_cycle)
     with pytest.raises(ValueError):
         connection_set_from_transversal(s4, H, bad)
 
@@ -369,22 +369,30 @@ def test_lifted_always_contained_in_quotient(s4, q16):
 
 
 def test_omega_criterion_trivial(d8):
-    assert omega_criterion(d8, trivial_subgroup()).is_perfect_code
+    H = trivial_subgroup()
+    assert omega_criterion(d8, H, normalizer(d8, H)).is_perfect_code
 
 
 def test_omega_criterion_d8_center(d8):
-    assert not omega_criterion(d8, closure(d8, [2])).is_perfect_code
+    Z = closure(d8, [2])
+    verdict = omega_criterion(d8, Z, normalizer(d8, Z))
+    assert not verdict.is_perfect_code
+    assert verdict.criterion is Criterion.OMEGA_QUOTIENT
 
 
 def test_omega_criterion_normal_klein(s4, s4_elem):
     V = closure(s4, [s4_elem[(1, 0, 3, 2)], s4_elem[(2, 3, 0, 1)]])
-    assert omega_criterion(s4, V).is_perfect_code
+    assert omega_criterion(s4, V, normalizer(s4, V)).is_perfect_code
 
 
 def test_omega_criterion_precondition(s4, s4_elem):
-    H = closure(s4, [s4_elem[(1, 2, 0, 3)]])  # 3-group, not normal
-    with pytest.raises(ValueError):
-        omega_criterion(s4, H)
+    # H must lie in N and be normal there
+    H = closure(s4, [s4_elem[(1, 2, 0, 3)]])  # a 3-cycle
+    other = closure(s4, [s4_elem[(0, 2, 3, 1)]])  # another 3-cycle
+    with pytest.raises(ValueError, match="contained in N"):
+        omega_criterion(s4, H, other)
+    with pytest.raises(ValueError, match="normal in N"):
+        omega_criterion(s4, H, full_subgroup(s4))
 
 
 def test_sylow_reduction_odd_subgroup_all_true(s4, s4_elem):
@@ -406,7 +414,8 @@ def test_sylow_reduction_a4_all_true(s4, s4_elem):
 def test_sylow_reduction_tower_containments(s4, sl23):
     for G in (s4, sl23):
         for H in all_subgroups(G):
-            H2, N, N2, P = sylow_reduction(G, H)
+            H2, N, N2 = sylow_reduction(G, H)
+            P = sylow_2_overgroup(G, N2)
             assert H2.elements <= N2.elements
             assert N2.elements <= N.elements
             assert N2.elements <= P.elements
@@ -434,7 +443,11 @@ def test_decide_with_witness(s4, s4_elem):
     H = closure(s4, [s4_elem[(1, 0, 2, 3)]])
     verdict = decide(s4, H, with_witness=True)
     assert verdict.is_perfect_code
-    assert verdict.criterion is Criterion.TRANSVERSAL
+    # the witness is attached to the verdict of the criterion that decided it
+    assert verdict.criterion is Criterion.OMEGA_QUOTIENT
+    assert verdict == replace(decide(s4, H), witness=verdict.witness)
+    odd = closure(s4, [s4_elem[(1, 2, 0, 3)]])
+    assert decide(s4, odd, with_witness=True).criterion is Criterion.ODD_ORDER
     S = connection_set_from_transversal(s4, H, verdict.witness)
     assert is_perfect_code_in_cayley_graph(s4, S, H)
 

@@ -100,6 +100,16 @@ def test_cross_check_rejects_unknown_criterion(d8):
         cross_check([make_entry(d8)], criteria=("frobnicate",))
 
 
+@pytest.mark.parametrize("criteria", [(), ("decide", "decide")], ids=repr)
+def test_cross_check_rejects_empty_or_repeated_criteria(capsys, d8, criteria):
+    with pytest.raises(ValueError, match="select each criterion at most once and at least one"):
+        cross_check([make_entry(d8)], criteria=criteria, max_order=8)
+    assert cli.main(["cross-check", "--max-order", "8", "--criteria", ",".join(criteria) or ","]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cross_check_graph_criterion_on_tiny_groups(d8, q8):
     report = cross_check(
         [make_entry(d8), make_entry(q8)],
@@ -286,7 +296,6 @@ def test_report_rejects_unknown_format(d8):
 
 def test_exit_code_semantics_for_disagreements():
     fake = CrossCheckReport(
-        criteria=("decide",),
         rows=({"group": "X", "order": 2, "subgroup": [0], "verdicts": {}, "agree": False},),
         summary={"groups": 1, "rows": 1, "perfect_codes": 0, "disagreements": 1, "criteria": ["decide"], "max_order": 8},
         row_ms=(0.0,),
@@ -364,11 +373,16 @@ def test_cli_subgroups(tmp_path, capsys, d8):
 
 
 def test_cli_check_with_witness(tmp_path, capsys, d8):
+    # the witness joins the verdict; the criterion that decided it stays
     path = _write_group(tmp_path, d8)
-    assert cli.main(["check", str(path), "--subgroup", "4", "--witness"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["is_perfect_code"] is True
-    assert "witness" in doc
+    for gens, criterion in (("4", "omega-quotient"), ("", "odd-order")):
+        assert cli.main(["check", str(path), "--subgroup", gens]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert cli.main(["check", str(path), "--subgroup", gens, "--witness"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["is_perfect_code"] is True
+        assert doc.pop("witness")
+        assert doc == plain and doc["criterion"] == criterion
 
 
 def test_cli_check_center_not_code(tmp_path, capsys, d8):
@@ -468,7 +482,6 @@ def test_cli_cross_check_streams_the_report_emit_bytes(monkeypatch, capsys, s4, 
 
 def test_cli_cross_check_exit_code_on_disagreement(monkeypatch, capsys):
     fake = CrossCheckReport(
-        criteria=("decide",),
         rows=(
             {
                 "group": "X",

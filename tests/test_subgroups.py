@@ -386,6 +386,14 @@ def test_sylow_growth_matches_brute_force(spec):
         assert sylow_2_subgroup(G, H).elements == inside, label
 
 
+def test_sylow_overgroup_of_a_sylow_subgroup_is_itself(g21, s4):
+    # in a 2-group the overgroup is G's stored full subgroup, never a copy
+    full = full_subgroup(g21)
+    assert all(sylow_2_overgroup(g21, Q) is full for Q in all_subgroups(g21))
+    P = sylow_2_subgroup(s4, full_subgroup(s4))
+    assert len(P) == 8 and sylow_2_overgroup(s4, P) is P
+
+
 def test_sylow_growth_stores_no_normalizer():
     G = construct.build_named("product(gm1(2),cyclic(3))")
     sylow_2_subgroup(G, full_subgroup(G))
