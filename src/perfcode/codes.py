@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Sequence
 
-from .group import FiniteGroup, Subgroup, _ints
+from .group import FiniteGroup, Subgroup, _ints, _lookups, _packed, _packed_table, _Packing
 from .subgroups import (
     coset_decomposition,
     is_normal,
@@ -57,7 +57,7 @@ def connection_set(G: FiniteGroup, elements: Iterable[int]) -> frozenset[int]:
     members = frozenset(_as_elements(G, elements))
     if 0 in members:
         raise ValueError("connection set must not contain the identity")
-    if any(G.inverse[g] not in members for g in members):
+    if not members.issuperset(map(G.inverse.__getitem__, members)):
         raise ValueError("connection set must be inverse-closed")
     return members
 
@@ -101,23 +101,22 @@ def is_perfect_code_in_cayley_graph(
     definition: the closed neighbourhoods {c} u Sc, c in C, partition G.
 
     x and y are adjacent iff y x^-1 lies in S, so the neighbours of c are
-    Sc.  The |C| (|S| + 1) products must then be |G| distinct elements,
-    which takes O(|G|) table lookups.
+    Sc.  The |C| (|S| + 1) products must then cover all |G| elements: the
+    shorter of C and {1} u S is walked, each of its members translating the
+    other through its column (s c for every s) or its row (s c for every c).
     """
     conn = connection_set(G, S)
     code = _as_elements(G, C)
-    if len(code) * (len(conn) + 1) != G.order:
+    n = G.order
+    if len(code) * (len(conn) + 1) != n:
         return False
-    t = G.table
-    closed = (0, *conn)
-    covered = bytearray(G.order)
-    for c in code:
-        for s in closed:
-            g = t[s][c]
-            if covered[g]:
-                return False
-            covered[g] = 1
-    return True
+    P, flat = _Packing(n), _packed_table(G)
+    closed, words = _packed((0, *conn), n), _packed(list(code), n)
+    if len(words) <= len(closed):
+        parts = [P.composer(closed)(P.lookup(flat[c::n])) for c in words]
+    else:
+        parts = [P.composer(words)(P.lookup(flat[s * n : s * n + n])) for s in closed]
+    return not P.outside(P.ident, P.flat(parts))
 
 
 def find_inverse_closed_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, ...] | None:
@@ -139,16 +138,14 @@ def find_inverse_closed_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, .
     is the first one in canonical coset order over all of G.
     """
     dec = coset_decomposition(G, H)
-    members, size = dec.members, dec.stride
+    P, square, inverse, _ = _lookups(G)
+    members, size, position, inv = dec.members, dec.stride, dec._position, G.inverse
     k = len(members) // size
-    inv = G.inverse
-    t = G.table
-    candidates: list[list[int]] = []
-    for i in range(0, len(members), size):
-        block = members[i : i + size]
-        invol = [g for g in block if t[g][g] == 0]
-        rest = [g for g in block if t[g][g] != 0]
-        candidates.append(invol + rest)
+    # each coset's members, its involutions first (a stable sort), and the
+    # index of the coset of g^-1 for each g and for each member in turn
+    order = sorted(members, key=lambda g: 2 * position[g] + (square[g] != 0))
+    mirror = P.composer(inverse)(P.lookup(position))
+    mirrors = P.composer(members)(mirror)
     chosen: list[int | None] = [None] * k
     chosen[0] = 0
 
@@ -158,9 +155,8 @@ def find_inverse_closed_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, .
         if pos == len(cosets):
             return True
         i = cosets[pos]
-        for cand in candidates[i]:
-            partner = inv[cand]
-            j = dec.coset_of(partner)
+        for cand in order[i * size : i * size + size]:
+            partner, j = inv[cand], mirror[cand]
             if j == i:
                 if partner != cand:
                     continue
@@ -186,9 +182,9 @@ def find_inverse_closed_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, .
             continue
         # the inverses of one coset of HxH meet every right coset of
         # Hx^-1H, and the inverses of one of those meet every coset of HxH
-        component = {dec.coset_of(inv[g]) for g in candidates[start]}
-        mirror = next(iter(component))
-        component.update(dec.coset_of(inv[g]) for g in candidates[mirror])
+        component = set(mirrors[start * size : start * size + size])
+        other = next(iter(component))
+        component.update(mirrors[other * size : other * size + size])
         if not search(sorted(component), 0):
             return None
     return tuple(g for g in chosen if g is not None)
@@ -201,21 +197,22 @@ def connection_set_from_transversal(
     reps = frozenset(T)
     if 0 not in reps:
         raise ValueError("transversal must contain the identity")
-    if any(G.inverse[g] not in reps for g in reps):
+    if not reps.issuperset(map(G.inverse.__getitem__, reps)):
         raise ValueError("transversal must be inverse-closed")
     dec = coset_decomposition(G, H)
-    hit = {dec.coset_of(g) for g in reps}
+    hit = set(map(dec._position.__getitem__, reps))
     k = len(dec.members) // dec.stride
     if len(reps) != k or len(hit) != k:
         raise ValueError("representatives do not form a right transversal")
     return reps - {0}
 
 
-def _odd_index_intersection(G: FiniteGroup, H: Subgroup, x: int) -> bool:
-    """True iff |H| / |H meet H^x| is odd.  H^(hx) = H^x for h in H, so the
-    value is constant on the right coset Hx (and on the double coset HxH)."""
-    size = sum(H.mask >> G.conjugate(h, x) & 1 for h in H)
-    return (len(H) // size) % 2 == 1
+def _meet_size(G: FiniteGroup, P: _Packing, H: Subgroup, x: int, coset: Sequence[int]) -> int:
+    """|H meet H^x| for x in the packed right coset ``coset`` = Hx: x maps it
+    onto xH meet Hx, so it is |H| less the number of xh outside Hx.  As
+    H^(hx) = H^x, it is constant on Hx (and on the double coset HxH)."""
+    xH = P.composer(H.members)(P.lookup(_packed(G.table[x], G.order)))
+    return len(H) - len(P.outside(xH, coset))
 
 
 def square_coset_condition(
@@ -228,19 +225,23 @@ def square_coset_condition(
     otherwise.  ``within`` restricts the ambient group to a subgroup
     containing H.  Both the index and the involution test are constant on
     Hx, so each right coset is decided once, at its least x with x^2 in H.
+    An involution would be such an x, so only the cosets holding no
+    involution and some y with y^2 in H minus 1 are visited, found as zeros
+    of the members' squares and of those through a lookup 0 on H minus 1.
     """
     dec = coset_decomposition(G, H, within)
-    t = G.table
-    inside = bytearray(G.order)  # H's indicator, for the scan over every y
-    for h in H:
-        inside[h] = 1
-    failing = []
+    P, square, _, _ = _lookups(G)
     members, size = dec.members, dec.stride
-    for i in range(0, len(members), size):
-        roots = [y for y in members[i : i + size] if inside[t[y][y]]]
-        # an involution y would be among the roots, since y^2 = 1 lies in H
-        if roots and all(t[y][y] for y in roots) and _odd_index_intersection(G, H, roots[0]):
-            failing.append(roots[0])
+    squares = P.composer(members)(square)
+    find_involution = P.finder(squares)
+    find_root = P.finder(P.composer(squares)(P.zeros(H.members[1:])))
+    failing, r = [], find_root(0, 0, len(members))
+    while r >= 0:
+        i = r - r % size
+        x, end = members[r], i + size
+        if find_involution(0, i, end) < 0 and len(H) // _meet_size(G, P, H, x, members[i:end]) % 2:
+            failing.append(x)
+        r = find_root(0, end, len(members))
     x = min(failing, default=None)
     return CodeVerdict(x is None, Criterion.SQUARE_COSET, counterexample=x)
 
@@ -250,22 +251,25 @@ def double_coset_condition(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
 
     Same verdict semantics as the square-coset scan.  HxH = Hx^-1H exactly
     when x^-1 = a x b for some a, b in H, that is when x b x lies in H for
-    some b in H.  Every test on x is thus constant on the right coset Hx,
-    so the right cosets are walked in representative order, which is also
-    least-x order, and each is decided at its representative.
+    some b in H, or when y = b x of Hx has y^2 = b (x b x) in H.  Every test
+    on x is thus constant on the right coset Hx, so the right cosets are
+    walked in representative order, which is also least-x order, and each
+    is decided at its representative.  A coset holding no involution fails
+    only if some y has y^2 in H minus 1, so only such cosets are visited.
     """
-    t = G.table
-    mask = H.mask
     dec = coset_decomposition(G, H)
+    P, square, _, _ = _lookups(G)
     members, size = dec.members, dec.stride
-    for i in range(0, len(members), size):
-        x = members[i]
-        if (
-            all(t[y][y] for y in members[i : i + size])
-            and any(mask >> t[t[x][b]][x] & 1 for b in H)
-            and _odd_index_intersection(G, H, x)
-        ):
+    squares = P.composer(members)(square)
+    find_involution = P.finder(squares)
+    find_root = P.finder(P.composer(squares)(P.zeros(H.members[1:])))
+    r = find_root(0, 0, len(members))
+    while r >= 0:
+        i = r - r % size
+        x, end = members[i], i + size
+        if find_involution(0, i, end) < 0 and len(H) // _meet_size(G, P, H, x, members[i:end]) % 2:
             return CodeVerdict(False, Criterion.DOUBLE_COSET, counterexample=x)
+        r = find_root(0, end, len(members))
     return CodeVerdict(True, Criterion.DOUBLE_COSET)
 
 
@@ -283,12 +287,13 @@ def omega_coset_sets(
         raise ValueError("H must be contained in N")
     if not is_normal(G, H, N):
         raise ValueError("H must be normal in N")
-    t = G.table
     dec = coset_decomposition(G, H, N)
-    members, size = dec.members, dec.stride
-    quotient = frozenset(x for x in members[::size] if H.mask >> t[x][x] & 1)
-    # the coset at flat index i starts at i - i % size
-    lifted = frozenset(members[i - i % size] for i, y in enumerate(members) if not t[y][y])
+    P, square, _, others = _lookups(G)
+    reps = dec.members[:: dec.stride]
+    quotient = frozenset(x for x, y in zip(reps, P.composer(reps)(square)) if H.mask >> y & 1)
+    # the cosets of N's involutions
+    cosets = P.composer(P.outside(N.members, others))(P.lookup(dec._position))
+    lifted = frozenset(map(reps.__getitem__, set(cosets)))
     return quotient, lifted
 
 

@@ -136,9 +136,13 @@ def _row_verdicts(
     that key.  A statement is evaluated once per row.  ``decide`` seeds the
     statements it evaluated and is the alias of the one that settled it,
     never the original.  Each implementation is read from this module's
-    names at the call, so a wrapper bound over one is what runs.
+    names at the call, so a wrapper bound over one is what runs.  The Sylow
+    chain is computed once, for an even-order H's ``decide`` or the reduction.
     """
     full = full_subgroup(G)
+    even_decide = "decide" in criteria and len(H) % 2 == 0
+    if even_decide or "sylow-reduction" in criteria:
+        H2, N, N2 = sylow_reduction(G, H)
     verdicts: dict[str, bool] = {}
     same_as: dict[str, str] = {}
     memo: dict[tuple, bool] = {}
@@ -156,9 +160,8 @@ def _row_verdicts(
     if "decide" in criteria:
         verdict = decide(G, H)
         verdicts["decide"] = verdict.is_perfect_code
-        if verdict.criterion is not Criterion.ODD_ORDER:
+        if even_decide:
             # decide ran omega on (H2, N2); when that failed, the scan of H in G
-            H2, _, N2 = sylow_reduction(G, H)
             settled = (omega_criterion, H2, N2)
             memo[settled] = verdict.criterion is Criterion.OMEGA_QUOTIENT
             if verdict.criterion is Criterion.SQUARE_COSET:
@@ -179,7 +182,6 @@ def _row_verdicts(
         if size & (size - 1) == 0 or is_normal(G, H):
             ask("omega-quotient", omega_criterion, H, normalizer(G, H))
     if "sylow-reduction" in criteria:
-        H2, N, N2 = sylow_reduction(G, H)
         ask("reduction-h2-in-p", square_coset_condition, H2, sylow_2_overgroup(G, N2))
         ask("reduction-omega-n2", omega_criterion, H2, N2)
         ask("reduction-omega-n", omega_criterion, H2, N)

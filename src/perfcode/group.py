@@ -48,9 +48,12 @@ class FiniteGroup:
     and ``element_orders[a]`` the least k >= 1 with a^k = identity.  All
     tables are precomputed at construction and never mutated.  Derived
     structure goes into a private store that ``per_group`` functions fill
-    lazily and that dies with the group.  A stored value never changes but
-    the least-conjugate class map, which only grows, so threads sharing a
-    group at worst compute one value twice or walk one class twice.
+    lazily and that dies with the group: the packed table, the squares,
+    inverses and non-involutions, the lattice, coset decompositions, Sylow
+    2-subgroups, normalizers, centralizers, the extraspecial classification
+    and the conjugation lookups.  A stored value never changes but the
+    least-conjugate class map, which only grows, so threads sharing a group
+    at worst compute one value twice or walk one class twice.
     """
 
     order: int
@@ -240,6 +243,36 @@ class _Packing:
     def outside(self, seq: Sequence[int], drop: Sequence[int]):
         """The entries of ``seq`` not in ``drop``."""
         return seq.translate(None, drop) if self.small else set(seq).difference(drop)
+
+    def zeros(self, members: Sequence[int]) -> Sequence[int]:
+        """A lookup 0 exactly at ``members``, else the identity (but 0 -> 1)."""
+        if self.small:
+            return bytes.maketrans(b"\0" + members, b"\1" + bytes(len(members)))
+        drop = set(members)
+        return tuple(0 if g in drop else g or 1 for g in self.ident)
+
+    def finder(self, seq: Sequence[int]):
+        """The map (v, start, stop) -> the first index of v in seq[start:stop], or -1."""
+        if self.small:
+            return seq.find
+        return lambda v, start, stop: next((i for i in range(start, stop) if seq[i] == v), -1)
+
+
+@per_group
+def _lookups(G: FiniteGroup) -> tuple:
+    """G's ``_Packing`` with, in the forms it operates on, the lookups of
+    g -> g^2 and g -> g^-1 and the packed {g : g^2 != 1}; O(n), once per group."""
+    n, t = G.order, G.table
+    P = _Packing(n)
+    square = [t[g][g] for g in range(n)]
+    others = _packed([g for g in range(n) if square[g]], n)
+    return P, P.lookup(_packed(square, n)), P.lookup(_packed(G.inverse, n)), others
+
+
+@per_group
+def _packed_table(G: FiniteGroup) -> Sequence[int]:
+    """G's rows end to end, packed once: column c is the slice ``[c::n]``."""
+    return _Packing(G.order).flat([_packed(row, G.order) for row in G.table])
 
 
 def _ints(values: Sequence, what: str) -> Sequence:

@@ -17,6 +17,7 @@ from .group import (
     Subgroup,
     _Packing,
     _packed,
+    _packed_table,
     bitmask,
     full_subgroup,
     generate,
@@ -79,9 +80,7 @@ def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
     long as this call.
     """
     n, t, inv, orders = G.order, G.table, G.inverse, G.element_orders
-    P = _Packing(n)
-    rows = [_packed(row, n) for row in t]
-    flat = P.flat(rows)
+    P, flat = _Packing(n), _packed_table(G)
     prime = [p[0] if len(p) == 1 else 0 for p in map(_prime_factors, orders)]
     root_bit = [0] * n
     covered, cyclic_mask, columns, conjugation = 0, {}, {}, {}
@@ -94,7 +93,7 @@ def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
             root_bit[powers[prime[z] % orders[z]]] |= 1 << z
             cyclic_mask[z] = bitmask(powers)
             columns[z] = P.lookup(flat[z::n])
-            conjugation[z] = P.lookup(P.composer(rows[inv[z]])(columns[z]))
+            conjugation[z] = P.lookup(P.composer(flat[inv[z] * n : inv[z] * n + n])(columns[z]))
 
     subs: dict[Sequence[int], tuple] = {P.ident[:1]: (1, P.ident[:1], (), root_bit[0])}
     passed_over: dict[Sequence[int], int] = {}
@@ -382,10 +381,10 @@ def _generator_conjugations(G: FiniteGroup) -> tuple:
     """Each non-central generator x of G with the lookup of its conjugation
     y -> x^-1 y x; a central one fixes every subgroup."""
     n, t, inv = G.order, G.table, G.inverse
-    P = _Packing(n)
+    P, flat = _Packing(n), _packed_table(G)
     gens = full_subgroup(G).generators
     return tuple(
-        (x, P.lookup(_packed([t[r][x] for r in t[inv[x]]], n)))
+        (x, P.lookup(P.composer(flat[inv[x] * n : inv[x] * n + n])(P.lookup(flat[x::n]))))
         for x in gens
         if any(t[x][g] != t[g][x] for g in gens)
     )

@@ -108,6 +108,20 @@ def brute_inverse_closed_transversal_exists(G: FiniteGroup, H: Subgroup) -> bool
     return False
 
 
+def brute_first_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, ...] | None:
+    """The first inverse-closed right transversal in lexicographic order over
+    the right cosets in order of their least elements, each coset listing
+    its involutions (and 1) first, then the rest, each part increasing."""
+    t, inv = G.table, G.inverse
+    cosets = brute_right_cosets(G, H.elements)
+    blocks = [sorted(c, key=lambda g: (t[g][g] != 0, g)) for c in cosets]
+    for combo in product(*blocks):
+        chosen = set(combo)
+        if all(inv[g] in chosen for g in chosen):
+            return combo
+    return None
+
+
 def brute_is_perfect_code(G: FiniteGroup, S, C) -> bool:
     """C is a perfect code of Cay(G, S), where x ~ y iff y x^-1 lies in S:
     no two code words are adjacent and every other vertex is adjacent to

@@ -9,12 +9,15 @@ from enum import IntEnum
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     as_subgroup,
     brute_double_coset_counterexample,
+    brute_first_transversal,
     brute_inverse_closed_transversal_exists,
     brute_is_perfect_code,
+    brute_right_cosets,
     brute_square_coset_counterexample,
     conjugate_subgroup,
     reduction_statements,
@@ -39,11 +42,18 @@ from perfcode.codes import (
 from perfcode.corpus import builtin_corpus
 from perfcode.group import (
     FiniteGroup,
+    _lookups,
+    _Packing,
     closure,
     full_subgroup,
     trivial_subgroup,
 )
-from perfcode.subgroups import all_subgroups, normalizer, sylow_2_overgroup
+from perfcode.subgroups import (
+    all_subgroups,
+    coset_decomposition,
+    normalizer,
+    sylow_2_overgroup,
+)
 
 
 def test_connection_set_rejects_identity(d8):
@@ -507,3 +517,141 @@ def test_verdict_json_with_witness(s4, s4_elem):
     doc = verdict_to_json(s4, H, decide(s4, H, with_witness=True))
     assert doc["is_perfect_code"] is True
     assert len(doc["witness"]) == 12
+
+
+def _brute_omega_sets(G: FiniteGroup, N, H) -> tuple[frozenset[int], frozenset[int]]:
+    """The involution cosets of N/H and the cosets holding an element of
+    order at most 2, by their least elements, from the cosets themselves."""
+    cosets = brute_right_cosets(G, H.elements, N.elements)
+    quotient = frozenset(c[0] for c in cosets if G.mul(c[0], c[0]) in H)
+    lifted = frozenset(c[0] for c in cosets if any(G.mul(y, y) == 0 for y in c))
+    return quotient, lifted
+
+
+def _swapped_pair(G: FiniteGroup, S: frozenset[int]) -> frozenset[int] | None:
+    """S with its first inverse pair {g, g^-1} replaced by the first pair
+    outside S, so |S| is kept and only the cover test can reject it."""
+    inv = G.inverse
+    old = next((g for g in sorted(S) if inv[g] != g), None)
+    new = next((g for g in G.elements() if g and inv[g] != g and g not in S), None)
+    if old is None or new is None:
+        return None
+    return S - {old, inv[old]} | {new, inv[new]}
+
+
+def _check_scans(G: FiniteGroup, subgroups, double_max: int) -> None:
+    """Each packed scan against its oracle on every subgroup given: the
+    coset counterexamples (double-coset only up to order ``double_max``),
+    the involution cosets in the normalizer and in the Sylow chain, the
+    graph check on each witness, on it with one inverse pair dropped and
+    with one pair swapped, and on the least coset representatives as a
+    code of Cay(G, H - 1), and |H meet H^x| by definition for every x."""
+    inv = G.inverse
+    for H in subgroups:
+        members = H.elements
+        assert square_coset_condition(G, H).counterexample == (
+            brute_square_coset_counterexample(G, members)
+        ), H.indices()
+        if len(H) <= double_max:
+            assert double_coset_condition(G, H).counterexample == (
+                brute_double_coset_counterexample(G, members)
+            ), H.indices()
+        N = normalizer(G, H)
+        assert omega_coset_sets(G, N, H) == _brute_omega_sets(G, N, H), H.indices()
+        if len(H) % 2 == 0:
+            H2, N1, N2 = sylow_reduction(G, H)
+            P = sylow_2_overgroup(G, N2)
+            assert square_coset_condition(G, H2, P).counterexample == (
+                brute_square_coset_counterexample(G, H2.elements, P.elements)
+            )
+            for M in (N1, N2):
+                assert omega_coset_sets(G, M, H2) == _brute_omega_sets(G, M, H2)
+        witness = find_inverse_closed_transversal(G, H)
+        if witness is not None:
+            S = connection_set_from_transversal(G, H, witness)
+            assert is_perfect_code_in_cayley_graph(G, S, H), H.indices()
+            assert brute_is_perfect_code(G, S, members)
+            pair = next((g for g in sorted(S) if inv[g] != g), None)
+            variants = [_swapped_pair(G, S)]
+            if pair is not None:
+                variants.append(S - {pair, inv[pair]})
+            for V in filter(None, variants):
+                expected = brute_is_perfect_code(G, V, members)
+                assert is_perfect_code_in_cayley_graph(G, V, H) == expected, H.indices()
+        dec = coset_decomposition(G, H)
+        # the closed neighbourhoods Ht of the least coset representatives t
+        # in Cay(G, H - 1) partition G, though t H need not
+        reps, dual = dec.representatives, members - {0}
+        assert is_perfect_code_in_cayley_graph(G, dual, reps), H.indices()
+        assert brute_is_perfect_code(G, dual, reps)
+        P, s = _Packing(G.order), dec.stride
+        for x in G.elements():
+            i = dec.coset_of(x) * s
+            meet = sum(G.conjugate(h, x) in members for h in members)
+            assert codes._meet_size(G, P, H, x, dec.members[i : i + s]) == meet, (H.indices(), x)
+
+
+def test_scans_above_order_256_match_oracles(monkeypatch):
+    """Order 264 runs every scan on tuples and arrays, not bytes."""
+    monkeypatch.setenv("PCL_MAX_ORDER", "300")
+    G = construct.build_named("product(s4,cyclic(11))")
+    assert G.order == 264 and not _lookups(G)[0].small
+    subs = all_subgroups(G, None, G.order)
+    assert len(subs) == 60
+    _check_scans(G, subs, double_max=24)
+    verdicts = [square_coset_condition(G, H).is_perfect_code for H in subs]
+    assert 0 < verdicts.count(False) < len(subs)
+
+
+_DIFFERENTIAL_GROUPS = {
+    spec: construct.build_named(spec)
+    for spec in (
+        "sl23", "product(dihedral(8),cyclic(3))", "product(s4,cyclic(2))", "product(q8,cyclic(6))"
+    )
+}
+
+
+@st.composite
+def _relabelled_groups(draw):
+    """One of the groups above with its elements renamed at random, so the
+    identity usually leaves index 0 and canonicalization runs."""
+    spec = draw(st.sampled_from(sorted(_DIFFERENTIAL_GROUPS)))
+    G = _DIFFERENTIAL_GROUPS[spec]
+    perm = draw(st.permutations(range(G.order)))
+    return FiniteGroup.from_table(relabel_rows(G, perm), name=spec)
+
+
+@given(_relabelled_groups())
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_scans_match_oracles_on_relabelled_groups(G):
+    _check_scans(G, all_subgroups(G), double_max=G.order)
+
+
+@pytest.mark.parametrize(
+    "spec", ["dihedral(8)", "q8", "a4", "s4", "sl23", "product(dihedral(8),cyclic(3))"]
+)
+def test_witness_is_the_first_transversal_trying_involutions_first(spec):
+    """The search returns the lexicographically first inverse-closed
+    transversal, each coset trying its involutions first: the witness bytes
+    that reports carry."""
+    G = construct.build_named(spec)
+    for H in all_subgroups(G):
+        assert find_inverse_closed_transversal(G, H) == brute_first_transversal(G, H), H.indices()
+
+
+@pytest.mark.parametrize("n", [24, 256, 264])
+def test_packing_zeros_and_finder(n):
+    """Both packings: ``zeros`` is 0 exactly at the members given, the
+    identity among them or not, and ``finder`` finds the first value in a
+    range or gives -1."""
+    P = _Packing(n)
+    assert P.small == (n <= 256)
+    for members in ([0, 3, n - 1], [2, 5], []):
+        packed = (bytes if P.small else tuple)(members)
+        zeros = P.zeros(packed)
+        assert [g for g in range(n) if not zeros[g]] == members
+        assert all(zeros[g] == g for g in range(1, n) if g not in members)
+    seq = P.composer((bytes if P.small else tuple)([1, 0, 2, 0, 1]))(P.lookup(P.ident))
+    find = P.finder(seq)
+    found = [find(0, 0, 5), find(0, 2, 5), find(0, 4, 5), find(1, 1, 4), find(2, 0, 2)]
+    assert found == [1, 3, -1, -1, -1]

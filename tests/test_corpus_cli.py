@@ -272,6 +272,29 @@ def test_cross_check_evaluates_each_statement_once(monkeypatch, d8):
     assert calls == {"omega": 10, "square": 10} and report.summary["rows"] == 10
 
 
+@pytest.mark.parametrize("criteria", [None, ("decide", "square-coset")])
+def test_cross_check_computes_the_sylow_chain_once_per_row(monkeypatch, criteria):
+    """decide's statement and the reduction keys share one chain: a row
+    computes it once when the reduction keys are selected, and otherwise
+    once for each even-order H that decide reads it for."""
+    calls = []
+    chain = corpus_module.sylow_reduction
+
+    def counted(G, H):
+        calls.append((G.name, H.mask))
+        return chain(G, H)
+
+    monkeypatch.setattr(corpus_module, "sylow_reduction", counted)
+    report = cross_check(builtin_corpus(), criteria=criteria, max_order=32)
+    rows = [(r["group"], sum(1 << g for g in r["subgroup"])) for r in report.rows]
+    if criteria is None:
+        expected = rows
+    else:
+        expected = [(name, mask) for name, mask in rows if mask.bit_count() % 2 == 0]
+    assert report.summary["rows"] == 509 and len(expected) >= 441
+    assert calls == expected
+
+
 def test_cross_check_catches_omega_fault_that_decide_hides(monkeypatch, d8):
     # an involution-coset comparison that always fails: decide falls back to
     # the square-coset scan and still finds the codes, so only the omega
