@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Collection, Iterable, Sequence
 
-from .group import FiniteGroup, Subgroup, _ints, _lookups, _packed, _packed_table, _Packing
+from .group import FiniteGroup, Subgroup, _indices, _lookups, _packed, _Packing
 from .subgroups import (
     coset_decomposition,
     is_normal,
@@ -40,15 +40,11 @@ class Criterion(str, Enum):
 
 
 def _as_elements(G: FiniteGroup, elements: Subgroup | Iterable[int]) -> Collection[int]:
-    """A subgroup's packed members, or else ``elements`` as indices checked
-    to be exact ints in range."""
+    """A subgroup's packed members, or else the set of ``elements``, each
+    checked by ``group._indices``."""
     if isinstance(elements, Subgroup):
         return elements.members
-    members = frozenset(_ints(tuple(elements), "element list"))
-    for g in members:
-        if not 0 <= g < G.order:
-            raise ValueError(f"element index {g} out of range for order {G.order}")
-    return members
+    return frozenset(_indices(G, elements, "element list"))
 
 
 def connection_set(G: FiniteGroup, elements: Iterable[int]) -> frozenset[int]:
@@ -110,7 +106,7 @@ def is_perfect_code_in_cayley_graph(
     n = G.order
     if len(code) * (len(conn) + 1) != n:
         return False
-    P, flat = _Packing(n), _packed_table(G)
+    P, flat = _Packing(n), G.packed
     closed, words = _packed((0, *conn), n), _packed(list(code), n)
     if len(words) <= len(closed):
         parts = [P.composer(closed)(P.lookup(flat[c::n])) for c in words]
@@ -194,7 +190,7 @@ def connection_set_from_transversal(
     G: FiniteGroup, H: Subgroup, T: Iterable[int]
 ) -> frozenset[int]:
     """S = T minus the identity, the Cayley graph admitting H as a code."""
-    reps = frozenset(T)
+    reps = frozenset(_as_elements(G, T))
     if 0 not in reps:
         raise ValueError("transversal must contain the identity")
     if not reps.issuperset(map(G.inverse.__getitem__, reps)):
@@ -211,7 +207,7 @@ def _meet_size(G: FiniteGroup, P: _Packing, H: Subgroup, x: int, coset: Sequence
     """|H meet H^x| for x in the packed right coset ``coset`` = Hx: x maps it
     onto xH meet Hx, so it is |H| less the number of xh outside Hx.  As
     H^(hx) = H^x, it is constant on Hx (and on the double coset HxH)."""
-    xH = P.composer(H.members)(P.lookup(_packed(G.table[x], G.order)))
+    xH = P.composer(H.members)(P.lookup(G.packed[x * P.n : (x + 1) * P.n]))
     return len(H) - len(P.outside(xH, coset))
 
 
@@ -250,26 +246,24 @@ def double_coset_condition(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
     """Scan every x with HxH = Hx^-1H and odd |H : H meet H^x|.
 
     Same verdict semantics as the square-coset scan.  HxH = Hx^-1H exactly
-    when x^-1 = a x b for some a, b in H, that is when x b x lies in H for
-    some b in H, or when y = b x of Hx has y^2 = b (x b x) in H.  Every test
-    on x is thus constant on the right coset Hx, so the right cosets are
-    walked in representative order, which is also least-x order, and each
-    is decided at its representative.  A coset holding no involution fails
-    only if some y has y^2 in H minus 1, so only such cosets are visited.
+    when the coset of x^-1 lies in the orbit of Hx under H, that is when Hx
+    is the coset of (hx)^-1 for some h in H.  Every test on x is thus
+    constant on the right coset Hx, so the right cosets holding no element
+    of order at most 2 are walked in representative order, which is also
+    least-x order, and each is decided at its representative.  No lookup is
+    shared with the square-coset scan's search for square roots of H.
     """
     dec = coset_decomposition(G, H)
-    P, square, _, _ = _lookups(G)
-    members, size = dec.members, dec.stride
-    squares = P.composer(members)(square)
-    find_involution = P.finder(squares)
-    find_root = P.finder(P.composer(squares)(P.zeros(H.members[1:])))
-    r = find_root(0, 0, len(members))
-    while r >= 0:
-        i = r - r % size
-        x, end = members[i], i + size
-        if find_involution(0, i, end) < 0 and len(H) // _meet_size(G, P, H, x, members[i:end]) % 2:
+    P, _, inverse, others = _lookups(G)
+    members, size, position = dec.members, dec.stride, P.lookup(dec._position)
+    # the coset of g^-1 for each member g, and the cosets of 1 and the involutions
+    find_mirror = P.finder(P.composer(P.composer(members)(inverse))(position))
+    lifted = P.composer(P.outside(P.ident, others))(position)
+    for i in sorted(P.outside(P.ident[: len(members) // size], lifted)):
+        start = i * size
+        x, end = members[start], start + size
+        if find_mirror(i, start, end) >= 0 and len(H) // _meet_size(G, P, H, x, members[start:end]) % 2:
             return CodeVerdict(False, Criterion.DOUBLE_COSET, counterexample=x)
-        r = find_root(0, end, len(members))
     return CodeVerdict(True, Criterion.DOUBLE_COSET)
 
 

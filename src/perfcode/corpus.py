@@ -12,7 +12,6 @@ from . import construct
 from .codes import (
     GRAPH_SEARCH_CAP,
     Criterion,
-    connection_set_from_transversal,
     decide,
     double_coset_condition,
     find_inverse_closed_transversal,
@@ -171,16 +170,14 @@ def _row_verdicts(
         T = find_inverse_closed_transversal(G, H)
         verdicts["transversal"] = T is not None
         if T is not None:
-            S = connection_set_from_transversal(G, H, T)
-            verdicts["graph-witness"] = is_perfect_code_in_cayley_graph(G, S, H)
+            # the graph check shows T an inverse-closed transversal holding 1
+            verdicts["graph-witness"] = is_perfect_code_in_cayley_graph(G, set(T) - {0}, H)
     if "square-coset" in criteria:
         ask("square-coset", square_coset_condition, H, full)
     if "double-coset" in criteria:
-        verdicts["double-coset"] = double_coset_condition(G, H).is_perfect_code
-    if "omega-quotient" in criteria:
-        size = len(H)
-        if size & (size - 1) == 0 or is_normal(G, H):
-            ask("omega-quotient", omega_criterion, H, normalizer(G, H))
+        ask("double-coset", double_coset_condition, H)
+    if "omega-quotient" in criteria and (len(H) & (len(H) - 1) == 0 or is_normal(G, H)):
+        ask("omega-quotient", omega_criterion, H, normalizer(G, H))
     if "sylow-reduction" in criteria:
         ask("reduction-h2-in-p", square_coset_condition, H2, sylow_2_overgroup(G, N2))
         ask("reduction-omega-n2", omega_criterion, H2, N2)
@@ -189,13 +186,9 @@ def _row_verdicts(
     if "graph" in criteria and G.order <= GRAPH_SEARCH_CAP:
         verdicts["graph"] = search_connection_set(G, H) is not None
     if "extraspecial" in tags:
-        verdicts["extraspecial-classification"] = classify_extraspecial(
-            G, H
-        ).is_perfect_code
+        ask("extraspecial-classification", classify_extraspecial, H)
     if "sylow2-extraspecial" in tags:
-        verdicts["sylow-extraspecial-classification"] = classify_sylow_extraspecial(
-            G, H
-        ).is_perfect_code
+        ask("sylow-extraspecial-classification", classify_sylow_extraspecial, H)
     if settled in first:
         same_as["decide"] = first[settled]
     return verdicts, same_as
@@ -234,7 +227,7 @@ def cross_check(
         if G.order > max_order:
             continue
         groups_run += 1
-        subs = all_subgroups(G, None, max(128, max_order))
+        subs = all_subgroups(G, None, G.order)
         if dedupe_conjugates:
             reps: dict[int, Subgroup] = {}
             for rep in (minimal_conjugate(G, H) for H in subs):

@@ -15,7 +15,6 @@ from .group import FiniteGroup, Subgroup, check_order, full_subgroup, omega1, pe
 from .subgroups import (
     center,
     is_abelian_subgroup,
-    is_maximal_abelian,
     is_normal,
     normalizer,
     sylow_2_subgroup,
@@ -140,7 +139,9 @@ def classify_extraspecial(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
     H is a perfect code exactly when it is trivial, non-abelian, abelian but
     not normal, or a maximal abelian subgroup of a GM1-family group.  (The
     trivial subgroup is always a code: the whole group is an inverse-closed
-    transversal.)
+    transversal.)  A normal H != 1 contains Z(G), and the abelian subgroups
+    over Z(G) are the totally isotropic subspaces of G/Z(G) = F_2^(2m), the
+    maximal ones of dimension m: so |H|^2 = 2|G| decides the last clause.
     """
     cls = is_extraspecial(G)
     if not cls.is_extraspecial:
@@ -151,7 +152,7 @@ def classify_extraspecial(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
         return CodeVerdict(True, Criterion.EXTRASPECIAL)
     if not is_normal(G, H):
         return CodeVerdict(True, Criterion.EXTRASPECIAL)
-    if is_maximal_abelian(G, H) and cls.family is Family.GM1:
+    if len(H) ** 2 == 2 * G.order and cls.family is Family.GM1:
         return CodeVerdict(True, Criterion.EXTRASPECIAL)
     return CodeVerdict(False, Criterion.EXTRASPECIAL)
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import inspect
 import json
 import os
-from array import array
 from dataclasses import dataclass, field
 from functools import wraps
 from itertools import chain
@@ -45,21 +44,24 @@ class FiniteGroup:
     """A group of order n on indices 0..n-1 with the identity pinned at 0.
 
     ``table[a][b]`` is the product a*b, ``inverse[a]`` the inverse of ``a``,
-    and ``element_orders[a]`` the least k >= 1 with a^k = identity.  All
-    tables are precomputed at construction and never mutated.  Derived
-    structure goes into a private store that ``per_group`` functions fill
-    lazily and that dies with the group: the packed table, the squares,
-    inverses and non-involutions, the lattice, coset decompositions, Sylow
-    2-subgroups, normalizers, centralizers, the extraspecial classification
-    and the conjugation lookups.  A stored value never changes but the
-    least-conjugate class map, which only grows, so threads sharing a group
-    at worst compute one value twice or walk one class twice.
+    ``element_orders[a]`` the least k >= 1 with a^k = identity, and
+    ``packed`` the rows end to end as validation packed them (row a is a
+    slice, column c the stride slice ``[c::n]``).  All are built at
+    construction and never mutated.  Derived structure goes into a private
+    store that ``per_group`` functions fill lazily and that dies with the
+    group: the squares, inverses and non-involutions, the lattice, coset
+    decompositions, Sylow 2-subgroups, normalizers, centralizers, the
+    extraspecial classification and the conjugation lookups.  A stored value
+    never changes but the least-conjugate class map, which only grows, so
+    threads sharing a group at worst compute one value twice or walk one
+    class twice.
     """
 
     order: int
     table: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
     element_orders: tuple[int, ...]
+    packed: Sequence[int]
     name: str | None = None
     _store: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -77,10 +79,10 @@ class FiniteGroup:
             raise ValueError("group table must be non-empty")
         P = _Packing(n)
         rows = _canonicalize_rows(_packed_rows(rows, P), P)
-        inverse = _validate_rows(rows, P)
+        inverse, packed = _validate_rows(rows, P)
         table = tuple(map(tuple, rows))
         orders = tuple(_order_of(table, g) for g in range(n))
-        return cls(order=n, table=table, inverse=inverse, element_orders=orders, name=name)
+        return cls(n, table, inverse, orders, packed, name)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -153,11 +155,9 @@ class Subgroup:
 
 
 def _packed(values: Iterable[int], n: int) -> Sequence[int]:
-    """``values``, each below n, as ``bytes`` when n <= 256 and otherwise
-    as an ``array`` of the narrowest unsigned type that holds n - 1."""
-    if n <= 256:
-        return bytes(values)
-    return array(next(c for c in "HIQ" if n <= 1 << 8 * array(c).itemsize), values)
+    """``values``, each below n, in the form ``_Packing`` operates on:
+    ``bytes`` when n <= 256 and otherwise a tuple."""
+    return bytes(values) if n <= 256 else tuple(values)
 
 
 def bitmask(elems: Iterable[int]) -> int:
@@ -261,18 +261,13 @@ class _Packing:
 @per_group
 def _lookups(G: FiniteGroup) -> tuple:
     """G's ``_Packing`` with, in the forms it operates on, the lookups of
-    g -> g^2 and g -> g^-1 and the packed {g : g^2 != 1}; O(n), once per group."""
-    n, t = G.order, G.table
+    g -> g^2 (the diagonal of ``G.packed``) and g -> g^-1 and the packed
+    {g : g^2 != 1}; O(n), once per group."""
+    n = G.order
     P = _Packing(n)
-    square = [t[g][g] for g in range(n)]
+    square = G.packed[:: n + 1]
     others = _packed([g for g in range(n) if square[g]], n)
-    return P, P.lookup(_packed(square, n)), P.lookup(_packed(G.inverse, n)), others
-
-
-@per_group
-def _packed_table(G: FiniteGroup) -> Sequence[int]:
-    """G's rows end to end, packed once: column c is the slice ``[c::n]``."""
-    return _Packing(G.order).flat([_packed(row, G.order) for row in G.table])
+    return P, P.lookup(square), P.lookup(_packed(G.inverse, n)), others
 
 
 def _ints(values: Sequence, what: str) -> Sequence:
@@ -281,6 +276,16 @@ def _ints(values: Sequence, what: str) -> Sequence:
     if countOf(map(type, values), int) != len(values):
         v = next(v for v in values if type(v) is not int)
         raise ValueError(f"{what} entry {v!r} is not an integer")
+    return values
+
+
+def _indices(G: FiniteGroup, values: Iterable, what: str) -> tuple:
+    """``values`` as a tuple of indices of G's elements, or the ValueError
+    of ``_ints`` or of the first entry outside 0..n-1."""
+    values = _ints(tuple(values), what)
+    for g in values:
+        if not 0 <= g < G.order:
+            raise ValueError(f"{what} entry {g} out of range for order {G.order}")
     return values
 
 
@@ -323,9 +328,10 @@ def _relabel(table: Sequence[Sequence[int]], old: list[int]) -> list[tuple[int, 
     return [tuple(map(pos.__getitem__, map(table[a].__getitem__, old))) for a in old]
 
 
-def _validate_rows(rows: list, P: _Packing) -> tuple[int, ...]:
-    """Check the group axioms; return the inverses.  The caller has already
-    put a verified two-sided identity at index 0 (``_canonicalize_rows``).
+def _validate_rows(rows: list, P: _Packing) -> tuple[tuple[int, ...], Sequence[int]]:
+    """Check the group axioms; return the inverses and the rows end to end
+    (``FiniteGroup.packed``).  The caller has already put a verified
+    two-sided identity at index 0 (``_canonicalize_rows``).
 
     Associativity uses Light's test (Clifford & Preston, *The Algebraic
     Theory of Semigroups* I, 1961): the set of a with (xa)y = x(ay) for all
@@ -350,7 +356,7 @@ def _validate_rows(rows: list, P: _Packing) -> tuple[int, ...]:
             if left != right:
                 y = next(y for y in range(n) if left[y] != right[y])
                 raise ValueError(f"associativity fails at triple ({x}, {a}, {y})")
-    return inverse
+    return inverse, flat
 
 
 def _right_generators(rows: list) -> list[int]:
@@ -549,10 +555,7 @@ def join_element(
 
 def closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Least subgroup containing ``gens``; the empty list gives the trivial one."""
-    gen_list = _ints(tuple(gens), "generator list")
-    for g in gen_list:
-        if not 0 <= g < G.order:
-            raise ValueError(f"generator index {g} out of range for order {G.order}")
+    gen_list = _indices(G, gens, "generator list")
     elems = generate(G, gen_list)[0]
     return Subgroup(bitmask(elems), elems, gen_list)
 

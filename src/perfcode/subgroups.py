@@ -17,7 +17,6 @@ from .group import (
     Subgroup,
     _Packing,
     _packed,
-    _packed_table,
     bitmask,
     full_subgroup,
     generate,
@@ -80,7 +79,7 @@ def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
     long as this call.
     """
     n, t, inv, orders = G.order, G.table, G.inverse, G.element_orders
-    P, flat = _Packing(n), _packed_table(G)
+    P, flat = _Packing(n), G.packed
     prime = [p[0] if len(p) == 1 else 0 for p in map(_prime_factors, orders)]
     root_bit = [0] * n
     covered, cyclic_mask, columns, conjugation = 0, {}, {}, {}
@@ -381,7 +380,7 @@ def _generator_conjugations(G: FiniteGroup) -> tuple:
     """Each non-central generator x of G with the lookup of its conjugation
     y -> x^-1 y x; a central one fixes every subgroup."""
     n, t, inv = G.order, G.table, G.inverse
-    P, flat = _Packing(n), _packed_table(G)
+    P, flat = _Packing(n), G.packed
     gens = full_subgroup(G).generators
     return tuple(
         (x, P.lookup(P.composer(flat[inv[x] * n : inv[x] * n + n])(P.lookup(flat[x::n]))))

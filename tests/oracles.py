@@ -33,7 +33,9 @@ with ``square_coset_condition`` and ``omega_coset_sets``.
 middle factors from ``_right_generators``: which failing triple comes first
 depends on them.  So does ``reference_table``, the per-entry table
 validator that the packed-row one in ``FiniteGroup.from_table`` must match
-message for message.
+message for message.  ``permutation_groups``, the hypothesis strategy of
+random groups that the property tests share, builds each with
+``group_from_permutations``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ from itertools import product
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+from hypothesis import strategies as st
+
 from perfcode.codes import omega_coset_sets, square_coset_condition, sylow_reduction
 from perfcode.extraspecial import Family, _central_involution, build_family, is_extraspecial
 from perfcode.group import (
@@ -54,6 +58,7 @@ from perfcode.group import (
     closure_elements,
     full_subgroup,
     generate,
+    group_from_permutations,
     join_element,
     per_group,
     subgroup_as_group,
@@ -61,6 +66,15 @@ from perfcode.group import (
 from perfcode.subgroups import _prime_factors, all_subgroups, is_abelian_subgroup, sylow_2_overgroup
 
 DEFAULT_ISOMORPHISM_CAP = 64
+
+
+@st.composite
+def permutation_groups(draw, min_degree: int = 1, max_degree: int = 5):
+    """The group that 1-3 random permutations of degree ``min_degree`` to
+    ``max_degree`` generate: random groups for the property tests."""
+    degree = draw(st.integers(min_value=min_degree, max_value=max_degree))
+    count = draw(st.integers(min_value=1, max_value=3))
+    return group_from_permutations([draw(st.permutations(range(degree))) for _ in range(count)])
 
 
 def brute_subgroups(G: FiniteGroup) -> list[frozenset[int]]:

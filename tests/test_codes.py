@@ -112,6 +112,21 @@ def test_element_indices_must_be_exact_ints(d8, bad):
         connection_set(d8, [bad, 3])
     with pytest.raises(ValueError, match=message):
         is_perfect_code_in_cayley_graph(d8, set(range(1, 8)), [bad])
+    with pytest.raises(ValueError, match=message):
+        connection_set_from_transversal(d8, closure(d8, [2]), [0, bad])
+
+
+@pytest.mark.parametrize("bad", [-1, 8, 1 << 70])
+def test_element_lists_reject_indices_out_of_range(d8, bad):
+    # one check serves every element list from outside: a ValueError that
+    # names the entry, never an IndexError from a lookup deeper down
+    message = f"list entry {bad} out of range for order 8"
+    with pytest.raises(ValueError, match=message):
+        connection_set_from_transversal(d8, closure(d8, [2]), [0, bad])
+    with pytest.raises(ValueError, match=message):
+        is_perfect_code_in_cayley_graph(d8, set(range(1, 8)), [0, bad])
+    with pytest.raises(ValueError, match=message):
+        closure(d8, [2, bad])
 
 
 def _inverse_pairs(G: FiniteGroup) -> list[frozenset[int]]:

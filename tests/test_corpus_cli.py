@@ -6,9 +6,10 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import relabel_rows
-from perfcode import cli, codes, construct, extraspecial
+from oracles import permutation_groups, relabel_rows
+from perfcode import cli, codes, construct, extraspecial, group
 from perfcode import corpus as corpus_module
 from perfcode.codes import decide, search_connection_set
 from perfcode.corpus import (
@@ -309,6 +310,51 @@ def test_cross_check_catches_omega_fault_that_decide_hides(monkeypatch, d8):
     assert row["verdicts"]["omega-quotient"] is False
     assert row["agree"] is False
     assert report.summary["disagreements"] >= 1
+
+
+def test_double_coset_vote_does_not_share_the_square_coset_root_search(monkeypatch):
+    # a lookup that misses H's last member hides roots from the square-coset
+    # scan alone: the double-coset scan tests HxH = Hx^-1H through inverses
+    # and coset positions, so the two votes split on some row
+    zeros = group._Packing.zeros
+    monkeypatch.setattr(group._Packing, "zeros", lambda P, members: zeros(P, members[:-1]))
+    report = cross_check(builtin_corpus(), max_order=32)
+    split = [r for r in report.rows if r["verdicts"]["square-coset"] != r["verdicts"]["double-coset"]]
+    assert split and report.summary["disagreements"] >= len(split)
+
+
+# groups of order at most 64: generated by random permutations of degree 4
+# or 5, or the direct product of two such groups of degree 3-4 and 2-3
+_RANDOM_GROUPS = st.one_of(
+    permutation_groups(min_degree=4),
+    st.builds(
+        construct.direct_product,
+        permutation_groups(min_degree=3, max_degree=4),
+        permutation_groups(min_degree=2, max_degree=3),
+    ),
+).filter(lambda G: G.order <= 64)
+
+
+@given(_RANDOM_GROUPS)
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_random_groups_cross_check(G):
+    report = cross_check([make_entry(G)], max_order=64)
+    votes = min(len(r["verdicts"]) - len(r["same_as"]) for r in report.rows)
+    s = report.summary
+    assert (s["disagreements"], s["unchecked"], votes >= 2) == (0, 0, True), (G.order, s, votes)
+
+
+@given(_RANDOM_GROUPS, st.data())
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_random_groups_decide_alike_when_relabelled_or_conjugated(G, data):
+    n = G.order
+    perm = [0] + data.draw(st.permutations(range(1, n)))
+    R = FiniteGroup.from_table(relabel_rows(G, perm))
+    x = data.draw(st.integers(min_value=0, max_value=n - 1))
+    for H in all_subgroups(G):
+        code = decide(G, H).is_perfect_code
+        assert decide(R, closure(R, [perm[h] for h in H.generators])).is_perfect_code == code
+        assert decide(G, closure(G, [G.conjugate(h, x) for h in H.generators])).is_perfect_code == code
 
 
 def test_report_rejects_unknown_format(d8):

@@ -40,6 +40,7 @@ from perfcode.group import (
 from perfcode.subgroups import (
     all_subgroups,
     center,
+    is_abelian_subgroup,
     is_maximal_abelian,
     is_normal,
     sylow_2_subgroup,
@@ -301,6 +302,19 @@ def test_maximal_abelian_shapes_match_family():
         for H in all_subgroups(G):
             if is_maximal_abelian(G, H):
                 assert len(H) == 2 ** (m + 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_order_rule_is_the_maximal_abelian_test_on_abelian_normal_subgroups(m):
+    # the rule classify_extraspecial decides its last clause by, both ways
+    for family in Family:
+        G = build_family(m, family)
+        found = {
+            (len(H) ** 2 == 2 * G.order, is_maximal_abelian(G, H))
+            for H in all_subgroups(G)
+            if is_abelian_subgroup(G, H) and is_normal(G, H)
+        }
+        assert found == {(False, False), (True, True)}, G.name
 
 
 def test_classify_rejects_non_extraspecial(s4):

@@ -6,7 +6,7 @@ import tracemalloc
 from functools import reduce
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from oracles import (
     abelian_invariants,
@@ -26,6 +26,7 @@ from oracles import (
     isomorphic_small,
     join_every_cyclic_lattice,
     mask_of,
+    permutation_groups,
     relabel_rows,
     subgroup_from_elements,
     subspace_count,
@@ -134,15 +135,7 @@ def test_recorded_generators_close_to_the_subgroup(spec):
         assert closure_elements(G, H.generators) == H.elements, H.indices()
 
 
-@st.composite
-def _permutation_groups(draw, min_degree: int = 1):
-    """The group that 1-3 random permutations of degree at most 5 generate."""
-    degree = draw(st.integers(min_value=min_degree, max_value=5))
-    count = draw(st.integers(min_value=1, max_value=3))
-    return group_from_permutations([draw(st.permutations(range(degree))) for _ in range(count)])
-
-
-@given(_permutation_groups())
+@given(permutation_groups())
 @example(construct.alternating(5))
 @example(construct.symmetric(5))
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -154,7 +147,7 @@ def test_operator_results_record_generators_of_themselves(G):
         assert closure_elements(G, H.generators) == H.elements, H.indices()
 
 
-@given(_permutation_groups())
+@given(permutation_groups())
 @example(construct.alternating(5))
 @example(construct.symmetric(5))
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -761,7 +754,7 @@ def test_lattice_and_least_conjugates_above_order_256(monkeypatch):
         assert minimal_conjugate(G, H).elements == min(conjugates, key=mask_of), H.indices()
 
 
-@given(_permutation_groups(min_degree=5))
+@given(permutation_groups(min_degree=5))
 @example(construct.alternating(5))
 @example(construct.symmetric(5))
 @settings(max_examples=12, deadline=None, derandomize=True)
