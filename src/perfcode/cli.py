@@ -24,7 +24,6 @@ from .corpus import (
     report_chunks,
 )
 from .extraspecial import (
-    Family,
     build_family,
     classify_extraspecial,
     classify_sylow_extraspecial,
@@ -82,8 +81,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    family = Family.GM1 if args.family == "gm1" else Family.GM2
-    G = build_family(args.m, family)
+    G = build_family(args.m, args.family)
     doc = json.dumps(group_to_json(G), indent=2) + "\n"
     if args.output:
         Path(args.output).write_text(doc, encoding="utf-8")

@@ -159,8 +159,6 @@ def find_inverse_closed_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, .
                 forced = None
             elif chosen[j] is None:
                 forced = j
-            elif chosen[j] == partner:
-                forced = None
             else:
                 continue
             chosen[i] = cand
@@ -189,16 +187,12 @@ def find_inverse_closed_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, .
 def connection_set_from_transversal(
     G: FiniteGroup, H: Subgroup, T: Iterable[int]
 ) -> frozenset[int]:
-    """S = T minus the identity, the Cayley graph admitting H as a code."""
+    """S = T minus the identity, the Cayley graph admitting H as a code.  The
+    graph check proves T = T^-1, TH = G and |T| |H| = |G|, so HT = G too."""
     reps = frozenset(_as_elements(G, T))
     if 0 not in reps:
         raise ValueError("transversal must contain the identity")
-    if not reps.issuperset(map(G.inverse.__getitem__, reps)):
-        raise ValueError("transversal must be inverse-closed")
-    dec = coset_decomposition(G, H)
-    hit = set(map(dec._position.__getitem__, reps))
-    k = len(dec.members) // dec.stride
-    if len(reps) != k or len(hit) != k:
+    if not is_perfect_code_in_cayley_graph(G, reps - {0}, H):
         raise ValueError("representatives do not form a right transversal")
     return reps - {0}
 
@@ -277,11 +271,9 @@ def omega_coset_sets(
     those containing an element of order at most 2.  H must be normal in N.
     The second set is always contained in the first.
     """
-    if H.mask & ~N.mask:
-        raise ValueError("H must be contained in N")
+    dec = coset_decomposition(G, H, N)
     if not is_normal(G, H, N):
         raise ValueError("H must be normal in N")
-    dec = coset_decomposition(G, H, N)
     P, square, _, others = _lookups(G)
     reps = dec.members[:: dec.stride]
     quotient = frozenset(x for x, y in zip(reps, P.composer(reps)(square)) if H.mask >> y & 1)
@@ -324,7 +316,7 @@ def decide(G: FiniteGroup, H: Subgroup, *, with_witness: bool = False) -> CodeVe
     counterexample can be reported.  On a positive verdict ``with_witness``
     attaches an inverse-closed transversal to the deciding criterion's
     verdict, and raises ``RuntimeError`` if the search finds none (the
-    criteria would then disagree).
+    criteria would then disagree) or the graph check rejects it.
     """
     if len(H) % 2 == 1:
         verdict = CodeVerdict(True, Criterion.ODD_ORDER)
@@ -335,10 +327,10 @@ def decide(G: FiniteGroup, H: Subgroup, *, with_witness: bool = False) -> CodeVe
             return square_coset_condition(G, H)
     if with_witness:
         witness = find_inverse_closed_transversal(G, H)
-        if witness is None:
+        if witness is None or not is_perfect_code_in_cayley_graph(G, set(witness) - {0}, H):
             raise RuntimeError(
                 f"positive verdict for subgroup {H.indices()} of {G.name or 'G'} "
-                "but no inverse-closed transversal was found"
+                "but no inverse-closed transversal passed the graph check"
             )
         verdict = replace(verdict, witness=witness)
     return verdict

@@ -228,11 +228,8 @@ def cross_check(
             continue
         groups_run += 1
         subs = all_subgroups(G, None, G.order)
-        if dedupe_conjugates:
-            reps: dict[int, Subgroup] = {}
-            for rep in (minimal_conjugate(G, H) for H in subs):
-                reps.setdefault(rep.mask, rep)
-            subs = tuple(reps.values())
+        if dedupe_conjugates:  # the lattice meets each class first at its least member
+            subs = tuple(H for H in subs if minimal_conjugate(G, H).mask == H.mask)
         for H in subs:
             start = time.perf_counter()
             verdicts, same_as = _row_verdicts(G, H, selected, entry.tags)
@@ -301,29 +298,26 @@ _CLASSIFICATION_KEYS = (
 )
 
 
-def report_emit(report: CrossCheckReport, fmt: str = "json", include_timings: bool = True) -> str:
+def report_emit(report: CrossCheckReport, fmt: str = "json") -> str:
     """Render a report: the chunks of ``report_chunks`` joined."""
-    return "".join(report_chunks(report, fmt, include_timings))
+    return "".join(report_chunks(report, fmt))
 
 
-def report_chunks(
-    report: CrossCheckReport, fmt: str = "json", include_timings: bool = True
-) -> Iterator[str]:
+def report_chunks(report: CrossCheckReport, fmt: str = "json") -> Iterator[str]:
     """Render a report piece by piece, so a writer never holds the whole
     text: JSON as ``JSONEncoder(indent=2).iterencode`` emits it (joined, it
     is ``json.dumps(indent=2)``), markdown line by line.  Field order is
     stable and timings sit in their own (non-stable) trailing section."""
     if fmt == "json":
-        doc: dict = {
+        doc = {
             "schema": "cross-check-report/v2",
             "summary": report.summary,
             "rows": list(report.rows),
-        }
-        if include_timings:
-            doc["timings"] = {
+            "timings": {
                 "row_ms": [round(ms, 3) for ms in report.row_ms],
                 "total_ms": round(sum(report.row_ms), 3),
-            }
+            },
+        }
         yield from json.JSONEncoder(indent=2).iterencode(doc)
         yield "\n"
     elif fmt in ("md", "markdown"):
@@ -357,8 +351,7 @@ def report_chunks(
             checked = len(row["verdicts"]) - len(row["same_as"]) >= 2
             agree = str(row["agree"]).lower() if checked else "unchecked"
             yield f"| {row['group']} | {{{sub}}} | {str(row['perfect_code']).lower()} | {agree} |\n"
-        if include_timings:
-            yield "\n## Timings (non-stable)\n\n"
-            yield f"- total: {sum(report.row_ms):.1f} ms over {len(report.row_ms)} rows\n"
+        yield "\n## Timings (non-stable)\n\n"
+        yield f"- total: {sum(report.row_ms):.1f} ms over {len(report.row_ms)} rows\n"
     else:
         raise ValueError(f"unsupported report format {fmt!r}")

@@ -59,6 +59,30 @@ MUTANTS = (
         "scans",
     ),
     (
+        "src/perfcode/subgroups.py",
+        "if H.mask & ~ambient.mask:",
+        "if False:",
+        "omega_criterion_precondition",
+    ),
+    (
+        "src/perfcode/codes.py",
+        "if 0 not in reps:",
+        "if False:",
+        "connection_set_from_transversal_requires_identity",
+    ),
+    (
+        "src/perfcode/codes.py",
+        "if witness is None or not is_perfect_code_in_cayley_graph(G, set(witness) - {0}, H):",
+        "if witness is None:",
+        "graph_check_fails",
+    ),
+    (
+        "src/perfcode/corpus.py",
+        "minimal_conjugate(G, H).mask == H.mask",
+        "minimal_conjugate(G, H).mask != H.mask",
+        "nonsolvable_groups_cross_check",
+    ),
+    (
         "src/perfcode/corpus.py",
         "is_perfect_code_in_cayley_graph(G, set(T) - {0}, H)",
         "is_perfect_code_in_cayley_graph(G, set(T[:-1]) - {0}, H)",

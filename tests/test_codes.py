@@ -414,7 +414,7 @@ def test_omega_criterion_precondition(s4, s4_elem):
     # H must lie in N and be normal there
     H = closure(s4, [s4_elem[(1, 2, 0, 3)]])  # a 3-cycle
     other = closure(s4, [s4_elem[(0, 2, 3, 1)]])  # another 3-cycle
-    with pytest.raises(ValueError, match="contained in N"):
+    with pytest.raises(ValueError, match="ambient subgroup must contain H"):
         omega_criterion(s4, H, other)
     with pytest.raises(ValueError, match="normal in N"):
         omega_criterion(s4, H, full_subgroup(s4))
@@ -504,6 +504,18 @@ def test_decide_with_witness_raises_when_search_finds_none(monkeypatch, s4, s4_e
     for H in (even, odd):
         assert decide(s4, H).is_perfect_code
         with pytest.raises(RuntimeError, match="no inverse-closed transversal"):
+            decide(s4, H, with_witness=True)
+
+
+def test_decide_with_witness_raises_when_the_graph_check_fails(monkeypatch, s4, s4_elem):
+    # a search that returns 1 and all but one representative: the witness is
+    # verified on its Cayley graph before it is attached
+    search = codes.find_inverse_closed_transversal
+    monkeypatch.setattr(codes, "find_inverse_closed_transversal", lambda G, H: search(G, H)[:-1])
+    for gens in ([s4_elem[(1, 0, 2, 3)]], [s4_elem[(1, 2, 0, 3)]]):
+        H = closure(s4, gens)
+        assert 0 in codes.find_inverse_closed_transversal(s4, H)
+        with pytest.raises(RuntimeError, match="transversal passed the graph check"):
             decide(s4, H, with_witness=True)
 
 

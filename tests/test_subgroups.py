@@ -135,7 +135,7 @@ def test_recorded_generators_close_to_the_subgroup(spec):
         assert closure_elements(G, H.generators) == H.elements, H.indices()
 
 
-@given(permutation_groups())
+@given(permutation_groups(min_degree=4))
 @example(construct.alternating(5))
 @example(construct.symmetric(5))
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -147,7 +147,7 @@ def test_operator_results_record_generators_of_themselves(G):
         assert closure_elements(G, H.generators) == H.elements, H.indices()
 
 
-@given(permutation_groups())
+@given(permutation_groups(min_degree=4))
 @example(construct.alternating(5))
 @example(construct.symmetric(5))
 @settings(max_examples=12, deadline=None, derandomize=True)
