@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import add, truth
 from typing import Collection, Iterable, Sequence
 
 from .group import FiniteGroup, Subgroup, _indices, _lookups, _packed, _Packing
@@ -137,9 +138,10 @@ def find_inverse_closed_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, .
     P, square, inverse, _ = _lookups(G)
     members, size, position, inv = dec.members, dec.stride, dec._position, G.inverse
     k = len(members) // size
-    # each coset's members, its involutions first (a stable sort), and the
-    # index of the coset of g^-1 for each g and for each member in turn
-    order = sorted(members, key=lambda g: 2 * position[g] + (square[g] != 0))
+    # each coset's members, involutions first (keyed 2i + [g^2 != 1] for g in
+    # coset i), and the index of the coset of g^-1 for each g and each member
+    keys = list(map(add, map(add, position, position), map(truth, square)))
+    order = sorted(members, key=keys.__getitem__)
     mirror = P.composer(inverse)(P.lookup(position))
     mirrors = P.composer(members)(mirror)
     chosen: list[int | None] = [None] * k
@@ -212,9 +214,9 @@ def square_coset_condition(
 
     The verdict is negative, with the least such x as counterexample, when
     some coset Hx of this kind contains no y with y^2 = 1; positive
-    otherwise.  ``within`` restricts the ambient group to a subgroup
-    containing H.  Both the index and the involution test are constant on
-    Hx, so each right coset is decided once, at its least x with x^2 in H.
+    otherwise.  ``within``, a subgroup W containing H, skips G's cosets of H
+    outside W.  Both the index and the involution test are constant on Hx,
+    so each right coset is decided once, at its least x with x^2 in H.
     An involution would be such an x, so only the cosets holding no
     involution and some y with y^2 in H minus 1 are visited, found as zeros
     of the members' squares and of those through a lookup 0 on H minus 1.
@@ -222,6 +224,7 @@ def square_coset_condition(
     dec = coset_decomposition(G, H, within)
     P, square, _, _ = _lookups(G)
     members, size = dec.members, dec.stride
+    inside = -1 if within is None else within.mask
     squares = P.composer(members)(square)
     find_involution = P.finder(squares)
     find_root = P.finder(P.composer(squares)(P.zeros(H.members[1:])))
@@ -229,8 +232,9 @@ def square_coset_condition(
     while r >= 0:
         i = r - r % size
         x, end = members[r], i + size
-        if find_involution(0, i, end) < 0 and len(H) // _meet_size(G, P, H, x, members[i:end]) % 2:
-            failing.append(x)
+        if inside >> x & 1 and find_involution(0, i, end) < 0:
+            if len(H) // _meet_size(G, P, H, x, members[i:end]) % 2:
+                failing.append(x)
         r = find_root(0, end, len(members))
     x = min(failing, default=None)
     return CodeVerdict(x is None, Criterion.SQUARE_COSET, counterexample=x)
@@ -266,7 +270,7 @@ def omega_coset_sets(
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Involution cosets of the quotient N/H versus lifted involutions.
 
-    Returns two sets of canonical coset representatives within N:
+    Returns two sets of representatives of G's cosets of H led by members of N:
     ``quotient_omega`` holds the cosets Hg with (Hg)^2 = H, ``lifted_omega``
     those containing an element of order at most 2.  H must be normal in N.
     The second set is always contained in the first.
@@ -276,7 +280,8 @@ def omega_coset_sets(
         raise ValueError("H must be normal in N")
     P, square, _, others = _lookups(G)
     reps = dec.members[:: dec.stride]
-    quotient = frozenset(x for x, y in zip(reps, P.composer(reps)(square)) if H.mask >> y & 1)
+    squares = zip(reps, P.composer(reps)(square))
+    quotient = frozenset(x for x, y in squares if N.mask >> x & 1 and H.mask >> y & 1)
     # the cosets of N's involutions
     cosets = P.composer(P.outside(N.members, others))(P.lookup(dec._position))
     lifted = frozenset(map(reps.__getitem__, set(cosets)))

@@ -49,12 +49,12 @@ class FiniteGroup:
     slice, column c the stride slice ``[c::n]``).  All are built at
     construction and never mutated.  Derived structure goes into a private
     store that ``per_group`` functions fill lazily and that dies with the
-    group: the squares, inverses and non-involutions, the lattice, coset
-    decompositions, Sylow 2-subgroups, normalizers, centralizers, the
-    extraspecial classification and the conjugation lookups.  A stored value
-    never changes but the least-conjugate class map, which only grows, so
-    threads sharing a group at worst compute one value twice or walk one
-    class twice.
+    group: the squares, inverses and non-involutions, the lattice, one coset
+    decomposition of G per subgroup, Sylow 2-subgroups and overgroups,
+    normalizers, centralizers, the extraspecial classification and the
+    conjugation lookups.  A stored value never changes but the
+    least-conjugate class map, which only grows, so threads sharing a group
+    at worst compute one value twice or walk one class twice.
     """
 
     order: int

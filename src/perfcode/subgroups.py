@@ -10,6 +10,8 @@ An ambient group left as None is G itself, taken as ``full_subgroup(G)``."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 from typing import Sequence
 
 from .group import (
@@ -159,27 +161,23 @@ def is_normal(G: FiniteGroup, H: Subgroup, within: Subgroup | None = None) -> bo
 
 @per_group
 def normalizer(G: FiniteGroup, K: Subgroup) -> Subgroup:
-    """{g : K^g = K}: G if K is normal, else grown from K by walking G in
-    index order.  A g that normalizes K is joined to N, the part found so
-    far; one that does not rules out its whole right coset N g, since n g
-    normalizes K iff g does.  N records K's generators and the g joined."""
-    t = G.table
-    gens = K.generators
-    normalizes = _normalizes(G, K.mask, gens)
-    if all(map(normalizes, full_subgroup(G).generators)):
+    """{g : K^g = K}: G if K is normal, else read from G's stored right
+    cosets of K: g normalizes K iff gk lies in Kg for each recorded generator
+    k, tested for every g at once through column k of ``G.packed``.  N records
+    K's generators, then each member outside the span of those before it."""
+    if is_normal(G, K):
         return full_subgroup(G)
-    elems = list(K.members)
-    mask = decided = K.mask
-    for g in G.elements():
-        if decided >> g & 1:
-            continue
-        if normalizes(g):
+    n, P, gens = G.order, _Packing(G.order), K.generators
+    position = P.lookup(_cosets(G, K)._position)
+    found = P.ident
+    for k in gens:
+        image = P.composer(P.composer(found)(P.lookup(G.packed[k::n])))(position)
+        found = _packed(compress(found, map(eq, image, P.composer(found)(position))), n)
+    mask, elems = K.mask, list(K.members)
+    for g in found:
+        if not mask >> g & 1:
             mask, elems = join_element(G, mask, elems, gens, g)
             gens += (g,)
-            decided |= mask
-        else:
-            for n in elems:
-                decided |= 1 << t[n][g]
     return Subgroup(mask, elems, gens)
 
 
@@ -212,10 +210,10 @@ def sylow_2_subgroup(G: FiniteGroup, H: Subgroup) -> Subgroup:
     return _grow_2_subgroup(G, trivial_subgroup(), target, H)
 
 
+@per_group
 def sylow_2_overgroup(G: FiniteGroup, Q: Subgroup) -> Subgroup:
     """The Sylow 2-subgroup of G grown from the 2-subgroup Q by ``_grow_2_subgroup``."""
-    size = len(Q)
-    if size & (size - 1):
+    if two_part(len(Q)) != len(Q):
         raise ValueError("starting subgroup must be a 2-group")
     return _grow_2_subgroup(G, Q, two_part(G.order), full_subgroup(G))
 
@@ -246,15 +244,15 @@ def _grow_2_subgroup(G: FiniteGroup, start: Subgroup, target: int, within: Subgr
 
 @dataclass(frozen=True, eq=False, slots=True)
 class CosetDecomposition:
-    """Right cosets Hg with least-element representatives, identity first.
+    """Right cosets Hg of G with least-element representatives, identity first.
 
     ``members`` holds every coset end to end, each in increasing order, so
     coset i is the slice ``[i * stride : (i + 1) * stride]`` with ``stride``
     = |H| and its representative is ``members[i * stride]``.  ``_position``
-    holds the index of g's coset at index g, for every g of G (one outside
-    the ambient set maps past the last coset).  Both are packed by
-    ``group._packed``, like a subgroup's members; ``representatives`` and
-    ``blocks`` are views built from ``members`` on each read."""
+    holds the index of g's coset at index g, for every g of G.  Both are
+    packed by ``group._packed``, like a subgroup's members;
+    ``representatives`` and ``blocks`` are views built from ``members`` on
+    each read."""
 
     members: Sequence[int]
     stride: int
@@ -277,26 +275,23 @@ class CosetDecomposition:
 def coset_decomposition(
     G: FiniteGroup, H: Subgroup, within: Subgroup | None = None
 ) -> CosetDecomposition:
-    """Right-coset decomposition of the ambient subgroup (default: G) by H.
-    Subgroups are keyed by their masks, so every spelling of an ambient
-    subgroup equal to G shares one stored decomposition.  An ambient
-    subgroup that does not contain H raises ValueError."""
+    """G's right-coset decomposition by H, stored once per (G, H).  Its
+    cosets inside an ambient subgroup W >= H are those led by a member of W,
+    as a coset lies in W iff its least member does; an ambient subgroup
+    ``within`` that does not contain H raises ValueError."""
     ambient = full_subgroup(G) if within is None else within
     if H.mask & ~ambient.mask:
         raise ValueError("ambient subgroup must contain H")
-    return _cosets(G, H, ambient)
+    return _cosets(G, H)
 
 
 @per_group
-def _cosets(G: FiniteGroup, H: Subgroup, within: Subgroup) -> CosetDecomposition:
-    n, t = G.order, G.table
-    helems = H.members
-    # below G, k is at most n/2, so positions left at k still pack
-    k = len(within) // len(helems)
-    position = [k] * n
+def _cosets(G: FiniteGroup, H: Subgroup) -> CosetDecomposition:
+    n, t, helems = G.order, G.table, H.members
+    position = [n] * n
     members: list[int] = []
-    for g in within.members:
-        if position[g] < k:
+    for g in G.elements():
+        if position[g] < n:
             continue
         block = sorted(t[h][g] for h in helems)
         idx = len(members) // len(helems)

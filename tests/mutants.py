@@ -65,6 +65,18 @@ MUTANTS = (
         "omega_criterion_precondition",
     ),
     (
+        "src/perfcode/subgroups.py",
+        "P.lookup(G.packed[k::n])",
+        "P.lookup(G.packed[k * n : k * n + n])",
+        "normalizer_matches_the_reference_walk",
+    ),
+    (
+        "src/perfcode/codes.py",
+        "if inside >> x & 1 and find_involution(0, i, end) < 0:",
+        "if find_involution(0, i, end) < 0:",
+        "coset_counterexamples_are_the_least_failing_x or scans",
+    ),
+    (
         "src/perfcode/codes.py",
         "if 0 not in reps:",
         "if False:",

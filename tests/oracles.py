@@ -29,6 +29,9 @@ not oracles in that sense:
 ``subgroup_as_group``, ``build_family`` and ``derived_subgroup``, and
 ``reduction_statements`` evaluates the Sylow reduction's four statements
 with ``square_coset_condition`` and ``omega_coset_sets``.
+``reference_normalizer`` grows a normalizer by a walk of G with
+``join_element``, so that the generators it records are those the library
+must record.
 ``first_light_failure`` checks associativity triple by triple but takes its
 middle factors from ``_right_generators``: which failing triple comes first
 depends on them.  So does ``reference_table``, the per-entry table
@@ -294,6 +297,35 @@ def brute_normalizer(G: FiniteGroup, members, within=None) -> frozenset[int]:
     """{g in within (default: G) : g^-1 k g lies in K for every k in K}."""
     domain = G.elements() if within is None else within
     return frozenset(g for g in domain if all(G.conjugate(k, g) in members for k in members))
+
+
+def reference_normalizer(G: FiniteGroup, K: Subgroup) -> Subgroup:
+    """N_G(K) with the generators ``normalizer`` records, by a walk of G in
+    index order: G's stored full subgroup when K is normal; otherwise N is
+    grown from K, joining each g that maps every member of K into K to the
+    part found so far and ruling out the right coset N g of each other g
+    (ng normalizes K iff g does).  N records K's generators, then the g
+    joined."""
+    t = G.table
+
+    def normalizes(g: int) -> bool:
+        return all(G.conjugate(k, g) in K for k in K.members)
+
+    if all(map(normalizes, G.elements())):
+        return full_subgroup(G)
+    gens, elems = K.generators, list(K.members)
+    mask = decided = K.mask
+    for g in G.elements():
+        if decided >> g & 1:
+            continue
+        if normalizes(g):
+            mask, elems = join_element(G, mask, elems, gens, g)
+            gens += (g,)
+            decided |= mask
+        else:
+            for n in elems:
+                decided |= 1 << t[n][g]
+    return Subgroup(mask, elems, gens)
 
 
 def brute_is_normal(G: FiniteGroup, members, within=None) -> bool:

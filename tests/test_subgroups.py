@@ -27,6 +27,7 @@ from oracles import (
     join_every_cyclic_lattice,
     mask_of,
     permutation_groups,
+    reference_normalizer,
     relabel_rows,
     subgroup_from_elements,
     subspace_count,
@@ -95,6 +96,17 @@ def test_enumeration_count_elementary_abelian_rank4():
     assert len(all_subgroups(G)) == subspace_count(4)
 
 
+# The order 48-96 band of the sweep benchmark, whose rows are the slowest.
+SWEEP_BAND = (
+    "product(gm1(2),cyclic(3))",
+    "product(s4,cyclic(2))",
+    "dihedral(64)",
+    "dihedral(96)",
+    "dicyclic(48)",
+    "product(q8,cyclic(6))",
+)
+
+
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -152,16 +164,42 @@ def test_operator_results_record_generators_of_themselves(G):
 @example(construct.symmetric(5))
 @settings(max_examples=12, deadline=None, derandomize=True)
 def test_coset_decompositions_match_brute_force_on_random_groups(G):
-    """Right cosets in G and in the normalizer, each led by its least member."""
+    """Right cosets in G, each led by its least member, and those of them
+    inside the normalizer."""
     for H in all_subgroups(G):
-        N = normalizer(G, H)
-        for within in (None, N):
-            domain = None if within is None else N.members
-            cosets = brute_right_cosets(G, H.elements, domain)
-            dec = coset_decomposition(G, H, within)
-            assert [list(block) for block in dec.blocks] == cosets, H.indices()
-            assert dec.representatives == tuple(min(c) for c in cosets), H.indices()
-            assert [dec.coset_of(c[-1]) for c in cosets] == list(range(len(cosets)))
+        for within in (None, normalizer(G, H)):
+            _assert_matches_brute_cosets(G, H, within)
+
+
+@pytest.mark.parametrize("spec", SWEEP_BAND)
+def test_normalizer_matches_the_reference_walk_on_the_band(spec):
+    G = construct.build_named(spec)
+    _assert_normalizers_match_reference(G, all_subgroups(G))
+
+
+@given(permutation_groups(min_degree=4))
+@example(construct.alternating(5))
+@example(construct.symmetric(5))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_normalizer_matches_the_reference_walk_on_random_groups(G):
+    _assert_normalizers_match_reference(G, all_subgroups(G))
+
+
+def test_normalizer_matches_the_reference_walk_above_order_256(monkeypatch):
+    # coset positions and packed columns as tuples, not bytes
+    monkeypatch.setenv("PCL_MAX_ORDER", "300")
+    G = construct.build_named("product(s4,cyclic(11))")
+    assert G.order == 264
+    _assert_normalizers_match_reference(G, _order_264_subgroups(G))
+
+
+def _assert_normalizers_match_reference(G, subs):
+    """``normalizer`` against the reference walk of G, members and recorded
+    generators alike, and against the brute-force normalizer."""
+    for H in subs:
+        N, walked = normalizer(G, H), reference_normalizer(G, H)
+        assert (N.members, N.generators) == (walked.members, walked.generators), H.indices()
+        assert N.elements == brute_normalizer(G, H.elements), H.indices()
 
 
 @pytest.mark.parametrize(
@@ -549,13 +587,36 @@ def test_ambient_subgroup_must_contain_h():
 
 
 def _assert_matches_brute_cosets(G, H, within=None):
+    """The cosets of G's decomposition by H that are led by a member of the
+    ambient subgroup (default: G) are the right cosets of H inside it: the
+    same sorted members, led by their least, with each member mapped to
+    its coset's index in G's decomposition.  The ambient subgroup shares
+    G's decomposition."""
     dec = coset_decomposition(G, H, within)
-    domain = sorted(within.elements) if within is not None else G.elements()
-    cosets = brute_right_cosets(G, H.elements, domain)
-    assert [list(block) for block in dec.blocks] == cosets
-    assert dec.representatives == tuple(c[0] for c in cosets)
-    for i, coset in enumerate(cosets):
-        assert [dec.coset_of(g) for g in coset] == [i] * len(coset)
+    assert dec is coset_decomposition(G, H)
+    ambient = full_subgroup(G) if within is None else within
+    cosets = brute_right_cosets(G, H.elements, sorted(ambient.elements))
+    led = [i for i, rep in enumerate(dec.representatives) if rep in ambient]
+    assert [list(dec.blocks[i]) for i in led] == cosets, H.indices()
+    assert [dec.representatives[i] for i in led] == [c[0] for c in cosets], H.indices()
+    for i, coset in zip(led, cosets):
+        assert [dec.coset_of(g) for g in coset] == [i] * len(coset), H.indices()
+
+
+def _order_264_subgroups(G):
+    """Subgroups of product(s4,cyclic(11)) generated by the first elements of
+    orders 2, 3, 4 and 11, and the subgroup K of order 132 that the first
+    of orders 2, 3 and 11 generate, which is last but for G itself."""
+    first = {o: G.element_orders.index(o) for o in (2, 3, 4, 11)}
+    return [
+        trivial_subgroup(),
+        closure(G, [first[2]]),
+        closure(G, [first[4]]),
+        closure(G, [first[11]]),
+        closure(G, [first[2], first[3]]),
+        closure(G, [first[2], first[3], first[11]]),
+        full_subgroup(G),
+    ]
 
 
 def test_coset_decomposition_above_order_256(monkeypatch):
@@ -563,22 +624,27 @@ def test_coset_decomposition_above_order_256(monkeypatch):
     monkeypatch.setenv("PCL_MAX_ORDER", "300")
     G = construct.build_named("product(s4,cyclic(11))")
     assert G.order == 264
-    first = {o: G.element_orders.index(o) for o in (2, 3, 4, 11)}
-    K = closure(G, [first[2], first[3], first[11]])
-    subs = [
-        trivial_subgroup(),
-        closure(G, [first[2]]),
-        closure(G, [first[4]]),
-        closure(G, [first[11]]),
-        closure(G, [first[2], first[3]]),
-        K,
-        full_subgroup(G),
-    ]
+    subs = _order_264_subgroups(G)
+    K = subs[-2]
     for H in subs:
         _assert_matches_brute_cosets(G, H)
         if H.elements <= K.elements:
             _assert_matches_brute_cosets(G, H, K)
     assert len(coset_decomposition(G, trivial_subgroup()).representatives) == 264
+
+
+def test_band_sweep_stores_cosets_per_subgroup_and_overgroups_once():
+    """After the sweep of the band's groups, every stored decomposition is
+    one of G by a subgroup, keyed by that subgroup alone, and each Sylow
+    overgroup is stored: a second call returns the same object."""
+    groups = [construct.build_named(spec) for spec in SWEEP_BAND]
+    cross_check([make_entry(G) for G in groups], max_order=96)
+    for G in groups:
+        keys = [args for fn, args in G._store if fn is subgroups._cosets.__wrapped__]
+        assert keys and all(len(args) == 1 for args in keys), G.name
+        two_subgroups = [Q for Q in all_subgroups(G) if two_part(len(Q)) == len(Q)]
+        for Q in two_subgroups:
+            assert sylow_2_overgroup(G, Q) is sylow_2_overgroup(G, Q), (G.name, Q.indices())
 
 
 def test_coset_decompositions_by_ambient_g_are_shared(g21):
@@ -618,13 +684,14 @@ def test_lattice_adopts_subgroups_built_before_it(s4_elem):
 
 
 # Bytes that product(q8,q8)'s store holds after cross_check over its 133
-# rows, by tracemalloc on CPython 3.11, with each coset decomposition one
-# packed sequence of its cosets end to end and each subgroup a bitmask,
-# packed members and its generators (228,878 when each coset was packed
-# apart; 325,130 when every subgroup was one interned instance holding a
-# frozenset; 1,710,480 when each decomposition kept a dict and each
-# operator result a frozenset of its own).
-Q8_Q8_STORE_BYTES = 144_514
+# rows, by tracemalloc on CPython 3.11, with one coset decomposition of G
+# per subgroup, each one packed sequence of its cosets end to end, and each
+# subgroup a bitmask, packed members and its generators (144,514 when a
+# decomposition was also stored per proper ambient subgroup; 228,878 when
+# each coset was packed apart; 325,130 when every subgroup was one interned
+# instance holding a frozenset; 1,710,480 when each decomposition kept a
+# dict and each operator result a frozenset of its own).
+Q8_Q8_STORE_BYTES = 132_953
 
 
 def test_store_of_an_order_64_group_stays_compact():
