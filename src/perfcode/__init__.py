@@ -55,7 +55,6 @@ from .group import (
     group_from_permutations,
     group_to_json,
     load_group,
-    omega1,
     trivial_subgroup,
 )
 from .subgroups import (
@@ -64,7 +63,6 @@ from .subgroups import (
     center,
     centralizer,
     coset_decomposition,
-    is_maximal_abelian,
     is_normal,
     normalizer,
     sylow_2_overgroup,

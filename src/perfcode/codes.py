@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from operator import add, truth
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable
 
-from .group import FiniteGroup, Subgroup, _indices, _lookups, _packed, _Packing
+from .group import _INDICES, FiniteGroup, Subgroup, _indices, _lookup, _lookups, _zeros
 from .subgroups import (
     coset_decomposition,
     is_normal,
@@ -107,13 +107,12 @@ def is_perfect_code_in_cayley_graph(
     n = G.order
     if len(code) * (len(conn) + 1) != n:
         return False
-    P, flat = _Packing(n), G.packed
-    closed, words = _packed((0, *conn), n), _packed(list(code), n)
+    flat, closed, words = G.packed, bytes((0, *conn)), bytes(code)
     if len(words) <= len(closed):
-        parts = [P.composer(closed)(P.lookup(flat[c::n])) for c in words]
+        parts = [closed.translate(_lookup(flat[c::n])) for c in words]
     else:
-        parts = [P.composer(words)(P.lookup(flat[s * n : s * n + n])) for s in closed]
-    return not P.outside(P.ident, P.flat(parts))
+        parts = [words.translate(_lookup(flat[s * n : s * n + n])) for s in closed]
+    return not _INDICES[:n].translate(None, b"".join(parts))
 
 
 def find_inverse_closed_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, ...] | None:
@@ -135,15 +134,15 @@ def find_inverse_closed_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, .
     is the first one in canonical coset order over all of G.
     """
     dec = coset_decomposition(G, H)
-    P, square, inverse, _ = _lookups(G)
+    square, inverse, _ = _lookups(G)
     members, size, position, inv = dec.members, dec.stride, dec._position, G.inverse
     k = len(members) // size
     # each coset's members, involutions first (keyed 2i + [g^2 != 1] for g in
     # coset i), and the index of the coset of g^-1 for each g and each member
     keys = list(map(add, map(add, position, position), map(truth, square)))
     order = sorted(members, key=keys.__getitem__)
-    mirror = P.composer(inverse)(P.lookup(position))
-    mirrors = P.composer(members)(mirror)
+    mirror = inverse.translate(_lookup(position))
+    mirrors = members.translate(mirror)
     chosen: list[int | None] = [None] * k
     chosen[0] = 0
 
@@ -199,12 +198,12 @@ def connection_set_from_transversal(
     return reps - {0}
 
 
-def _meet_size(G: FiniteGroup, P: _Packing, H: Subgroup, x: int, coset: Sequence[int]) -> int:
+def _meet_size(G: FiniteGroup, H: Subgroup, x: int, coset: bytes) -> int:
     """|H meet H^x| for x in the packed right coset ``coset`` = Hx: x maps it
     onto xH meet Hx, so it is |H| less the number of xh outside Hx.  As
     H^(hx) = H^x, it is constant on Hx (and on the double coset HxH)."""
-    xH = P.composer(H.members)(P.lookup(G.packed[x * P.n : (x + 1) * P.n]))
-    return len(H) - len(P.outside(xH, coset))
+    xH = H.members.translate(_lookup(G.packed[x * G.order : (x + 1) * G.order]))
+    return len(H) - len(xH.translate(None, coset))
 
 
 def square_coset_condition(
@@ -222,18 +221,18 @@ def square_coset_condition(
     of the members' squares and of those through a lookup 0 on H minus 1.
     """
     dec = coset_decomposition(G, H, within)
-    P, square, _, _ = _lookups(G)
+    square = _lookups(G)[0]
     members, size = dec.members, dec.stride
     inside = -1 if within is None else within.mask
-    squares = P.composer(members)(square)
-    find_involution = P.finder(squares)
-    find_root = P.finder(P.composer(squares)(P.zeros(H.members[1:])))
+    squares = members.translate(square)
+    find_involution = squares.find
+    find_root = squares.translate(_zeros(H.members[1:])).find
     failing, r = [], find_root(0, 0, len(members))
     while r >= 0:
         i = r - r % size
         x, end = members[r], i + size
         if inside >> x & 1 and find_involution(0, i, end) < 0:
-            if len(H) // _meet_size(G, P, H, x, members[i:end]) % 2:
+            if len(H) // _meet_size(G, H, x, members[i:end]) % 2:
                 failing.append(x)
         r = find_root(0, end, len(members))
     x = min(failing, default=None)
@@ -252,15 +251,15 @@ def double_coset_condition(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
     shared with the square-coset scan's search for square roots of H.
     """
     dec = coset_decomposition(G, H)
-    P, _, inverse, others = _lookups(G)
-    members, size, position = dec.members, dec.stride, P.lookup(dec._position)
+    _, inverse, others = _lookups(G)
+    members, size, position = dec.members, dec.stride, _lookup(dec._position)
     # the coset of g^-1 for each member g, and the cosets of 1 and the involutions
-    find_mirror = P.finder(P.composer(P.composer(members)(inverse))(position))
-    lifted = P.composer(P.outside(P.ident, others))(position)
-    for i in sorted(P.outside(P.ident[: len(members) // size], lifted)):
+    find_mirror = members.translate(inverse).translate(position).find
+    lifted = _INDICES[: G.order].translate(None, others).translate(position)
+    for i in sorted(_INDICES[: len(members) // size].translate(None, lifted)):
         start = i * size
         x, end = members[start], start + size
-        if find_mirror(i, start, end) >= 0 and len(H) // _meet_size(G, P, H, x, members[start:end]) % 2:
+        if find_mirror(i, start, end) >= 0 and len(H) // _meet_size(G, H, x, members[start:end]) % 2:
             return CodeVerdict(False, Criterion.DOUBLE_COSET, counterexample=x)
     return CodeVerdict(True, Criterion.DOUBLE_COSET)
 
@@ -278,12 +277,12 @@ def omega_coset_sets(
     dec = coset_decomposition(G, H, N)
     if not is_normal(G, H, N):
         raise ValueError("H must be normal in N")
-    P, square, _, others = _lookups(G)
+    square, _, others = _lookups(G)
     reps = dec.members[:: dec.stride]
-    squares = zip(reps, P.composer(reps)(square))
+    squares = zip(reps, reps.translate(square))
     quotient = frozenset(x for x, y in squares if N.mask >> x & 1 and H.mask >> y & 1)
     # the cosets of N's involutions
-    cosets = P.composer(P.outside(N.members, others))(P.lookup(dec._position))
+    cosets = N.members.translate(None, others).translate(_lookup(dec._position))
     lifted = frozenset(map(reps.__getitem__, set(cosets)))
     return quotient, lifted
 

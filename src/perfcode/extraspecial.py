@@ -11,7 +11,7 @@ from operator import itemgetter
 
 from .codes import CodeVerdict, Criterion
 from .construct import dihedral, product_rows, quaternion8
-from .group import FiniteGroup, Subgroup, check_order, full_subgroup, omega1, per_group
+from .group import FiniteGroup, Subgroup, _lookups, check_order, full_subgroup, per_group
 from .subgroups import (
     center,
     is_abelian_subgroup,
@@ -92,11 +92,11 @@ def is_extraspecial(G: FiniteGroup, P: Subgroup | None = None) -> ExtraspecialCl
     """Classify the 2-subgroup P of G (default: G) in G's own table: P has
     order 2^(2m+1) >= 8 and a centre of order 2 holding every square of P.
 
-    The family is read off |Omega_1(G) & P|, the count of elements of P of
-    order at most 2: 4^m + 2^m for GM1 and 4^m - 2^m for GM2, by the Arf
-    invariant of the squaring form on P/Z(P).  Every extraspecial group of
-    order 2^(2m+1) lies in one of the two families, so any other count is a
-    bug.  Subgroups are keyed by their masks, so every spelling of a P
+    The family is read off the count of elements of P of order at most 2
+    (P's members less G's stored {g : g^2 != 1}): 4^m + 2^m for GM1 and
+    4^m - 2^m for GM2, by the Arf invariant of the squaring form on P/Z(P).
+    Every extraspecial group of order 2^(2m+1) lies in one of the two
+    families, so any other count is a bug.  Subgroups are keyed by their masks, so every spelling of a P
     equal to G shares one stored classification.
     """
     return _is_extraspecial(G, full_subgroup(G) if P is None else P)
@@ -117,7 +117,7 @@ def _is_extraspecial(G: FiniteGroup, P: Subgroup) -> ExtraspecialClassification:
     if exponent % 2 == 0:
         raise RuntimeError("central quotient of an extraspecial group has even rank")
     m = (exponent - 1) // 2
-    count = len(omega1(G).intersection(P.members))
+    count = len(P.members.translate(None, _lookups(G)[2]))
     if count == 4**m + 2**m:
         family = Family.GM1
     elif count == 4**m - 2**m:

@@ -4,50 +4,36 @@ from __future__ import annotations
 
 import inspect
 import json
-import os
 from dataclasses import dataclass, field
 from functools import wraps
-from itertools import chain
 from operator import countOf
 from pathlib import Path
 from typing import Iterable, Sequence
 
-DEFAULT_MAX_ORDER = 256
-MAX_ORDER_ENV = "PCL_MAX_ORDER"
-
-
-def order_cap() -> int:
-    """Maximum supported group order; ``PCL_MAX_ORDER`` overrides the default."""
-    raw = os.environ.get(MAX_ORDER_ENV)
-    if raw is None:
-        return DEFAULT_MAX_ORDER
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{MAX_ORDER_ENV} must be an integer, got {raw!r}.") from exc
-    if value <= 0:
-        raise ValueError(f"{MAX_ORDER_ENV} must be positive, got {value}.")
-    return value
+# Every element index fits in a byte, so a row or an element set is ``bytes``
+# and each operation on it is one C-level ``translate``, ``find`` or slice.
+MAX_ORDER = 256
+_INDICES = bytes(range(MAX_ORDER))  # as a lookup, the identity map
 
 
 def check_order(n: int) -> int:
-    """n, or the ValueError of an order above ``order_cap()``: constructors
+    """n, or the ValueError of an order above ``MAX_ORDER``: constructors
     call it before they build a table of n rows."""
-    cap = order_cap()
-    if n > cap:
-        raise ValueError(f"group order {n} exceeds the configured cap {cap}")
+    if n > MAX_ORDER:
+        raise ValueError(f"group order {n} exceeds the order cap {MAX_ORDER}")
     return n
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """A group of order n on indices 0..n-1 with the identity pinned at 0.
+    """A group of order n <= ``MAX_ORDER`` on indices 0..n-1 with the
+    identity pinned at 0.
 
     ``table[a][b]`` is the product a*b, ``inverse[a]`` the inverse of ``a``,
     ``element_orders[a]`` the least k >= 1 with a^k = identity, and
-    ``packed`` the rows end to end as validation packed them (row a is a
-    slice, column c the stride slice ``[c::n]``).  All are built at
-    construction and never mutated.  Derived structure goes into a private
+    ``packed`` the rows end to end in the one ``bytes`` object validation
+    joined them into (row a is a slice, column c the stride slice
+    ``[c::n]``).  All are built at construction and never mutated.  Derived structure goes into a private
     store that ``per_group`` functions fill lazily and that dies with the
     group: the squares, inverses and non-involutions, the lattice, one coset
     decomposition of G per subgroup, Sylow 2-subgroups and overgroups,
@@ -61,7 +47,7 @@ class FiniteGroup:
     table: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
     element_orders: tuple[int, ...]
-    packed: Sequence[int]
+    packed: bytes
     name: str | None = None
     _store: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -77,23 +63,11 @@ class FiniteGroup:
         n = check_order(len(rows))
         if n == 0:
             raise ValueError("group table must be non-empty")
-        P = _Packing(n)
-        rows = _canonicalize_rows(_packed_rows(rows, P), P)
-        inverse, packed = _validate_rows(rows, P)
+        rows = _canonicalize_rows(_packed_rows(rows))
+        inverse, packed = _validate_rows(rows)
         table = tuple(map(tuple, rows))
         orders = tuple(_order_of(table, g) for g in range(n))
         return cls(n, table, inverse, orders, packed, name)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
-    def conjugate(self, g: int, x: int) -> int:
-        """x^-1 * g * x."""
-        t = self.table
-        return t[t[self.inverse[x]][g]][x]
 
     def elements(self) -> range:
         return range(self.order)
@@ -105,7 +79,7 @@ class FiniteGroup:
 
 class Subgroup:
     """A subgroup of one ambient group: ``mask`` has bit g set for each
-    member g, and ``members`` holds them packed once in increasing order.
+    member g, and ``members`` holds them as ``bytes``, in increasing order.
 
     The mask is the identity: equality, hashing and per-group store keys use
     it alone, so equal subgroups built apart share stored results.  Every
@@ -116,9 +90,8 @@ class Subgroup:
     __slots__ = ("mask", "members", "generators", "_elements")
 
     def __init__(self, mask: int, elems: Iterable[int], generators: tuple[int, ...]) -> None:
-        members = sorted(elems)
         self.mask = mask
-        self.members = _packed(members, members[-1] + 1)
+        self.members = bytes(sorted(elems))
         self.generators = generators
         self._elements = None
 
@@ -152,12 +125,6 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup({self.indices()})"
-
-
-def _packed(values: Iterable[int], n: int) -> Sequence[int]:
-    """``values``, each below n, in the form ``_Packing`` operates on:
-    ``bytes`` when n <= 256 and otherwise a tuple."""
-    return bytes(values) if n <= 256 else tuple(values)
 
 
 def bitmask(elems: Iterable[int]) -> int:
@@ -200,74 +167,30 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup((1 << G.order) - 1, G.elements(), generate(G, G.elements())[1])
 
 
-class _Packing:
-    """Rows of an order-n table and element sets, each packed once, and
-    C-level operations on them, picked by the order alone: up to order 256
-    every index fits in a byte, a row packs as ``bytes`` and each operation
-    is one ``translate`` (with a deletion set, or through a row padded to a
-    256-byte lookup table); larger orders keep int tuples, sets and ``map``."""
+def _lookup(q: bytes) -> bytes:
+    """``q`` padded to a 256-byte table: ``p.translate(_lookup(q))`` is
+    q[p[y]] for every y."""
+    return q.ljust(MAX_ORDER, b"\0")
 
-    def __init__(self, n: int) -> None:
-        self.n, self.small = n, n <= 256
-        self.ident = bytes.maketrans(b"", b"")[:n] if self.small else tuple(range(n))
 
-    def pack(self, row: Sequence[int]) -> Sequence[int] | None:
-        """The row packed, or None if an entry is not an index."""
-        if not self.small:
-            return tuple(row) if 0 <= min(row) and max(row) < self.n else None
-        try:
-            packed = bytes(row)
-        except ValueError:  # an entry below 0 or above 255
-            return None
-        return None if packed.translate(None, self.ident) else packed
+def _distinct(seq: bytes) -> bytes:
+    """The distinct entries of ``seq``, increasing: the key of an element set."""
+    return _INDICES.translate(None, _INDICES.translate(None, seq))
 
-    def flat(self, rows: list) -> Sequence[int]:
-        """The rows end to end: column c is the stride slice ``[c::n]``."""
-        return b"".join(rows) if self.small else tuple(chain.from_iterable(rows))
 
-    def lookup(self, q: Sequence[int]) -> Sequence[int]:
-        """``q`` in the form that ``composer`` maps take."""
-        return q.ljust(256, b"\0") if self.small else q
-
-    def composer(self, p: Sequence[int]):
-        """The map taking ``lookup(q)`` to q[p[y]] for every y."""
-        return p.translate if self.small else lambda q: tuple(map(q.__getitem__, p))
-
-    def members(self, seq: Sequence[int]) -> Sequence[int]:
-        """The distinct entries of ``seq``, increasing: the key of an element
-        set.  As bytes: the indices with every index outside ``seq`` deleted."""
-        if not self.small:
-            return tuple(sorted(set(seq)))
-        return self.ident.translate(None, self.ident.translate(None, seq))
-
-    def outside(self, seq: Sequence[int], drop: Sequence[int]):
-        """The entries of ``seq`` not in ``drop``."""
-        return seq.translate(None, drop) if self.small else set(seq).difference(drop)
-
-    def zeros(self, members: Sequence[int]) -> Sequence[int]:
-        """A lookup 0 exactly at ``members``, else the identity (but 0 -> 1)."""
-        if self.small:
-            return bytes.maketrans(b"\0" + members, b"\1" + bytes(len(members)))
-        drop = set(members)
-        return tuple(0 if g in drop else g or 1 for g in self.ident)
-
-    def finder(self, seq: Sequence[int]):
-        """The map (v, start, stop) -> the first index of v in seq[start:stop], or -1."""
-        if self.small:
-            return seq.find
-        return lambda v, start, stop: next((i for i in range(start, stop) if seq[i] == v), -1)
+def _zeros(members: bytes) -> bytes:
+    """A lookup 0 exactly at ``members``, else the identity (but 0 -> 1)."""
+    return bytes.maketrans(b"\0" + members, b"\1" + bytes(len(members)))
 
 
 @per_group
-def _lookups(G: FiniteGroup) -> tuple:
-    """G's ``_Packing`` with, in the forms it operates on, the lookups of
-    g -> g^2 (the diagonal of ``G.packed``) and g -> g^-1 and the packed
-    {g : g^2 != 1}; O(n), once per group."""
+def _lookups(G: FiniteGroup) -> tuple[bytes, bytes, bytes]:
+    """The lookups of g -> g^2 (the diagonal of ``G.packed``) and g -> g^-1,
+    and the packed {g : g^2 != 1}; O(n), once per group."""
     n = G.order
-    P = _Packing(n)
     square = G.packed[:: n + 1]
-    others = _packed([g for g in range(n) if square[g]], n)
-    return P, P.lookup(square), P.lookup(_packed(G.inverse, n)), others
+    others = bytes(g for g in range(n) if square[g])
+    return _lookup(square), _lookup(bytes(G.inverse)), others
 
 
 def _ints(values: Sequence, what: str) -> Sequence:
@@ -289,36 +212,43 @@ def _indices(G: FiniteGroup, values: Iterable, what: str) -> tuple:
     return values
 
 
-def _packed_rows(rows: Sequence[Sequence[int]], P: _Packing) -> list:
-    """The rows, each checked for its length, exact-int entries and range."""
+def _packed_rows(rows: Sequence[Sequence[int]]) -> list[bytes]:
+    """The rows as ``bytes``, each checked for its length, exact-int entries
+    and range."""
     n = len(rows)
+    ident = _INDICES[:n]
     out = []
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
         # a bytes row holds only ints 0-255, so only the range is left to check
-        packed = P.pack(row if type(row) is bytes else _ints(row, f"table row {i}"))
-        if packed is None:
+        if type(row) is not bytes:
+            _ints(row, f"table row {i}")
+        try:
+            packed = bytes(row)
+        except ValueError:  # an entry below 0 or above 255
+            packed = None
+        if packed is None or packed.translate(None, ident):
             v = next(v for v in row if not 0 <= v < n)
             raise ValueError(f"table entry {v} out of range [0, {n - 1}]")
         out.append(packed)
     return out
 
 
-def _canonicalize_rows(rows: list, P: _Packing) -> list:
+def _canonicalize_rows(rows: list[bytes]) -> list[bytes]:
     """Reindex so the two-sided identity lands at index 0: the first e whose
     row and column equal the identity permutation moves to the front, and
     each index v < e moves up to v + 1."""
-    n, ident = P.n, P.ident
-    flat = P.flat(rows)
+    n = len(rows)
+    ident, flat = _INDICES[:n], b"".join(rows)
     e = next((e for e in range(n) if rows[e] == ident and flat[e::n] == ident), None)
     if e is None:
         raise ValueError("table has no two-sided identity element")
     if e == 0:
         return rows
     front = lambda seq: seq[e : e + 1] + seq[:e] + seq[e + 1 :]
-    renamed = P.lookup(ident[1 : e + 1] + ident[:1] + ident[e + 1 :])
-    return [P.composer(front(row))(renamed) for row in front(rows)]
+    renamed = _lookup(ident[1 : e + 1] + ident[:1] + ident[e + 1 :])
+    return [front(row).translate(renamed) for row in front(rows)]
 
 
 def _relabel(table: Sequence[Sequence[int]], old: list[int]) -> list[tuple[int, ...]]:
@@ -328,7 +258,7 @@ def _relabel(table: Sequence[Sequence[int]], old: list[int]) -> list[tuple[int, 
     return [tuple(map(pos.__getitem__, map(table[a].__getitem__, old))) for a in old]
 
 
-def _validate_rows(rows: list, P: _Packing) -> tuple[tuple[int, ...], Sequence[int]]:
+def _validate_rows(rows: list[bytes]) -> tuple[tuple[int, ...], bytes]:
     """Check the group axioms; return the inverses and the rows end to end
     (``FiniteGroup.packed``).  The caller has already put a verified
     two-sided identity at index 0 (``_canonicalize_rows``).
@@ -340,18 +270,19 @@ def _validate_rows(rows: list, P: _Packing) -> tuple[tuple[int, ...], Sequence[i
     element.  Composing row a with row x gives x(ay) for every y at once.
     """
     n = len(rows)
-    if any(P.outside(P.ident, row) for row in rows):
+    ident = _INDICES[:n]
+    if any(ident.translate(None, row) for row in rows):
         raise ValueError("some row is not a permutation of the elements")
-    flat = P.flat(rows)
-    if any(P.outside(P.ident, flat[c::n]) for c in range(n)):
+    flat = b"".join(rows)
+    if any(ident.translate(None, flat[c::n]) for c in range(n)):
         raise ValueError("some column is not a permutation of the elements")
     inverse = tuple(row.index(0) for row in rows)
     if any(rows[b][x] != 0 for x, b in enumerate(inverse)):
         raise ValueError("missing two-sided inverses")
-    lookups = list(map(P.lookup, rows))
+    lookups = list(map(_lookup, rows))
     for a in _right_generators(rows):
         lefts = map(rows.__getitem__, flat[a::n])
-        rights = map(P.composer(rows[a]), lookups)
+        rights = map(rows[a].translate, lookups)
         for x, (left, right) in enumerate(zip(lefts, rights)):
             if left != right:
                 y = next(y for y in range(n) if left[y] != right[y])
@@ -452,7 +383,6 @@ def group_from_permutations(
     every element b other than the identity is c*s for some c reached before
     it, and its column (a*b for all a) is s's map applied to the column of c.
     """
-    cap = order_cap()
     if degree is not None and degree < 0:
         raise ValueError(f"permutation degree must be non-negative, got {degree}")
     gens: list[tuple[int, ...]] = []
@@ -479,20 +409,19 @@ def group_from_permutations(
             r = tuple(map(q.__getitem__, p))
             k = found.setdefault(r, len(perms))
             if k == len(perms):
-                if k >= cap:
-                    raise ValueError(f"permutation closure exceeds the configured cap {cap}")
+                if k >= MAX_ORDER:
+                    raise ValueError(f"permutation closure exceeds the order cap {MAX_ORDER}")
                 perms.append(r)
                 links.append((k, c, j))
             products[j].append(k)
     n = len(perms)
     order = sorted(range(n), key=perms.__getitem__)
     index = sorted(range(n), key=order.__getitem__)  # the inverse of order
-    P = _Packing(n)
-    times = [P.lookup(P.pack([index[prod[i]] for i in order])) for prod in products]
-    columns = [P.ident] + [None] * (n - 1)
+    times = [_lookup(bytes([index[prod[i]] for i in order])) for prod in products]
+    columns = [_INDICES[:n]] + [None] * (n - 1)
     for r, c, j in links:
-        columns[index[r]] = P.composer(columns[index[c]])(times[j])
-    flat = P.flat(columns)
+        columns[index[r]] = columns[index[c]].translate(times[j])
+    flat = b"".join(columns)
     return FiniteGroup.from_table([flat[a::n] for a in range(n)], name=name)
 
 
@@ -504,12 +433,6 @@ def group_to_json(G: FiniteGroup) -> dict:
     doc["order"] = G.order
     doc["table"] = [list(row) for row in G.table]
     return doc
-
-
-def omega1(G: FiniteGroup) -> frozenset[int]:
-    """Elements of order at most 2 (identity included)."""
-    t = G.table
-    return frozenset(g for g in G.elements() if t[g][g] == 0)
 
 
 def closure_elements(G: FiniteGroup, gens: Iterable[int]) -> frozenset[int]:

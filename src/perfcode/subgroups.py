@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import eq
-from typing import Sequence
 
 from .group import (
+    _INDICES,
     FiniteGroup,
     Subgroup,
-    _Packing,
-    _packed,
+    _distinct,
+    _lookup,
     bitmask,
     full_subgroup,
     generate,
@@ -80,8 +80,7 @@ def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
     records K's generators outside <z>, then z.  The tables of the z last as
     long as this call.
     """
-    n, t, inv, orders = G.order, G.table, G.inverse, G.element_orders
-    P, flat = _Packing(n), G.packed
+    n, t, inv, orders, flat = G.order, G.table, G.inverse, G.element_orders, G.packed
     prime = [p[0] if len(p) == 1 else 0 for p in map(_prime_factors, orders)]
     root_bit = [0] * n
     covered, cyclic_mask, columns, conjugation = 0, {}, {}, {}
@@ -93,23 +92,23 @@ def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
             covered |= bitmask(y for y in powers if orders[y] == orders[z])
             root_bit[powers[prime[z] % orders[z]]] |= 1 << z
             cyclic_mask[z] = bitmask(powers)
-            columns[z] = P.lookup(flat[z::n])
-            conjugation[z] = P.lookup(P.composer(flat[inv[z] * n : inv[z] * n + n])(columns[z]))
+            columns[z] = _lookup(flat[z::n])
+            conjugation[z] = _lookup(flat[inv[z] * n : inv[z] * n + n].translate(columns[z]))
 
-    subs: dict[Sequence[int], tuple] = {P.ident[:1]: (1, P.ident[:1], (), root_bit[0])}
-    passed_over: dict[Sequence[int], int] = {}
+    subs: dict[bytes, tuple] = {b"\0": (1, b"\0", (), root_bit[0])}
+    passed_over: dict[bytes, int] = {}
     for normal_only in (True, False):
         queue = list(subs.values())
         for mask, members, gens, todo in queue:
             todo = passed_over.get(members, todo)
-            gens_image, skipped = P.composer(_packed(gens, n)), 0
+            gens_image, skipped = bytes(gens).translate, 0
             while todo:
                 z = (todo & -todo).bit_length() - 1
                 todo ^= 1 << z
                 if not normal_only:
-                    joined = P.members(_packed(join_element(G, mask, members, gens, z)[1], n))
-                elif not P.outside(gens_image(conjugation[z]), members):
-                    joined = _normal_join(P, members, columns[z], prime[z])
+                    joined = _distinct(bytes(join_element(G, mask, members, gens, z)[1]))
+                elif not gens_image(conjugation[z]).translate(None, members):
+                    joined = _normal_join(members, columns[z], prime[z])
                 else:
                     skipped |= 1 << z
                     continue
@@ -123,19 +122,19 @@ def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
                 if normal_only or _prime_factors(index) == [index]:
                     todo &= ~entry[0]
             passed_over[members] = skipped
-        if P.ident in subs:
+        if _INDICES[:n] in subs:
             break
     order = sorted(subs.values(), key=lambda e: (e[0].bit_count(), e[0]))
     return tuple(Subgroup(mask, members, gens) for mask, members, gens, _ in order)
 
 
-def _normal_join(P: _Packing, members: Sequence[int], column: Sequence[int], p: int):
+def _normal_join(members: bytes, column: bytes, p: int) -> bytes:
     """K<z> as K, Kz, ..., Kz^(p-1), for z that normalizes K with z^p in K,
     from K's packed ``members`` and the lookup ``column`` of y -> yz."""
     cosets = [members]
     for _ in range(p - 1):
-        cosets.append(P.composer(cosets[-1])(column))
-    return P.members(P.flat(cosets))
+        cosets.append(cosets[-1].translate(column))
+    return _distinct(b"".join(cosets))
 
 
 def _normalizes(G: FiniteGroup, mask: int, gens: tuple[int, ...]):
@@ -167,12 +166,12 @@ def normalizer(G: FiniteGroup, K: Subgroup) -> Subgroup:
     K's generators, then each member outside the span of those before it."""
     if is_normal(G, K):
         return full_subgroup(G)
-    n, P, gens = G.order, _Packing(G.order), K.generators
-    position = P.lookup(_cosets(G, K)._position)
-    found = P.ident
+    n, gens = G.order, K.generators
+    position = _lookup(_cosets(G, K)._position)
+    found = _INDICES[:n]
     for k in gens:
-        image = P.composer(P.composer(found)(P.lookup(G.packed[k::n])))(position)
-        found = _packed(compress(found, map(eq, image, P.composer(found)(position))), n)
+        image = found.translate(_lookup(G.packed[k::n])).translate(position)
+        found = bytes(compress(found, map(eq, image, found.translate(position))))
     mask, elems = K.mask, list(K.members)
     for g in found:
         if not mask >> g & 1:
@@ -249,26 +248,14 @@ class CosetDecomposition:
     ``members`` holds every coset end to end, each in increasing order, so
     coset i is the slice ``[i * stride : (i + 1) * stride]`` with ``stride``
     = |H| and its representative is ``members[i * stride]``.  ``_position``
-    holds the index of g's coset at index g, for every g of G.  Both are
-    packed by ``group._packed``, like a subgroup's members;
-    ``representatives`` and ``blocks`` are views built from ``members`` on
-    each read."""
+    holds the index of g's coset at index g, for every g of G."""
 
-    members: Sequence[int]
+    members: bytes
     stride: int
-    _position: Sequence[int]
-
-    @property
-    def representatives(self) -> tuple[int, ...]:
-        return tuple(self.members[:: self.stride])
-
-    @property
-    def blocks(self) -> tuple[Sequence[int], ...]:
-        s = self.stride
-        return tuple(self.members[i : i + s] for i in range(0, len(self.members), s))
+    _position: bytes
 
     def coset_of(self, g: int) -> int:
-        """Index (into ``representatives``) of the coset containing g."""
+        """Index of the coset containing g."""
         return self._position[g]
 
 
@@ -298,7 +285,7 @@ def _cosets(G: FiniteGroup, H: Subgroup) -> CosetDecomposition:
         members += block
         for member in block:
             position[member] = idx
-    return CosetDecomposition(_packed(members, n), len(helems), _packed(position, n))
+    return CosetDecomposition(bytes(members), len(helems), bytes(position))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -315,17 +302,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def is_maximal_abelian(G: FiniteGroup, H: Subgroup) -> bool:
-    """True iff H is abelian and no strictly larger abelian subgroup contains it.
-
-    Any element commuting with all of an abelian H extends it to a larger
-    abelian subgroup, so the test is exactly C_G(H) = H.
-    """
-    if not is_abelian_subgroup(G, H):
-        return False
-    return centralizer(G, H) == H
-
-
 def minimal_conjugate(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """The least-bitmask member of the conjugacy class of H, one object per
     class: the first call on a class walks it, and G's stored class map then
@@ -336,8 +312,7 @@ def minimal_conjugate(G: FiniteGroup, H: Subgroup) -> Subgroup:
     lookups, keeping with each H^c the element c; a least one other than H
     records H's generators conjugated by its c.  Sets of one size compare by
     members in decreasing order as by masks."""
-    P = _Packing(G.order)
-    start = P.members(H.members)
+    start = H.members
     classes = _least_conjugates(G)
     if start in classes:
         return classes[start]
@@ -346,9 +321,9 @@ def minimal_conjugate(G: FiniteGroup, H: Subgroup) -> Subgroup:
     orbit = {start: 0}
     frontier = [(start, 0)]
     for current, c in frontier:
-        image = P.composer(current)
+        image = current.translate
         for x, table in conjugations:
-            key = P.members(image(table))
+            key = _distinct(image(table))
             if key not in orbit:
                 orbit[key] = found = t[c][x]
                 frontier.append((key, found))
@@ -374,11 +349,10 @@ def _least_conjugates(G: FiniteGroup) -> dict:
 def _generator_conjugations(G: FiniteGroup) -> tuple:
     """Each non-central generator x of G with the lookup of its conjugation
     y -> x^-1 y x; a central one fixes every subgroup."""
-    n, t, inv = G.order, G.table, G.inverse
-    P, flat = _Packing(n), G.packed
+    n, t, inv, flat = G.order, G.table, G.inverse, G.packed
     gens = full_subgroup(G).generators
     return tuple(
-        (x, P.lookup(P.composer(flat[inv[x] * n : inv[x] * n + n])(P.lookup(flat[x::n]))))
+        (x, _lookup(flat[inv[x] * n : inv[x] * n + n].translate(_lookup(flat[x::n]))))
         for x in gens
         if any(t[x][g] != t[g][x] for g in gens)
     )

@@ -66,8 +66,8 @@ MUTANTS = (
     ),
     (
         "src/perfcode/subgroups.py",
-        "P.lookup(G.packed[k::n])",
-        "P.lookup(G.packed[k * n : k * n + n])",
+        "_lookup(G.packed[k::n])",
+        "_lookup(G.packed[k * n : k * n + n])",
         "normalizer_matches_the_reference_walk",
     ),
     (

@@ -4,8 +4,9 @@ structure helpers that only the tests use.
 The oracles deliberately avoid the library's own algorithms: subgroups come
 from exhaustive subset scans, transversals from cartesian products over
 cosets, perfect codes from every pair of vertices, right cosets from every
-product, associativity from every triple, normalizers, centralizers and
-commutativity from every member, Sylow growth steps from whole normalizers,
+product, associativity from every triple, normalizers, centralizers,
+commutativity and maximal abelian subgroups from every member, elements of
+order at most 2 from the table's diagonal, Sylow growth steps from whole normalizers,
 coset-criterion counterexamples from a scan of every x, permutation tables
 from composing every pair of a closure grown by squaring, the tables of
 the cyclic, dihedral and dicyclic groups and of direct and central
@@ -17,7 +18,7 @@ cannot hide in the oracle as well.
 
 The helpers below them (the join-every-cyclic lattice, element orders,
 squares, bitmasks and ``Subgroup`` builds from element sets, checked and
-conjugate subgroups, commutators, derived and Frattini
+conjugate subgroups, conjugates and commutators, derived and Frattini
 subgroups, abelian invariants, the symplectic form of an extraspecial
 group, conjugacy class sizes and the small-order isomorphism search) are
 not oracles in that sense:
@@ -158,7 +159,7 @@ def brute_right_cosets(G: FiniteGroup, members, within=None) -> list[list[int]]:
     """The distinct sets Hg for g in within (default: G), each sorted, in
     order of their least element."""
     domain = G.elements() if within is None else within
-    cosets = {frozenset(G.mul(h, g) for h in members) for g in domain}
+    cosets = {frozenset(G.table[h][g] for h in members) for g in domain}
     return sorted(sorted(c) for c in cosets)
 
 
@@ -268,9 +269,8 @@ def _validate_rows(rows: Rows) -> tuple[int, ...]:
     Theory of Semigroups* I, 1961): the set of a with (xa)y = x(ay) for all
     x, y contains the identity and is closed under products, so checking the
     generators of ``_right_generators`` as the middle factor covers every
-    element.  Up to order 256 every index fits in a byte, and translating
-    row a through row x, padded to a 256-byte table, gives x(ay) for every
-    y in one C call; larger orders compose rows with ``itemgetter``.
+    element.  Every index fits in a byte, and translating row a through
+    row x, padded to a 256-byte table, gives x(ay) for every y in one C call.
     """
     n = len(rows)
     if any(len(set(row)) != n for row in rows):
@@ -280,11 +280,10 @@ def _validate_rows(rows: Rows) -> tuple[int, ...]:
     inverse = tuple(row.index(0) for row in rows)
     if any(rows[b][x] != 0 for x, b in enumerate(inverse)):
         raise ValueError("missing two-sided inverses")
-    small = n <= 256
-    by_index = list(map(bytes, rows)) if small else rows
-    lookups = [row.ljust(256, b"\0") for row in by_index] if small else rows
+    by_index = list(map(bytes, rows))
+    lookups = [row.ljust(256, b"\0") for row in by_index]
     for a in _right_generators(rows):
-        times_a = by_index[a].translate if small else itemgetter(*rows[a])
+        times_a = by_index[a].translate
         lefts = map(by_index.__getitem__, [row[a] for row in rows])
         for x, (left, right) in enumerate(zip(lefts, map(times_a, lookups))):
             if left != right:
@@ -296,7 +295,7 @@ def _validate_rows(rows: Rows) -> tuple[int, ...]:
 def brute_normalizer(G: FiniteGroup, members, within=None) -> frozenset[int]:
     """{g in within (default: G) : g^-1 k g lies in K for every k in K}."""
     domain = G.elements() if within is None else within
-    return frozenset(g for g in domain if all(G.conjugate(k, g) in members for k in members))
+    return frozenset(g for g in domain if all(conjugate(G, k, g) in members for k in members))
 
 
 def reference_normalizer(G: FiniteGroup, K: Subgroup) -> Subgroup:
@@ -309,7 +308,7 @@ def reference_normalizer(G: FiniteGroup, K: Subgroup) -> Subgroup:
     t = G.table
 
     def normalizes(g: int) -> bool:
-        return all(G.conjugate(k, g) in K for k in K.members)
+        return all(conjugate(G, k, g) in K for k in K.members)
 
     if all(map(normalizes, G.elements())):
         return full_subgroup(G)
@@ -358,10 +357,17 @@ def brute_is_abelian(G: FiniteGroup, members) -> bool:
     return all(t[a][b] == t[b][a] for a in members for b in members)
 
 
+def is_maximal_abelian(G: FiniteGroup, H: Subgroup) -> bool:
+    """H is abelian and no strictly larger abelian subgroup contains it.  Any
+    element commuting with all of an abelian H extends it to a larger abelian
+    subgroup, so the test is exactly C_G(H) = H."""
+    return brute_is_abelian(G, H.elements) and brute_centralizer(G, H.elements) == H.elements
+
+
 def _fails_coset_test(G: FiniteGroup, members, x: int) -> bool:
     """|H : H meet H^x| is odd and no y in Hx has y^2 = 1."""
     t = G.table
-    meet = sum(1 for h in members if G.conjugate(h, x) in members)
+    meet = sum(1 for h in members if conjugate(G, h, x) in members)
     coset = [t[h][x] for h in members]
     return (len(members) // meet) % 2 == 1 and all(t[y][y] != 0 for y in coset)
 
@@ -627,6 +633,11 @@ def squares(G: FiniteGroup) -> frozenset[int]:
     return frozenset(t[g][g] for g in G.elements()) - {0}
 
 
+def omega1(G: FiniteGroup) -> frozenset[int]:
+    """Elements of order at most 2 (identity included)."""
+    return frozenset(g for g in G.elements() if G.table[g][g] == 0)
+
+
 def mask_of(elems: Iterable[int]) -> int:
     """The bitmask of an element set: bit g set for each member g."""
     return sum(1 << g for g in frozenset(elems))
@@ -663,7 +674,13 @@ def conjugate_subgroup(G: FiniteGroup, H: Subgroup, x: int) -> Subgroup:
     """The conjugate {x^-1 h x : h in H}."""
     if not 0 <= x < G.order:
         raise ValueError(f"element index {x} out of range for order {G.order}")
-    return as_subgroup(G.conjugate(h, x) for h in H.elements)
+    return as_subgroup(conjugate(G, h, x) for h in H.elements)
+
+
+def conjugate(G: FiniteGroup, g: int, x: int) -> int:
+    """x^-1 g x."""
+    t = G.table
+    return t[t[G.inverse[x]][g]][x]
 
 
 def commutator(G: FiniteGroup, x: int, y: int) -> int:
@@ -806,7 +823,7 @@ def conjugacy_class_sizes(G: FiniteGroup) -> tuple[int, ...]:
     for g in range(G.order):
         if seen[g]:
             continue
-        cls = {G.conjugate(g, x) for x in G.elements()}
+        cls = {conjugate(G, g, x) for x in G.elements()}
         for member in cls:
             seen[member] = True
             sizes[member] = len(cls)

@@ -9,6 +9,7 @@ from oracles import (
     abelian_invariants,
     derived_subgroup,
     frattini_subgroup,
+    is_maximal_abelian,
     isomorphic_small,
     reduction_statements,
     squares,
@@ -38,7 +39,6 @@ from perfcode.subgroups import (
     all_subgroups,
     center,
     is_abelian_subgroup,
-    is_maximal_abelian,
     is_normal,
 )
 
@@ -167,7 +167,7 @@ def test_central_product_isomorphism_witness():
     if ok:
         for a in range(32):
             for b in range(32):
-                if mapping[qq.mul(a, b)] != dd.mul(mapping[a], mapping[b]):
+                if mapping[qq.table[a][b]] != dd.table[mapping[a]][mapping[b]]:
                     ok = False
     _report("central-product-isomorphism-witness", ok)
     assert ok

@@ -19,6 +19,7 @@ from oracles import (
     brute_is_perfect_code,
     brute_right_cosets,
     brute_square_coset_counterexample,
+    conjugate,
     conjugate_subgroup,
     reduction_statements,
     relabel_rows,
@@ -42,8 +43,9 @@ from perfcode.codes import (
 from perfcode.corpus import builtin_corpus
 from perfcode.group import (
     FiniteGroup,
-    _lookups,
-    _Packing,
+    _distinct,
+    _lookup,
+    _zeros,
     closure,
     full_subgroup,
     trivial_subgroup,
@@ -204,7 +206,7 @@ def test_transversal_for_transposition_subgroup(s4, s4_elem):
     assert T is not None
     assert len(T) == 12
     reps = frozenset(T)
-    assert reps == frozenset(s4.inv(g) for g in reps)
+    assert reps == frozenset(s4.inverse[g] for g in reps)
     S = connection_set_from_transversal(s4, H, T)
     assert is_perfect_code_in_cayley_graph(s4, S, H)
 
@@ -357,7 +359,7 @@ def test_coset_counterexamples_are_the_least_failing_x():
 
 def test_omega_coset_sets_trivial_subgroup(d8):
     quotient, lifted = omega_coset_sets(d8, full_subgroup(d8), trivial_subgroup())
-    omega = frozenset(g for g in d8.elements() if d8.mul(g, g) == 0)
+    omega = frozenset(g for g in d8.elements() if d8.table[g][g] == 0)
     assert quotient == omega
     assert lifted == omega
 
@@ -477,26 +479,6 @@ def test_decide_with_witness(s4, s4_elem):
     assert is_perfect_code_in_cayley_graph(s4, S, H)
 
 
-def test_decide_with_witness_above_order_256(monkeypatch):
-    # coset indices above 255 need the decompositions' wider packing
-    monkeypatch.setenv("PCL_MAX_ORDER", "300")
-    G = construct.build_named("product(s4,cyclic(11))")
-    assert G.order == 264
-    first = {o: G.element_orders.index(o) for o in (2, 3, 11)}
-    involutions = [[g] for g in G.elements() if G.element_orders[g] == 2]
-    verdicts = []
-    for gens in [[], [first[2], first[3]], [first[11]], [first[2], first[11]]] + involutions:
-        H = closure(G, gens)
-        verdict = decide(G, H, with_witness=True)
-        assert verdict.is_perfect_code == square_coset_condition(G, H).is_perfect_code
-        if verdict.is_perfect_code:
-            S = connection_set_from_transversal(G, H, verdict.witness)
-            assert is_perfect_code_in_cayley_graph(G, S, H), H.indices()
-        verdicts.append(verdict.is_perfect_code)
-    # a transposition gives a code, a double transposition does not
-    assert len(involutions) == 9 and verdicts.count(False) == 3
-
-
 def test_decide_with_witness_raises_when_search_finds_none(monkeypatch, s4, s4_elem):
     monkeypatch.setattr(codes, "find_inverse_closed_transversal", lambda G, H: None)
     even = closure(s4, [s4_elem[(1, 0, 2, 3)]])
@@ -550,8 +532,8 @@ def _brute_omega_sets(G: FiniteGroup, N, H) -> tuple[frozenset[int], frozenset[i
     """The involution cosets of N/H and the cosets holding an element of
     order at most 2, by their least elements, from the cosets themselves."""
     cosets = brute_right_cosets(G, H.elements, N.elements)
-    quotient = frozenset(c[0] for c in cosets if G.mul(c[0], c[0]) in H)
-    lifted = frozenset(c[0] for c in cosets if any(G.mul(y, y) == 0 for y in c))
+    quotient = frozenset(c[0] for c in cosets if G.table[c[0]][c[0]] in H)
+    lifted = frozenset(c[0] for c in cosets if any(G.table[y][y] == 0 for y in c))
     return quotient, lifted
 
 
@@ -608,26 +590,14 @@ def _check_scans(G: FiniteGroup, subgroups, double_max: int) -> None:
         dec = coset_decomposition(G, H)
         # the closed neighbourhoods Ht of the least coset representatives t
         # in Cay(G, H - 1) partition G, though t H need not
-        reps, dual = dec.representatives, members - {0}
+        s = dec.stride
+        reps, dual = dec.members[::s], members - {0}
         assert is_perfect_code_in_cayley_graph(G, dual, reps), H.indices()
         assert brute_is_perfect_code(G, dual, reps)
-        P, s = _Packing(G.order), dec.stride
         for x in G.elements():
             i = dec.coset_of(x) * s
-            meet = sum(G.conjugate(h, x) in members for h in members)
-            assert codes._meet_size(G, P, H, x, dec.members[i : i + s]) == meet, (H.indices(), x)
-
-
-def test_scans_above_order_256_match_oracles(monkeypatch):
-    """Order 264 runs every scan on tuples and arrays, not bytes."""
-    monkeypatch.setenv("PCL_MAX_ORDER", "300")
-    G = construct.build_named("product(s4,cyclic(11))")
-    assert G.order == 264 and not _lookups(G)[0].small
-    subs = all_subgroups(G, None, G.order)
-    assert len(subs) == 60
-    _check_scans(G, subs, double_max=24)
-    verdicts = [square_coset_condition(G, H).is_perfect_code for H in subs]
-    assert 0 < verdicts.count(False) < len(subs)
+            meet = sum(conjugate(G, h, x) in members for h in members)
+            assert codes._meet_size(G, H, x, dec.members[i : i + s]) == meet, (H.indices(), x)
 
 
 _DIFFERENTIAL_GROUPS = {
@@ -666,19 +636,17 @@ def test_witness_is_the_first_transversal_trying_involutions_first(spec):
         assert find_inverse_closed_transversal(G, H) == brute_first_transversal(G, H), H.indices()
 
 
-@pytest.mark.parametrize("n", [24, 256, 264])
+@pytest.mark.parametrize("n", [24, 256])
 def test_packing_zeros_and_finder(n):
-    """Both packings: ``zeros`` is 0 exactly at the members given, the
-    identity among them or not, and ``finder`` finds the first value in a
-    range or gives -1."""
-    P = _Packing(n)
-    assert P.small == (n <= 256)
+    """``_zeros`` is 0 exactly at the members given, the identity among them
+    or not; ``_distinct`` keeps each entry once, increasing; a packed
+    sequence translated through ``_lookup`` finds the first value in a range
+    or gives -1."""
     for members in ([0, 3, n - 1], [2, 5], []):
-        packed = (bytes if P.small else tuple)(members)
-        zeros = P.zeros(packed)
+        zeros = _zeros(bytes(members))
         assert [g for g in range(n) if not zeros[g]] == members
         assert all(zeros[g] == g for g in range(1, n) if g not in members)
-    seq = P.composer((bytes if P.small else tuple)([1, 0, 2, 0, 1]))(P.lookup(P.ident))
-    find = P.finder(seq)
+        assert _distinct(bytes(members[::-1] * 2)) == bytes(members)
+    find = bytes([1, 0, 2, 0, 1]).translate(_lookup(bytes(range(n)))).find
     found = [find(0, 0, 5), find(0, 2, 5), find(0, 4, 5), find(1, 1, 4), find(2, 0, 2)]
     assert found == [1, 3, -1, -1, -1]

@@ -52,21 +52,20 @@ def test_direct_product_keeps_a_given_name(d8):
 @pytest.mark.parametrize(
     "build, order",
     [
-        (lambda d8, q8: construct.cyclic(17), 17),
-        (lambda d8, q8: construct.elementary_abelian(5), 32),
-        (lambda d8, q8: construct.dihedral(18), 18),
-        (lambda d8, q8: construct.dicyclic(20), 20),
-        (lambda d8, q8: construct.direct_product(d8, q8), 64),
-        (lambda d8, q8: central_product(d8, q8), 32),
-        (lambda d8, q8: build_family(2, Family.GM1), 32),
+        (lambda g21, g22: construct.cyclic(257), 257),
+        (lambda g21, g22: construct.elementary_abelian(9), 512),
+        (lambda g21, g22: construct.dihedral(258), 258),
+        (lambda g21, g22: construct.dicyclic(260), 260),
+        (lambda g21, g22: construct.direct_product(g21, g22), 1024),
+        (lambda g21, g22: central_product(g21, g22), 512),
+        (lambda g21, g22: build_family(4, Family.GM1), 512),
     ],
     ids=["cyclic", "elementary", "dihedral", "dicyclic", "product", "central", "family"],
 )
-def test_constructors_check_the_cap_before_building(monkeypatch, d8, q8, build, order):
+def test_constructors_check_the_cap_before_building(monkeypatch, g21, g22, build, order):
     def from_table(*args, **kwargs):
         pytest.fail("a table above the cap was built")
 
-    monkeypatch.setenv("PCL_MAX_ORDER", "16")
     monkeypatch.setattr(FiniteGroup, "from_table", from_table)
-    with pytest.raises(ValueError, match=f"group order {order} exceeds the configured cap 16"):
-        build(d8, q8)
+    with pytest.raises(ValueError, match=f"group order {order} exceeds the order cap 256"):
+        build(g21, g22)

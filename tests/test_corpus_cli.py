@@ -8,8 +8,8 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import permutation_groups, relabel_rows
-from perfcode import cli, codes, construct, extraspecial, group
+from oracles import conjugate, permutation_groups, relabel_rows
+from perfcode import cli, codes, construct, extraspecial
 from perfcode import corpus as corpus_module
 from perfcode.codes import decide, search_connection_set
 from perfcode.corpus import (
@@ -317,8 +317,8 @@ def test_double_coset_vote_does_not_share_the_square_coset_root_search(monkeypat
     # a lookup that misses H's last member hides roots from the square-coset
     # scan alone: the double-coset scan tests HxH = Hx^-1H through inverses
     # and coset positions, so the two votes split on some row
-    zeros = group._Packing.zeros
-    monkeypatch.setattr(group._Packing, "zeros", lambda P, members: zeros(P, members[:-1]))
+    zeros = codes._zeros
+    monkeypatch.setattr(codes, "_zeros", lambda members: zeros(members[:-1]))
     report = cross_check(builtin_corpus(), max_order=32)
     split = [r for r in report.rows if r["verdicts"]["square-coset"] != r["verdicts"]["double-coset"]]
     assert split and report.summary["disagreements"] >= len(split)
@@ -355,7 +355,7 @@ def test_random_groups_decide_alike_when_relabelled_or_conjugated(G, data):
     for H in all_subgroups(G):
         code = decide(G, H).is_perfect_code
         assert decide(R, closure(R, [perm[h] for h in H.generators])).is_perfect_code == code
-        assert decide(G, closure(G, [G.conjugate(h, x) for h in H.generators])).is_perfect_code == code
+        assert decide(G, closure(G, [conjugate(G, h, x) for h in H.generators])).is_perfect_code == code
 
 
 def test_report_rejects_unknown_format(d8):
@@ -474,7 +474,8 @@ def test_cli_check_witness_failure_is_one_error_line(monkeypatch, tmp_path, caps
 
 
 def test_cli_classify_family_mismatch_is_one_error_line(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(extraspecial, "omega1", lambda G: frozenset({0}))
+    # every element but the identity counted as squaring to g^2 != 1
+    monkeypatch.setattr(extraspecial, "_lookups", lambda G: (b"", b"", bytes(range(1, G.order))))
     path = _write_group(tmp_path, construct.dihedral(8))
     assert cli.main(["classify", str(path), "--subgroup", "1"]) == 1
     err = capsys.readouterr().err

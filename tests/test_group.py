@@ -19,13 +19,13 @@ from oracles import (
     element_order,
     first_light_failure,
     is_associative,
+    omega1,
     reference_table,
     relabel_rows,
     squares,
     subgroup_from_elements,
 )
 from perfcode import construct
-from perfcode import group as group_module
 from perfcode.group import (
     FiniteGroup,
     closure,
@@ -33,7 +33,6 @@ from perfcode.group import (
     group_from_permutations,
     group_to_json,
     load_group,
-    omega1,
     subgroup_as_group,
     trivial_subgroup,
 )
@@ -84,11 +83,12 @@ def test_load_rejects_negative_permutation_degree():
         load_group({"degree": -3, "generators": []})
 
 
-def test_load_rejects_closure_beyond_cap(monkeypatch):
-    monkeypatch.setenv("PCL_MAX_ORDER", "64")
-    doc = {"degree": 5, "generators": [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]}
-    with pytest.raises(ValueError, match="cap"):
-        load_group(doc)  # |S5| = 120
+S6_ON_DEGREE_6 = {"degree": 6, "generators": [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]}
+
+
+def test_load_rejects_closure_beyond_cap():
+    with pytest.raises(ValueError, match="permutation closure exceeds the order cap 256"):
+        load_group(S6_ON_DEGREE_6)  # |S6| = 720
 
 
 def test_load_checks_declared_order_of_permutation_group():
@@ -144,7 +144,7 @@ def test_permutation_tables_match_brute_force_composition():
         try:
             group_from_permutations(gens, degree=degree)
         except ValueError as exc:
-            assert "exceeds the configured cap" in str(exc)
+            assert "exceeds the order cap" in str(exc)
             continue
         drawn += 1
         identity = list(range(degree))
@@ -313,10 +313,13 @@ def test_order_256_corruptions_match_the_reference_validator(spec):
 
 
 def test_order_cap_env_override(monkeypatch):
-    monkeypatch.setenv("PCL_MAX_ORDER", "10")
-    doc = {"degree": 4, "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]}
-    with pytest.raises(ValueError, match="cap"):
-        load_group(doc)
+    """The order cap is the constant 256, since every index must fit in a
+    byte: no environment variable raises it."""
+    monkeypatch.setenv("PCL_MAX_ORDER", "300")
+    with pytest.raises(ValueError, match="group order 257 exceeds the order cap 256"):
+        construct.cyclic(257)
+    with pytest.raises(ValueError, match="permutation closure exceeds the order cap 256"):
+        load_group(S6_ON_DEGREE_6)
 
 
 def test_canonicalization_moves_identity_to_zero():
@@ -473,7 +476,7 @@ def test_subgroup_as_group_preserves_products(s4, s4_elem):
     assert sub.order == len(H)
     for a in range(sub.order):
         for b in range(sub.order):
-            assert back[sub.mul(a, b)] == s4.mul(back[a], back[b])
+            assert back[sub.table[a][b]] == s4.table[back[a]][back[b]]
 
 
 def test_trivial_and_full_subgroups(d8):
@@ -498,7 +501,7 @@ def test_permutation_closure_yields_valid_group(data):
     assert G.table[0] == tuple(range(G.order))
     for g in G.elements():
         assert G.order % G.element_orders[g] == 0
-        assert G.mul(g, G.inv(g)) == 0
+        assert G.table[g][G.inverse[g]] == 0
 
 
 FAILED_TRIPLE = re.compile(r"associativity fails at triple \((\d+), (\d+), (\d+)\)")
@@ -650,23 +653,10 @@ def test_near_groups_report_the_first_failing_triple(spec, count):
     assert rejected >= count // 2
 
 
-def test_near_group_above_order_256_reports_the_first_failing_triple(monkeypatch):
-    """Above order 256, reachable only with a raised cap, rows compose as tuples."""
-    monkeypatch.setenv("PCL_MAX_ORDER", "300")
-    G = construct.build_named("product(s4,cyclic(11))")
-    assert G.order == 264
-    assert FiniteGroup.from_table([list(row) for row in G.table]).table == G.table
-    rng = random.Random(G.order)
-    assert _assert_first_light_failure_reported(_sampled_near_group(G, rng))
-
-
-@pytest.mark.parametrize(
-    "spec, order", [("cyclic(256)", 256), ("cyclic(257)", 257), ("product(s4,cyclic(11))", 264)]
-)
-def test_tables_either_side_of_order_256_match_the_reference(monkeypatch, spec, order):
-    """Rows pack as bytes up to order 256 and as tuples above it; both give
-    the reference validator's table, inverses and first message."""
-    monkeypatch.setenv("PCL_MAX_ORDER", "300")
+@pytest.mark.parametrize("spec, order", [("cyclic(256)", 256)])
+def test_tables_either_side_of_order_256_match_the_reference(spec, order):
+    """At the order cap, where the largest index is 255, packed rows give the
+    reference validator's table, inverses and first message."""
     G = construct.build_named(spec)
     assert G.order == order
     rng = random.Random(order)
@@ -685,29 +675,17 @@ def test_tables_either_side_of_order_256_match_the_reference(monkeypatch, spec, 
     )
 
 
-def test_permutation_columns_pack_by_order_not_degree(monkeypatch):
-    """Generators of degree 300 whose group has order at most 256 still
-    build byte columns; degree 15 with order 264 builds tuple columns."""
-    monkeypatch.setenv("PCL_MAX_ORDER", "300")
-    packings = []
-
-    class Recording(group_module._Packing):
-        def __init__(self, n):
-            super().__init__(n)
-            packings.append((n, self.small))
-
-    monkeypatch.setattr(group_module, "_Packing", Recording)
+def test_permutation_columns_pack_by_order_not_degree():
+    """Generators of degree 300, whose images do not fit in a byte, still
+    build byte columns when their group has order at most 256."""
     cases = [
         ([_cycle(300, [0, 299])], 300),  # a transposition: order 2
         ([_cycle(300, [296, 297, 298, 299]), _cycle(300, [297, 299]), _cycle(300, [0, 1, 2, 3])],
          300),  # D8 x Z4: order 32
-        ([_cycle(15, [0, 1]), _cycle(15, [0, 1, 2, 3]), _cycle(15, list(range(4, 15)))],
-         15),  # S4 x Z11: order 264
     ]
     for gens, degree in cases:
         G = group_from_permutations(gens, degree=degree)
         assert [list(row) for row in G.table] == brute_permutation_table(gens, degree)
-    assert packings == [(n, n <= 256) for n in (2, 2, 32, 32, 264, 264)]
 
 
 @pytest.mark.parametrize(

@@ -19,10 +19,12 @@ from oracles import (
     brute_subgroups,
     conjugacy_class_sizes,
     as_subgroup,
+    conjugate,
     conjugate_subgroup,
     derived_subgroup,
     element_order_multiset,
     frattini_subgroup,
+    is_maximal_abelian,
     isomorphic_small,
     join_every_cyclic_lattice,
     mask_of,
@@ -51,7 +53,6 @@ from perfcode.subgroups import (
     centralizer,
     coset_decomposition,
     is_abelian_subgroup,
-    is_maximal_abelian,
     is_normal,
     minimal_conjugate,
     normalizer,
@@ -185,14 +186,6 @@ def test_normalizer_matches_the_reference_walk_on_random_groups(G):
     _assert_normalizers_match_reference(G, all_subgroups(G))
 
 
-def test_normalizer_matches_the_reference_walk_above_order_256(monkeypatch):
-    # coset positions and packed columns as tuples, not bytes
-    monkeypatch.setenv("PCL_MAX_ORDER", "300")
-    G = construct.build_named("product(s4,cyclic(11))")
-    assert G.order == 264
-    _assert_normalizers_match_reference(G, _order_264_subgroups(G))
-
-
 def _assert_normalizers_match_reference(G, subs):
     """``normalizer`` against the reference walk of G, members and recorded
     generators alike, and against the brute-force normalizer."""
@@ -260,9 +253,9 @@ def test_fallback_round_repeats_no_join(monkeypatch, name):
         fallback.append((mask, g))
         return join(G, mask, elems, gens, g)
 
-    def recording_normal(P, members, column, p):
+    def recording_normal(members, column, p):
         first.append((mask_of(members), column[0]))
-        return normal_join(P, members, column, p)
+        return normal_join(members, column, p)
 
     monkeypatch.setattr(subgroups, "join_element", recording)
     monkeypatch.setattr(subgroups, "_normal_join", recording_normal)
@@ -302,8 +295,8 @@ def test_lattice_joins_have_prime_index(monkeypatch, spec):
     indices = []
     join = subgroups._normal_join
 
-    def counted(P, members, column, p):
-        out = join(P, members, column, p)
+    def counted(members, column, p):
+        out = join(members, column, p)
         indices.append(len(out) // len(members))
         return out
 
@@ -343,7 +336,7 @@ def test_conjugates_of_enumerated_are_enumerated(s4):
     subs = {H.elements for H in all_subgroups(s4)}
     for members in subs:
         for x in s4.elements():
-            assert frozenset(s4.conjugate(h, x) for h in members) in subs
+            assert frozenset(conjugate(s4, h, x) for h in members) in subs
 
 
 def test_enumeration_cap(s4):
@@ -546,29 +539,30 @@ def test_frattini_of_trivial_subgroup(d8):
 
 def test_coset_decomposition_whole_group(s4):
     dec = coset_decomposition(s4, full_subgroup(s4))
-    assert dec.representatives == (0,)
+    assert dec.members[:: dec.stride] == b"\0"
 
 
 def test_coset_decomposition_trivial_subgroup(s4):
     dec = coset_decomposition(s4, trivial_subgroup())
-    assert dec.representatives == tuple(range(24))
+    assert dec.members[:: dec.stride] == bytes(range(24))
 
 
 def test_coset_decomposition_a4_in_s4(s4, s4_elem):
     A = closure(s4, [s4_elem[(1, 2, 0, 3)], s4_elem[(0, 2, 3, 1)]])
     assert len(A) == 12
     dec = coset_decomposition(s4, A)
-    assert len(dec.representatives) == 2
+    assert len(dec.members[:: dec.stride]) == 2
 
 
 def test_coset_decomposition_partitions(s4, s4_elem):
     H = closure(s4, [s4_elem[(1, 0, 2, 3)], s4_elem[(1, 2, 0, 3)]])
     dec = coset_decomposition(s4, H)
-    assert len(dec.representatives) == 24 // len(H)
-    seen = [g for block in dec.blocks for g in block]
+    reps, blocks = dec.members[:: dec.stride], _blocks(dec)
+    assert len(reps) == 24 // len(H)
+    seen = [g for block in blocks for g in block]
     assert sorted(seen) == list(range(24))
-    for i, block in enumerate(dec.blocks):
-        assert dec.representatives[i] == min(block)
+    for i, block in enumerate(blocks):
+        assert reps[i] == min(block)
         for g in block:
             assert dec.coset_of(g) == i
     for h in H.elements:
@@ -586,6 +580,12 @@ def test_ambient_subgroup_must_contain_h():
     assert not [key for key in G._store if key[0] is subgroups._cosets.__wrapped__]
 
 
+def _blocks(dec) -> list[bytes]:
+    """The cosets of a decomposition, each its slice of ``members``."""
+    s = dec.stride
+    return [dec.members[i : i + s] for i in range(0, len(dec.members), s)]
+
+
 def _assert_matches_brute_cosets(G, H, within=None):
     """The cosets of G's decomposition by H that are led by a member of the
     ambient subgroup (default: G) are the right cosets of H inside it: the
@@ -596,41 +596,12 @@ def _assert_matches_brute_cosets(G, H, within=None):
     assert dec is coset_decomposition(G, H)
     ambient = full_subgroup(G) if within is None else within
     cosets = brute_right_cosets(G, H.elements, sorted(ambient.elements))
-    led = [i for i, rep in enumerate(dec.representatives) if rep in ambient]
-    assert [list(dec.blocks[i]) for i in led] == cosets, H.indices()
-    assert [dec.representatives[i] for i in led] == [c[0] for c in cosets], H.indices()
+    reps, blocks = dec.members[:: dec.stride], _blocks(dec)
+    led = [i for i, rep in enumerate(reps) if rep in ambient]
+    assert [list(blocks[i]) for i in led] == cosets, H.indices()
+    assert [reps[i] for i in led] == [c[0] for c in cosets], H.indices()
     for i, coset in zip(led, cosets):
         assert [dec.coset_of(g) for g in coset] == [i] * len(coset), H.indices()
-
-
-def _order_264_subgroups(G):
-    """Subgroups of product(s4,cyclic(11)) generated by the first elements of
-    orders 2, 3, 4 and 11, and the subgroup K of order 132 that the first
-    of orders 2, 3 and 11 generate, which is last but for G itself."""
-    first = {o: G.element_orders.index(o) for o in (2, 3, 4, 11)}
-    return [
-        trivial_subgroup(),
-        closure(G, [first[2]]),
-        closure(G, [first[4]]),
-        closure(G, [first[11]]),
-        closure(G, [first[2], first[3]]),
-        closure(G, [first[2], first[3], first[11]]),
-        full_subgroup(G),
-    ]
-
-
-def test_coset_decomposition_above_order_256(monkeypatch):
-    # 264 cosets of the trivial subgroup: indices above 255 must pack
-    monkeypatch.setenv("PCL_MAX_ORDER", "300")
-    G = construct.build_named("product(s4,cyclic(11))")
-    assert G.order == 264
-    subs = _order_264_subgroups(G)
-    K = subs[-2]
-    for H in subs:
-        _assert_matches_brute_cosets(G, H)
-        if H.elements <= K.elements:
-            _assert_matches_brute_cosets(G, H, K)
-    assert len(coset_decomposition(G, trivial_subgroup()).representatives) == 264
 
 
 def test_band_sweep_stores_cosets_per_subgroup_and_overgroups_once():
@@ -787,7 +758,7 @@ def test_minimal_conjugate_is_invariant(s4):
 def test_least_conjugates_match_brute_force(spec):
     G, _ = _relabelled(construct.build_named(spec), 3)
     for H in all_subgroups(G):
-        conjugates = [frozenset(G.conjugate(h, x) for h in H.elements) for x in range(G.order)]
+        conjugates = [frozenset(conjugate(G, h, x) for h in H.elements) for x in range(G.order)]
         assert minimal_conjugate(G, H).elements == min(conjugates, key=mask_of)
         if is_normal(G, H):
             assert minimal_conjugate(G, H) is H
@@ -795,30 +766,17 @@ def test_least_conjugates_match_brute_force(spec):
 
 @pytest.mark.parametrize(
     "spec",
-    ["s4", "product(q8,cyclic(6))", "product(cyclic(4),elementary(2))", "product(s4,cyclic(11))"],
+    ["s4", "product(q8,cyclic(6))", "product(cyclic(4),elementary(2))"],
 )
-def test_least_conjugate_is_one_object_per_class(monkeypatch, spec):
+def test_least_conjugate_is_one_object_per_class(spec):
     """The class map hands every member of a class the object its first walk
     built, here from the last member of the lattice in its class."""
-    monkeypatch.setenv("PCL_MAX_ORDER", "300")
     G, _ = _relabelled(construct.build_named(spec), 8)
     for H in reversed(all_subgroups(G, None, G.order)):
         rep = minimal_conjugate(G, H)
         assert closure(G, rep.generators) == rep
         for x in G.elements():
             assert minimal_conjugate(G, conjugate_subgroup(G, H, x)) is rep, (H.indices(), x)
-
-
-def test_lattice_and_least_conjugates_above_order_256(monkeypatch):
-    """Order 264 packs element sets as tuples and sets, not bytes."""
-    monkeypatch.setenv("PCL_MAX_ORDER", "300")
-    G, _ = _relabelled(construct.build_named("product(s4,cyclic(11))"), 5)
-    subs = all_subgroups(G, None, G.order)
-    assert [H.elements for H in subs] == [H.elements for H in join_every_cyclic_lattice(G)]
-    for H in subs:
-        assert closure_elements(G, H.generators) == H.elements, H.indices()
-        conjugates = [frozenset(G.conjugate(h, x) for h in H.elements) for x in G.elements()]
-        assert minimal_conjugate(G, H).elements == min(conjugates, key=mask_of), H.indices()
 
 
 @given(permutation_groups(min_degree=5))
