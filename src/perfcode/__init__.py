@@ -61,7 +61,6 @@ from .subgroups import (
     CosetDecomposition,
     all_subgroups,
     center,
-    centralizer,
     coset_decomposition,
     is_normal,
     normalizer,

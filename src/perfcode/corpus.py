@@ -144,17 +144,18 @@ def _row_verdicts(
         H2, N, N2 = sylow_reduction(G, H)
     verdicts: dict[str, bool] = {}
     same_as: dict[str, str] = {}
-    memo: dict[tuple, bool] = {}
-    first: dict[tuple, str] = {}
+    seen: dict[tuple, list] = {}  # statement -> [key that evaluated it, or None; verdict]
     settled = None
 
     def ask(key: str, *statement) -> None:
-        if statement in first:
-            same_as[key] = first[statement]
-        elif statement not in memo:
-            memo[statement] = statement[0](G, *statement[1:]).is_perfect_code
-        first.setdefault(statement, key)
-        verdicts[key] = memo[statement]
+        entry = seen.get(statement)
+        if entry is None:
+            entry = seen[statement] = [key, statement[0](G, *statement[1:]).is_perfect_code]
+        elif entry[0] is None:
+            entry[0] = key
+        else:
+            same_as[key] = entry[0]
+        verdicts[key] = entry[1]
 
     if "decide" in criteria:
         verdict = decide(G, H)
@@ -162,10 +163,10 @@ def _row_verdicts(
         if even_decide:
             # decide ran omega on (H2, N2); when that failed, the scan of H in G
             settled = (omega_criterion, H2, N2)
-            memo[settled] = verdict.criterion is Criterion.OMEGA_QUOTIENT
+            seen[settled] = [None, verdict.criterion is Criterion.OMEGA_QUOTIENT]
             if verdict.criterion is Criterion.SQUARE_COSET:
                 settled = (square_coset_condition, H, full)
-                memo[settled] = verdict.is_perfect_code
+                seen[settled] = [None, verdict.is_perfect_code]
     if "transversal" in criteria:
         T = find_inverse_closed_transversal(G, H)
         verdicts["transversal"] = T is not None
@@ -189,8 +190,8 @@ def _row_verdicts(
         ask("extraspecial-classification", classify_extraspecial, H)
     if "sylow2-extraspecial" in tags:
         ask("sylow-extraspecial-classification", classify_sylow_extraspecial, H)
-    if settled in first:
-        same_as["decide"] = first[settled]
+    if settled is not None and seen[settled][0] is not None:
+        same_as["decide"] = seen[settled][0]
     return verdicts, same_as
 
 

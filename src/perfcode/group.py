@@ -33,14 +33,14 @@ class FiniteGroup:
     ``element_orders[a]`` the least k >= 1 with a^k = identity, and
     ``packed`` the rows end to end in the one ``bytes`` object validation
     joined them into (row a is a slice, column c the stride slice
-    ``[c::n]``).  All are built at construction and never mutated.  Derived structure goes into a private
-    store that ``per_group`` functions fill lazily and that dies with the
-    group: the squares, inverses and non-involutions, the lattice, one coset
+    ``[c::n]``).  All are built at construction and never mutated.  Derived
+    structure goes into a private store that ``per_group`` functions fill
+    lazily and that dies with the group: the squares, inverses and
+    non-involutions, the lattice and its least-conjugate class map, one coset
     decomposition of G per subgroup, Sylow 2-subgroups and overgroups,
-    normalizers, centralizers, the extraspecial classification and the
-    conjugation lookups.  A stored value never changes but the
-    least-conjugate class map, which only grows, so threads sharing a group
-    at worst compute one value twice or walk one class twice.
+    normalizers and the extraspecial classification.  Each stored value is
+    written once and never changes, so threads sharing a group at worst
+    compute one value twice.
     """
 
     order: int

@@ -1,5 +1,5 @@
 """Subgroup enumeration and structure operators: Sylow 2-subgroups,
-normalizers, centralizers, centers, cosets and least conjugates.
+normalizers, centers, cosets and least conjugates read off the lattice.
 
 The operators test the ``generators`` every subgroup records, not its
 members, and record generators on every subgroup they build.  They test
@@ -180,21 +180,12 @@ def normalizer(G: FiniteGroup, K: Subgroup) -> Subgroup:
     return Subgroup(mask, elems, gens)
 
 
-@per_group
-def centralizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """{g : gh = hg for all h in H}; g is tested on H's generators.  The
-    result records the generators ``generate`` picks from its members."""
-    t = G.table
-    gens = H.generators
-    members = [g for g in G.elements() if all(t[g][h] == t[h][g] for h in gens)]
-    return Subgroup(bitmask(members), members, generate(G, members)[1])
-
-
 def center(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """{h in H : hx = xh for all x in H}, with generators as ``centralizer``'s."""
-    C = centralizer(G, H).mask
-    members = [h for h in H if C >> h & 1]
-    return Subgroup(C & H.mask, members, generate(G, members)[1])
+    """{h in H : hx = xh for all x in H}; h is tested on H's generators.  The
+    result records the generators ``generate`` picks from its members."""
+    t, gens = G.table, H.generators
+    members = [h for h in H.members if all(t[h][k] == t[k][h] for k in gens)]
+    return Subgroup(bitmask(members), members, generate(G, members)[1])
 
 
 @per_group
@@ -303,56 +294,35 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def minimal_conjugate(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """The least-bitmask member of the conjugacy class of H, one object per
-    class: the first call on a class walks it, and G's stored class map then
-    hands that answer to every member (it is H itself when H was walked and
-    least, so always when H is normal).  The orbit under conjugation by G's
-    non-central generators alone is the whole orbit, so it is walked
-    breadth-first on packed members through their stored conjugation
-    lookups, keeping with each H^c the element c; a least one other than H
-    records H's generators conjugated by its c.  Sets of one size compare by
-    members in decreasing order as by masks."""
-    start = H.members
-    classes = _least_conjugates(G)
-    if start in classes:
-        return classes[start]
-    t, inv = G.table, G.inverse
-    conjugations = _generator_conjugations(G)
-    orbit = {start: 0}
-    frontier = [(start, 0)]
-    for current, c in frontier:
-        image = current.translate
-        for x, table in conjugations:
-            key = _distinct(image(table))
-            if key not in orbit:
-                orbit[key] = found = t[c][x]
-                frontier.append((key, found))
-    key = min(orbit, key=lambda k: k[::-1])
-    if key == start:
-        least = H
-    else:
-        c = orbit[key]
-        row = t[inv[c]]
-        least = Subgroup(bitmask(key), key, tuple(t[row[k]][c] for k in H.generators))
-    classes.update(dict.fromkeys(orbit, least))
-    return least
+    """The least-bitmask member of H's conjugacy class, as the one object G's
+    lattice holds for it.  A first call on a G whose lattice was never built
+    builds the lattice and the class map: 1.5 s for product(gm1(3),cyclic(2))
+    (34,415 subgroups) with CPython 3.11 on a 2-core Xeon, 0.01 s for D256."""
+    return _least_conjugates(G)[H.members]
 
 
 @per_group
-def _least_conjugates(G: FiniteGroup) -> dict:
-    """``minimal_conjugate``'s map from packed members to least conjugate,
-    the one stored value that changes: each walk adds a class, none goes."""
-    return {}
-
-
-@per_group
-def _generator_conjugations(G: FiniteGroup) -> tuple:
-    """Each non-central generator x of G with the lookup of its conjugation
-    y -> x^-1 y x; a central one fixes every subgroup."""
+def _least_conjugates(G: FiniteGroup) -> dict[bytes, Subgroup]:
+    """Packed members of every subgroup -> its least conjugate.  The lattice,
+    ordered by order then bitmask, meets each class first at its least
+    member, whose orbit under G's non-central generators (a central one fixes
+    every subgroup) is walked breadth-first by the lookups y -> x^-1 y x."""
     n, t, inv, flat = G.order, G.table, G.inverse, G.packed
     gens = full_subgroup(G).generators
-    return tuple(
-        (x, _lookup(flat[inv[x] * n : inv[x] * n + n].translate(_lookup(flat[x::n]))))
+    conjugations = [
+        _lookup(flat[inv[x] * n : inv[x] * n + n].translate(_lookup(flat[x::n])))
         for x in gens
         if any(t[x][g] != t[g][x] for g in gens)
-    )
+    ]
+    least: dict[bytes, Subgroup] = {}
+    for K in _lattice(G):
+        if K.members not in least:
+            least[K.members] = K
+            orbit = [K.members]
+            for current in orbit:
+                for table in conjugations:
+                    key = _distinct(current.translate(table))
+                    if key not in least:
+                        least[key] = K
+                        orbit.append(key)
+    return least

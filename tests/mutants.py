@@ -89,6 +89,18 @@ MUTANTS = (
         "graph_check_fails",
     ),
     (
+        "src/perfcode/subgroups.py",
+        "for table in conjugations:",
+        "for table in conjugations[:1]:",
+        "least_conjugate or minimal_conjugate",
+    ),
+    (
+        "src/perfcode/subgroups.py",
+        "t[k][h] for k in gens)",
+        "t[k][h] for k in gens[:1])",
+        "structure_operators_match_brute_force",
+    ),
+    (
         "src/perfcode/corpus.py",
         "minimal_conjugate(G, H).mask == H.mask",
         "minimal_conjugate(G, H).mask != H.mask",

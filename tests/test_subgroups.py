@@ -50,7 +50,6 @@ from perfcode.subgroups import (
     _prime_factors,
     all_subgroups,
     center,
-    centralizer,
     coset_decomposition,
     is_abelian_subgroup,
     is_normal,
@@ -154,7 +153,7 @@ def test_recorded_generators_close_to_the_subgroup(spec):
 @settings(max_examples=12, deadline=None, derandomize=True)
 def test_operator_results_record_generators_of_themselves(G):
     for H in all_subgroups(G):
-        for op in (normalizer, centralizer, center, sylow_2_subgroup, minimal_conjugate):
+        for op in (normalizer, center, sylow_2_subgroup, minimal_conjugate):
             K = op(G, H)
             assert closure_elements(G, K.generators) == K.elements, (op.__name__, H.indices())
         assert closure_elements(G, H.generators) == H.elements, H.indices()
@@ -452,7 +451,6 @@ def test_store_keys_ignore_how_arguments_are_spelled(s4_elem):
     assert coset_decomposition(G, H) is coset_decomposition(G, H, None)
     assert coset_decomposition(G, H) is coset_decomposition(G, H, within=None)
     assert normalizer(G, K=H) is normalizer(G, H)
-    assert centralizer(G, H=H) is centralizer(G, H)
     with pytest.raises(TypeError):
         normalizer(G)
     with pytest.raises(TypeError):
@@ -480,7 +478,6 @@ def test_structure_operators_match_brute_force(spec, recorded):
         N = normalizer(G, H)
         assert N.elements == brute_normalizer(G, H.elements), label
         assert closure_elements(G, N.generators) == N.elements, label
-        assert centralizer(G, H).elements == brute_centralizer(G, H.elements), label
         assert center(G, H).elements == brute_centralizer(G, H.elements, H.elements), label
         assert is_abelian_subgroup(G, H) == brute_is_abelian(G, H.elements), label
 
@@ -507,13 +504,6 @@ def test_center_of_abelian_group_is_itself():
 
 def test_center_of_d8(d8):
     assert center(d8, full_subgroup(d8)).elements == frozenset({0, 2})
-
-
-def test_centralizer_within(s4, s4_elem):
-    H = closure(s4, [s4_elem[(1, 0, 3, 2)]])
-    C = centralizer(s4, H)
-    assert len(C) == 8
-    assert H.elements <= C.elements
 
 
 def test_derived_subgroup_of_abelian_is_trivial():
@@ -636,7 +626,6 @@ def test_structure_operators_return_lattice_members():
         for H in lattice.values():
             assert member(normalizer(G, H))
             assert member(sylow_2_subgroup(G, H))
-            assert member(centralizer(G, H))
             assert member(center(G, H))
             assert member(minimal_conjugate(G, H))
             if two_part(len(H)) == len(H):
@@ -769,14 +758,35 @@ def test_least_conjugates_match_brute_force(spec):
     ["s4", "product(q8,cyclic(6))", "product(cyclic(4),elementary(2))"],
 )
 def test_least_conjugate_is_one_object_per_class(spec):
-    """The class map hands every member of a class the object its first walk
-    built, here from the last member of the lattice in its class."""
+    """Every conjugate of H, built apart from the lattice, gets the one
+    object of H's class, which records generators of itself, whichever
+    member is asked first: the lattice is walked from its end."""
     G, _ = _relabelled(construct.build_named(spec), 8)
     for H in reversed(all_subgroups(G, None, G.order)):
         rep = minimal_conjugate(G, H)
         assert closure(G, rep.generators) == rep
         for x in G.elements():
             assert minimal_conjugate(G, conjugate_subgroup(G, H, x)) is rep, (H.indices(), x)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [_relabelled(construct.symmetric(4), 9)[0], construct.build_named("product(q8,cyclic(6))")],
+    ids=["s4~9", "product(q8,cyclic(6))"],
+)
+def test_least_conjugates_are_lattice_objects_in_a_map_written_once(G):
+    """Queries on lattice members and on closure-built copies of them return
+    lattice objects and leave the class map as its one build wrote it."""
+    lattice = all_subgroups(G)
+    ids = set(map(id, lattice))
+    classes = subgroups._least_conjugates(G)
+    written = [(key, id(K)) for key, K in classes.items()]
+    assert len(written) == len(lattice)
+    for H in lattice:
+        for query in (H, closure(G, H.members)):
+            assert id(minimal_conjugate(G, query)) in ids, H.indices()
+    assert subgroups._least_conjugates(G) is classes
+    assert [(key, id(K)) for key, K in classes.items()] == written
 
 
 @given(permutation_groups(min_degree=5))
