@@ -30,7 +30,7 @@ from .extraspecial import (
     is_extraspecial,
 )
 from .group import FiniteGroup, closure, group_to_json, load_group
-from .subgroups import all_subgroups
+from .subgroups import DEFAULT_ENUMERATION_CAP, all_subgroups
 
 
 def _parse_subgroup(G: FiniteGroup, text: str):
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subgroups", help="enumerate all subgroups of a group file")
     p.add_argument("file")
-    p.add_argument("--max-order", type=int, default=128)
+    p.add_argument("--max-order", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.set_defaults(func=_cmd_subgroups)
 
     p = sub.add_parser("check", help="decide whether a subgroup is a perfect code")

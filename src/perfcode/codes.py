@@ -111,7 +111,7 @@ def is_perfect_code_in_cayley_graph(
     if len(words) <= len(closed):
         parts = [closed.translate(_lookup(flat[c::n])) for c in words]
     else:
-        parts = [words.translate(_lookup(flat[s * n : s * n + n])) for s in closed]
+        parts = [words.translate(_lookup(G.table[s])) for s in closed]
     return not _INDICES[:n].translate(None, b"".join(parts))
 
 
@@ -135,7 +135,7 @@ def find_inverse_closed_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, .
     """
     dec = coset_decomposition(G, H)
     square, inverse, _ = _lookups(G)
-    members, size, position, inv = dec.members, dec.stride, dec._position, G.inverse
+    members, size, position = dec.members, dec.stride, dec._position
     k = len(members) // size
     # each coset's members, involutions first (keyed 2i + [g^2 != 1] for g in
     # coset i), and the index of the coset of g^-1 for each g and each member
@@ -153,7 +153,7 @@ def find_inverse_closed_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, .
             return True
         i = cosets[pos]
         for cand in order[i * size : i * size + size]:
-            partner, j = inv[cand], mirror[cand]
+            partner, j = inverse[cand], mirror[cand]
             if j == i:
                 if partner != cand:
                     continue
@@ -202,7 +202,7 @@ def _meet_size(G: FiniteGroup, H: Subgroup, x: int, coset: bytes) -> int:
     """|H meet H^x| for x in the packed right coset ``coset`` = Hx: x maps it
     onto xH meet Hx, so it is |H| less the number of xh outside Hx.  As
     H^(hx) = H^x, it is constant on Hx (and on the double coset HxH)."""
-    xH = H.members.translate(_lookup(G.packed[x * G.order : (x + 1) * G.order]))
+    xH = H.members.translate(_lookup(G.table[x]))
     return len(H) - len(xH.translate(None, coset))
 
 

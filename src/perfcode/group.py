@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 import json
 from dataclasses import dataclass, field
 from functools import wraps
@@ -29,23 +28,23 @@ class FiniteGroup:
     """A group of order n <= ``MAX_ORDER`` on indices 0..n-1 with the
     identity pinned at 0.
 
-    ``table[a][b]`` is the product a*b, ``inverse[a]`` the inverse of ``a``,
-    ``element_orders[a]`` the least k >= 1 with a^k = identity, and
-    ``packed`` the rows end to end in the one ``bytes`` object validation
-    joined them into (row a is a slice, column c the stride slice
-    ``[c::n]``).  All are built at construction and never mutated.  Derived
-    structure goes into a private store that ``per_group`` functions fill
-    lazily and that dies with the group: the squares, inverses and
-    non-involutions, the lattice and its least-conjugate class map, one coset
-    decomposition of G per subgroup, Sylow 2-subgroups and overgroups,
-    normalizers and the extraspecial classification.  Each stored value is
-    written once and never changes, so threads sharing a group at worst
-    compute one value twice.
+    ``table[a]`` is row a as ``bytes``, so ``table[a][b]`` is the product
+    a*b; ``inverse`` is ``bytes`` too, ``inverse[a]`` the inverse of ``a``;
+    ``element_orders[a]`` is the least k >= 1 with a^k = identity; and
+    ``packed`` is the rows end to end, one ``bytes`` object (column c is its
+    stride slice ``[c::n]``).  All are built at construction and never
+    mutated.  Derived structure goes into a private store that ``per_group``
+    functions fill lazily and that dies with the group: the squares,
+    inverses and non-involutions, the lattice and its least-conjugate class
+    map, one coset decomposition of G per subgroup, Sylow 2-subgroups and
+    overgroups, normalizers and the extraspecial classification.  Each
+    stored value is written once and never changes, so threads sharing a
+    group at worst compute one value twice.
     """
 
     order: int
-    table: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
+    table: tuple[bytes, ...]
+    inverse: bytes
     element_orders: tuple[int, ...]
     packed: bytes
     name: str | None = None
@@ -65,7 +64,7 @@ class FiniteGroup:
             raise ValueError("group table must be non-empty")
         rows = _canonicalize_rows(_packed_rows(rows))
         inverse, packed = _validate_rows(rows)
-        table = tuple(map(tuple, rows))
+        table = tuple(rows)
         orders = tuple(_order_of(table, g) for g in range(n))
         return cls(n, table, inverse, orders, packed, name)
 
@@ -136,17 +135,13 @@ _MISSING = object()
 
 
 def per_group(fn):
-    """Memoize ``fn(G, *args, **kwargs)`` in G's store, keyed on the function
-    object and the arguments after G, made positional: each value is computed
-    once per group, however its arguments are spelled, and lives exactly as
-    long as the group does.  ``fn`` takes no parameter defaults, so only a
-    call with keywords needs binding to reach that key."""
-    signature = inspect.signature(fn)
+    """Memoize ``fn(G, *args)`` in G's store, keyed on the function object
+    and the arguments after G: each value is computed once per group and
+    lives exactly as long as the group does.  Arguments are positional only,
+    so each value has one key."""
 
     @wraps(fn)
-    def memoized(G: FiniteGroup, *args, **kwargs):
-        if kwargs:
-            args = signature.bind(G, *args, **kwargs).args[1:]
+    def memoized(G: FiniteGroup, *args):
         key = (fn, args)
         store = G._store
         value = store.get(key, _MISSING)
@@ -190,7 +185,7 @@ def _lookups(G: FiniteGroup) -> tuple[bytes, bytes, bytes]:
     n = G.order
     square = G.packed[:: n + 1]
     others = bytes(g for g in range(n) if square[g])
-    return _lookup(square), _lookup(bytes(G.inverse)), others
+    return _lookup(square), _lookup(G.inverse), others
 
 
 def _ints(values: Sequence, what: str) -> Sequence:
@@ -251,14 +246,7 @@ def _canonicalize_rows(rows: list[bytes]) -> list[bytes]:
     return [front(row).translate(renamed) for row in front(rows)]
 
 
-def _relabel(table: Sequence[Sequence[int]], old: list[int]) -> list[tuple[int, ...]]:
-    """The products among the elements ``old`` of ``table``, which must be
-    closed under them, with ``old[i]`` renamed i."""
-    pos = dict(zip(old, range(len(old))))
-    return [tuple(map(pos.__getitem__, map(table[a].__getitem__, old))) for a in old]
-
-
-def _validate_rows(rows: list[bytes]) -> tuple[tuple[int, ...], bytes]:
+def _validate_rows(rows: list[bytes]) -> tuple[bytes, bytes]:
     """Check the group axioms; return the inverses and the rows end to end
     (``FiniteGroup.packed``).  The caller has already put a verified
     two-sided identity at index 0 (``_canonicalize_rows``).
@@ -276,7 +264,7 @@ def _validate_rows(rows: list[bytes]) -> tuple[tuple[int, ...], bytes]:
     flat = b"".join(rows)
     if any(ident.translate(None, flat[c::n]) for c in range(n)):
         raise ValueError("some column is not a permutation of the elements")
-    inverse = tuple(row.index(0) for row in rows)
+    inverse = bytes(row.index(0) for row in rows)
     if any(rows[b][x] != 0 for x, b in enumerate(inverse)):
         raise ValueError("missing two-sided inverses")
     lookups = list(map(_lookup, rows))
@@ -313,7 +301,7 @@ def _right_generators(rows: list) -> list[int]:
     return gens
 
 
-def _order_of(table: tuple[tuple[int, ...], ...], g: int) -> int:
+def _order_of(table: tuple[bytes, ...], g: int) -> int:
     k, x = 1, g
     while x != 0:
         x = table[x][g]
@@ -489,7 +477,8 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, tuple[i
     Returns the subgroup's own multiplication table plus the map from new
     indices back to the ambient group's element indices.
     """
-    old = list(H.members)
-    rows = _relabel(G.table, old)
+    old = H.members
+    renamed = bytes.maketrans(old, _INDICES[: len(old)])
+    rows = [old.translate(_lookup(G.table[a])).translate(renamed) for a in old]
     label = f"{G.name}<{len(old)}>" if G.name else None
     return FiniteGroup.from_table(rows, name=label), tuple(old)

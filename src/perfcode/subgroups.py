@@ -93,7 +93,7 @@ def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
             root_bit[powers[prime[z] % orders[z]]] |= 1 << z
             cyclic_mask[z] = bitmask(powers)
             columns[z] = _lookup(flat[z::n])
-            conjugation[z] = _lookup(flat[inv[z] * n : inv[z] * n + n].translate(columns[z]))
+            conjugation[z] = _lookup(t[inv[z]].translate(columns[z]))
 
     subs: dict[bytes, tuple] = {b"\0": (1, b"\0", (), root_bit[0])}
     passed_over: dict[bytes, int] = {}
@@ -310,7 +310,7 @@ def _least_conjugates(G: FiniteGroup) -> dict[bytes, Subgroup]:
     n, t, inv, flat = G.order, G.table, G.inverse, G.packed
     gens = full_subgroup(G).generators
     conjugations = [
-        _lookup(flat[inv[x] * n : inv[x] * n + n].translate(_lookup(flat[x::n])))
+        _lookup(t[inv[x]].translate(_lookup(flat[x::n])))
         for x in gens
         if any(t[x][g] != t[g][x] for g in gens)
     ]

@@ -59,6 +59,18 @@ MUTANTS = (
         "scans",
     ),
     (
+        "src/perfcode/codes.py",
+        "_lookup(G.table[x])",
+        "_lookup(G.packed[x::G.order])",
+        "scans",
+    ),
+    (
+        "src/perfcode/codes.py",
+        "_lookup(G.table[s])",
+        "_lookup(G.packed[s::n])",
+        "graph_check or scans",
+    ),
+    (
         "src/perfcode/subgroups.py",
         "if H.mask & ~ambient.mask:",
         "if False:",

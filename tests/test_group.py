@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import gc
+import json
 import os
 import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from enum import IntEnum
 from itertools import combinations
 from pathlib import Path
@@ -26,6 +29,7 @@ from oracles import (
     subgroup_from_elements,
 )
 from perfcode import construct
+from perfcode.extraspecial import central_product
 from perfcode.group import (
     FiniteGroup,
     closure,
@@ -51,7 +55,7 @@ NON_ASSOCIATIVE_LOOP = [
 def test_load_z2_table():
     G = load_group({"order": 2, "table": [[0, 1], [1, 0]]})
     assert G.order == 2
-    assert G.inverse == (0, 1)
+    assert tuple(G.inverse) == (0, 1)
     assert G.element_orders == (1, 2)
 
 
@@ -100,7 +104,7 @@ def test_load_checks_declared_order_of_permutation_group():
 
 def test_empty_generator_list_is_trivial_at_any_degree():
     doc = {"degree": 10**12, "generators": []}
-    assert load_group(doc).table == ((0,),)
+    assert tuple(map(tuple, load_group(doc).table)) == ((0,),)
     assert load_group({**doc, "order": 1}).order == 1
     with pytest.raises(ValueError, match="declared order 2 does not match group order 1"):
         load_group({**doc, "order": 2})
@@ -229,7 +233,7 @@ def test_from_table_reports_the_first_failed_check(rows, defect, messages):
 
 def _from_table(rows):
     G = FiniteGroup.from_table(rows)
-    return G.table, G.inverse
+    return tuple(map(tuple, G.table)), tuple(G.inverse)
 
 
 def _outcome(build, rows):
@@ -326,7 +330,7 @@ def test_canonicalization_moves_identity_to_zero():
     # Z3 written with the identity at index 2
     rows = [[2, 0, 1], [0, 1, 2], [1, 2, 0]]
     G = load_group({"order": 3, "table": rows})
-    assert G.table[0] == (0, 1, 2)
+    assert tuple(G.table[0]) == (0, 1, 2)
     assert all(G.table[g][0] == g for g in range(3))
     assert sorted(G.element_orders) == [1, 3, 3]
 
@@ -498,7 +502,7 @@ def test_permutation_closure_yields_valid_group(data):
     degree, gens = data
     G = group_from_permutations(gens, degree=degree)
     # validation ran inside from_table; check arithmetic facts on top
-    assert G.table[0] == tuple(range(G.order))
+    assert tuple(G.table[0]) == tuple(range(G.order))
     for g in G.elements():
         assert G.order % G.element_orders[g] == 0
         assert G.table[g][G.inverse[g]] == 0
@@ -583,6 +587,44 @@ def test_validation_matches_brute_associativity_on_random_loops():
             assert [list(row) for row in G.table] == rows
             outcomes["accepted"] += 1
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_every_constructor_keeps_the_table_as_bytes(tmp_path):
+    """Row a of ``table`` is the bytes slice of ``packed`` at a, and the
+    inverses are bytes, whichever path built the group."""
+    d8 = construct.dihedral(8)
+    table_file, perm_file = tmp_path / "table.json", tmp_path / "perm.json"
+    table_file.write_text(json.dumps({"table": relabel_rows(d8, [3, 0, 1, 2, 4, 5, 6, 7])}))
+    perm_file.write_text(json.dumps({"degree": 4, "generators": [[1, 2, 3, 0], [1, 0, 2, 3]]}))
+    groups = [
+        FiniteGroup.from_table(relabel_rows(construct.cyclic(6), [2, 0, 1, 3, 4, 5])),
+        group_from_permutations([[1, 2, 0], [1, 0, 2]]),
+        construct.direct_product(d8, construct.cyclic(3)),
+        central_product(d8, construct.quaternion8()),
+        load_group(table_file),
+        load_group(perm_file),
+    ]
+    for G in groups:
+        n = G.order
+        assert type(G.inverse) is bytes and len(G.inverse) == n
+        for a in G.elements():
+            assert type(G.table[a]) is bytes
+            assert G.table[a] == G.packed[a * n : (a + 1) * n]
+    # from_table of an order-256 group keeps 144,330 bytes alive, by
+    # tracemalloc on CPython 3.11: the byte rows, the rows end to end and the
+    # inverses (606,673 when the rows were also copied into tuples of ints).
+    rows = [list(row) for row in construct.build_named("product(gm1(3),cyclic(2))").table]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        G = FiniteGroup.from_table(rows)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert G.order == 256
+    assert held < 200_000
 
 
 def test_relabelled_order_256_table_loads():
