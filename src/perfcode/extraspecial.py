@@ -127,9 +127,8 @@ def _is_extraspecial(G: FiniteGroup, P: Subgroup) -> ExtraspecialClassification:
     return ExtraspecialClassification(True, m=m, family=family)
 
 
-@per_group
 def sylow_2_classification(G: FiniteGroup) -> ExtraspecialClassification:
-    """``is_extraspecial`` of the Sylow 2-subgroup of G, classified in place."""
+    """``is_extraspecial`` of G's stored Sylow 2-subgroup, stored under that subgroup."""
     return is_extraspecial(G, sylow_2_subgroup(G, full_subgroup(G)))
 
 

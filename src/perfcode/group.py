@@ -78,7 +78,8 @@ class FiniteGroup:
 
 class Subgroup:
     """A subgroup of one ambient group: ``mask`` has bit g set for each
-    member g, and ``members`` holds them as ``bytes``, in increasing order.
+    member g, and ``members`` holds them as ``bytes``, in increasing order,
+    as the builders (``generate`` and the lattice) pack them.
 
     The mask is the identity: equality, hashing and per-group store keys use
     it alone, so equal subgroups built apart share stored results.  Every
@@ -88,9 +89,9 @@ class Subgroup:
 
     __slots__ = ("mask", "members", "generators", "_elements")
 
-    def __init__(self, mask: int, elems: Iterable[int], generators: tuple[int, ...]) -> None:
+    def __init__(self, mask: int, members: bytes, generators: tuple[int, ...]) -> None:
         self.mask = mask
-        self.members = bytes(sorted(elems))
+        self.members = members
         self.generators = generators
         self._elements = None
 
@@ -153,13 +154,13 @@ def per_group(fn):
 
 
 def trivial_subgroup() -> Subgroup:
-    return Subgroup(1, (0,), ())
+    return Subgroup(1, b"\0", ())
 
 
 @per_group
 def full_subgroup(G: FiniteGroup) -> Subgroup:
     """G as a subgroup of itself, once per group, with the generators ``generate`` picks."""
-    return Subgroup((1 << G.order) - 1, G.elements(), generate(G, G.elements())[1])
+    return generate(G, G.elements())
 
 
 def _lookup(q: bytes) -> bytes:
@@ -425,50 +426,41 @@ def group_to_json(G: FiniteGroup) -> dict:
 
 def closure_elements(G: FiniteGroup, gens: Iterable[int]) -> frozenset[int]:
     """Element set of the subgroup generated by ``gens``."""
-    return frozenset(generate(G, gens)[0])
+    return generate(G, gens).elements
 
 
-def generate(G: FiniteGroup, gens: Iterable[int]) -> tuple[list[int], tuple[int, ...]]:
-    """Elements of the subgroup generated by ``gens``, and the generators
-    that enlarged it: each is the first of ``gens`` outside the span of
-    those before it."""
-    mask, elems, used = 1, [0], ()
-    for g in gens:
-        if not mask >> g & 1:
-            mask, elems = join_element(G, mask, elems, used, g)
-            used += (g,)
-    return elems, used
-
-
-def join_element(
-    G: FiniteGroup, mask: int, elems: list[int], gens: tuple[int, ...], g: int
-) -> tuple[int, list[int]]:
-    """Bitmask and elements of <K, g>, for K = <gens> with the given bitmask
-    and elements, by Dimino's coset extension (Butler, LNCS 559, 1991): a
-    product r s of a coset representative r and a generator s outside the
-    union so far adds its whole right coset K r s.  The union ends closed
-    under right multiplication by every generator, so it is the join."""
+def generate(G: FiniteGroup, gens: Iterable[int], K: Subgroup | None = None) -> Subgroup:
+    """The subgroup generated by K (default: trivial) and ``gens``, recording
+    K's generators, then each g of ``gens`` outside the span J of those before
+    it, joined by Dimino's coset extension (Butler, LNCS 559, 1991): a product
+    r s of a coset representative r and a recorded s outside the union so far
+    adds its whole right coset J r s.  The union ends closed under right
+    multiplication by every recorded generator, so it is the join."""
+    K = trivial_subgroup() if K is None else K
     t = G.table
-    joined = list(elems)
-    reps = [0]
-    for r in reps:
-        row = t[r]
-        for s in gens + (g,):
-            x = row[s]
-            if not mask >> x & 1:
-                reps.append(x)
-                for k in elems:
-                    y = t[k][x]
-                    joined.append(y)
-                    mask |= 1 << y
-    return mask, joined
+    mask, elems, used = K.mask, list(K.members), K.generators
+    for g in gens:
+        if mask >> g & 1:
+            continue
+        used += (g,)
+        span, reps = elems, [0]
+        elems = list(span)
+        for r in reps:
+            row = t[r]
+            for s in used:
+                x = row[s]
+                if not mask >> x & 1:
+                    reps.append(x)
+                    for k in span:
+                        y = t[k][x]
+                        elems.append(y)
+                        mask |= 1 << y
+    return Subgroup(mask, _distinct(bytes(elems)), used)
 
 
 def closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Least subgroup containing ``gens``; the empty list gives the trivial one."""
-    gen_list = _indices(G, gens, "generator list")
-    elems = generate(G, gen_list)[0]
-    return Subgroup(bitmask(elems), elems, gen_list)
+    return generate(G, _indices(G, gens, "generator list"))
 
 
 def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:

@@ -2,10 +2,10 @@
 normalizers, centers, cosets and least conjugates read off the lattice.
 
 The operators test the ``generators`` every subgroup records, not its
-members, and record generators on every subgroup they build.  They test
-membership on a subgroup's bitmask and walk its packed members; equal
-subgroups share stored results, since a ``Subgroup`` is keyed by its mask.
-An ambient group left as None is G itself, taken as ``full_subgroup(G)``."""
+members, and build each subgroup outside the lattice with ``generate``.
+They test membership on a subgroup's bitmask and walk its packed members;
+equal subgroups share stored results, since a ``Subgroup`` is keyed by its
+mask.  An ambient group left as None is G itself, ``full_subgroup(G)``."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from .group import (
     bitmask,
     full_subgroup,
     generate,
-    join_element,
     per_group,
     trivial_subgroup,
 )
@@ -68,17 +67,17 @@ def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
     generators; each join K<z> then has index exactly p (``_normal_join``).
     Every solvable group has a normal subgroup of prime index, so this round
     finds every subgroup when G is solvable, and it reaches G only then.
-    Otherwise a second round runs ``join_element`` over everything found,
+    Otherwise a second round joins by ``generate`` over everything found,
     without the normalizing test: a subgroup the first round processed is
     joined only with the z that round passed over, so no join is repeated.
 
     Each C is named by its least generator z, so K's mask holds the C inside
     K; bit z of ``root_bit[y]`` is set when y = z^p, so K's ``root_bit`` sum
-    to the z with z^p in K.  Subgroups are keyed by packed members.  When a
-    join has prime index over K no subgroup lies strictly between them, so
-    joining K with any other cyclic subgroup of that join is skipped.  A join
-    records K's generators outside <z>, then z.  The tables of the z last as
-    long as this call.
+    to the z with z^p in K.  Subgroups are keyed by packed members and kept
+    as they are found.  When a join has prime index over K no subgroup lies
+    strictly between them, so joining K with any other cyclic subgroup of
+    that join is skipped.  A join records K's generators outside <z>, then z.
+    The tables of the z last as long as this call.
     """
     n, t, inv, orders, flat = G.order, G.table, G.inverse, G.element_orders, G.packed
     prime = [p[0] if len(p) == 1 else 0 for p in map(_prime_factors, orders)]
@@ -95,37 +94,36 @@ def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
             columns[z] = _lookup(flat[z::n])
             conjugation[z] = _lookup(t[inv[z]].translate(columns[z]))
 
-    subs: dict[bytes, tuple] = {b"\0": (1, b"\0", (), root_bit[0])}
-    passed_over: dict[bytes, int] = {}
+    subs = {b"\0": trivial_subgroup()}
+    queue = [(subs[b"\0"], root_bit[0])]
     for normal_only in (True, False):
-        queue = list(subs.values())
-        for mask, members, gens, todo in queue:
-            todo = passed_over.get(members, todo)
+        passed_over = []
+        for K, todo in queue:
+            members, gens = K.members, K.generators
             gens_image, skipped = bytes(gens).translate, 0
             while todo:
                 z = (todo & -todo).bit_length() - 1
                 todo ^= 1 << z
                 if not normal_only:
-                    joined = _distinct(bytes(join_element(G, mask, members, gens, z)[1]))
+                    joined = generate(G, (z,), K).members
                 elif not gens_image(conjugation[z]).translate(None, members):
                     joined = _normal_join(members, columns[z], prime[z])
                 else:
                     skipped |= 1 << z
                     continue
-                entry = subs.get(joined)
-                if entry is None:
-                    jm, roots = bitmask(joined), sum(map(root_bit.__getitem__, joined))
+                J = subs.get(joined)
+                if J is None:
                     kept = tuple(k for k in gens if not cyclic_mask[z] >> k & 1)
-                    entry = subs[joined] = (jm, joined, kept + (z,), roots & ~jm)
-                    queue.append(entry)
+                    J = subs[joined] = Subgroup(bitmask(joined), joined, kept + (z,))
+                    queue.append((J, sum(map(root_bit.__getitem__, joined)) & ~J.mask))
                 index = len(joined) // len(members)
                 if normal_only or _prime_factors(index) == [index]:
-                    todo &= ~entry[0]
-            passed_over[members] = skipped
+                    todo &= ~J.mask
+            passed_over.append(skipped)
         if _INDICES[:n] in subs:
             break
-    order = sorted(subs.values(), key=lambda e: (e[0].bit_count(), e[0]))
-    return tuple(Subgroup(mask, members, gens) for mask, members, gens, _ in order)
+        queue = [(K, skipped) for (K, _), skipped in zip(queue, passed_over)]
+    return tuple(sorted(subs.values(), key=lambda K: (len(K), K.mask)))
 
 
 def _normal_join(members: bytes, column: bytes, p: int) -> bytes:
@@ -162,8 +160,8 @@ def is_normal(G: FiniteGroup, H: Subgroup, within: Subgroup | None = None) -> bo
 def normalizer(G: FiniteGroup, K: Subgroup) -> Subgroup:
     """{g : K^g = K}: G if K is normal, else read from G's stored right
     cosets of K: g normalizes K iff gk lies in Kg for each recorded generator
-    k, tested for every g at once through column k of ``G.packed``.  N records
-    K's generators, then each member outside the span of those before it."""
+    k, tested for every g at once through column k of ``G.packed``.  N is
+    ``generate`` of K and those g, so it records K's generators first."""
     if is_normal(G, K):
         return full_subgroup(G)
     n, gens = G.order, K.generators
@@ -172,20 +170,14 @@ def normalizer(G: FiniteGroup, K: Subgroup) -> Subgroup:
     for k in gens:
         image = found.translate(_lookup(G.packed[k::n])).translate(position)
         found = bytes(compress(found, map(eq, image, found.translate(position))))
-    mask, elems = K.mask, list(K.members)
-    for g in found:
-        if not mask >> g & 1:
-            mask, elems = join_element(G, mask, elems, gens, g)
-            gens += (g,)
-    return Subgroup(mask, elems, gens)
+    return generate(G, found, K)
 
 
 def center(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """{h in H : hx = xh for all x in H}; h is tested on H's generators.  The
     result records the generators ``generate`` picks from its members."""
     t, gens = G.table, H.generators
-    members = [h for h in H.members if all(t[h][k] == t[k][h] for k in gens)]
-    return Subgroup(bitmask(members), members, generate(G, members)[1])
+    return generate(G, [h for h in H.members if all(t[h][k] == t[k][h] for k in gens)])
 
 
 @per_group
@@ -217,19 +209,14 @@ def _grow_2_subgroup(G: FiniteGroup, start: Subgroup, target: int, within: Subgr
     is, and a result of order |G| is the stored ``full_subgroup(G)``."""
     if target == G.order:
         return full_subgroup(G)
-    if len(start) == target:
-        return start
-    t = G.table
-    domain = within.members
-    mask, elems, gens = start.mask, list(start.members), start.generators
-    while len(elems) < target:
-        normalizes = _normalizes(G, mask, gens)
+    t, K = G.table, start
+    while len(K) < target:
+        mask, normalizes = K.mask, _normalizes(G, K.mask, K.generators)
         x = next(
-            g for g in domain if not mask >> g & 1 and mask >> t[g][g] & 1 and normalizes(g)
+            g for g in within if not mask >> g & 1 and mask >> t[g][g] & 1 and normalizes(g)
         )
-        mask, elems = join_element(G, mask, elems, gens, x)
-        gens += (x,)
-    return Subgroup(mask, elems, gens)
+        K = generate(G, (x,), K)
+    return K
 
 
 @dataclass(frozen=True, eq=False, slots=True)

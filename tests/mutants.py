@@ -113,6 +113,18 @@ MUTANTS = (
         "structure_operators_match_brute_force",
     ),
     (
+        "src/perfcode/group.py",
+        "for s in used:",
+        "for s in used[-1:]:",
+        "generate_extends or closure",
+    ),
+    (
+        "src/perfcode/subgroups.py",
+        "generate(G, found, K)",
+        "generate(G, found[:1], K)",
+        "normalizer_matches_the_reference_walk",
+    ),
+    (
         "src/perfcode/corpus.py",
         "minimal_conjugate(G, H).mask == H.mask",
         "minimal_conjugate(G, H).mask != H.mask",

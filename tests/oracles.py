@@ -14,7 +14,10 @@ products from one call per product (the constructors before they built
 whole rows), the deciding
 clause of the Sylow-extraspecial classification from brute normalizers and
 commutativity, and counts from closed formulas, so a bug in the fast path
-cannot hide in the oracle as well.
+cannot hide in the oracle as well.  Closures come from every product of a
+member and a generator; elements of order 4 and the squares of the
+closed-form test for abelian groups (H is a code iff H meets G^2 in H^2)
+are read off the table's diagonal.
 
 The helpers below them (the join-every-cyclic lattice, element orders,
 squares, bitmasks and ``Subgroup`` builds from element sets, checked and
@@ -22,7 +25,7 @@ conjugate subgroups, conjugates and commutators, derived and Frattini
 subgroups, abelian invariants, the symplectic form of an extraspecial
 group, conjugacy class sizes and the small-order isomorphism search) are
 not oracles in that sense:
-``join_every_cyclic_lattice`` calls ``join_element``,
+``join_every_cyclic_lattice`` calls ``generate``,
 ``derived_subgroup`` calls ``closure_elements``,
 ``frattini_subgroup`` calls ``all_subgroups``, ``isomorphic_small`` and
 ``symplectic_form`` call ``generate``, ``abelian_invariants`` calls
@@ -31,7 +34,7 @@ not oracles in that sense:
 ``reduction_statements`` evaluates the Sylow reduction's four statements
 with ``square_coset_condition`` and ``omega_coset_sets``.
 ``reference_normalizer`` grows a normalizer by a walk of G with
-``join_element``, so that the generators it records are those the library
+``generate``, so that the generators it records are those the library
 must record.
 ``first_light_failure`` checks associativity triple by triple but takes its
 middle factors from ``_right_generators``: which failing triple comes first
@@ -39,14 +42,14 @@ depends on them.  So does ``reference_table``, the per-entry table
 validator that the packed-row one in ``FiniteGroup.from_table`` must match
 message for message.  ``permutation_groups``, the hypothesis strategy of
 random groups that the property tests share, builds each with
-``group_from_permutations``.
+``group_from_permutations``, and ``corpus_products`` with ``direct_product``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -54,6 +57,8 @@ from typing import Iterable, Sequence
 from hypothesis import strategies as st
 
 from perfcode.codes import omega_coset_sets, square_coset_condition, sylow_reduction
+from perfcode.construct import direct_product
+from perfcode.corpus import builtin_corpus
 from perfcode.extraspecial import Family, _central_involution, build_family, is_extraspecial
 from perfcode.group import (
     FiniteGroup,
@@ -63,7 +68,6 @@ from perfcode.group import (
     full_subgroup,
     generate,
     group_from_permutations,
-    join_element,
     per_group,
     subgroup_as_group,
 )
@@ -79,6 +83,22 @@ def permutation_groups(draw, min_degree: int = 1, max_degree: int = 5):
     degree = draw(st.integers(min_value=min_degree, max_value=max_degree))
     count = draw(st.integers(min_value=1, max_value=3))
     return group_from_permutations([draw(st.permutations(range(degree))) for _ in range(count)])
+
+
+@cache
+def _corpus_pairs(max_order: int, abelian: bool) -> tuple[tuple[FiniteGroup, FiniteGroup], ...]:
+    groups = [e.group for e in builtin_corpus()]
+    if abelian:
+        groups = [G for G in groups if brute_is_abelian(G, G.elements())]
+    return tuple((A, B) for A in groups for B in groups if A.order * B.order <= max_order)
+
+
+@st.composite
+def corpus_products(draw, max_order: int = 64, abelian: bool = False):
+    """The direct product of two built-in corpus groups (abelian ones only
+    when ``abelian``) whose orders multiply to at most ``max_order``."""
+    A, B = draw(st.sampled_from(_corpus_pairs(max_order, abelian)))
+    return direct_product(A, B)
 
 
 def brute_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
@@ -100,6 +120,35 @@ def brute_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
         if all(t[a][b] in subset for a in subset for b in subset):
             found.append(frozenset(subset))
     return found
+
+
+def brute_closure(G: FiniteGroup, elems: Iterable[int]) -> frozenset[int]:
+    """The subgroup ``elems`` generate: the identity and ``elems``, then
+    every product of a member and one of ``elems`` until none is new (in a
+    finite group inverses are positive powers)."""
+    t, gens = G.table, tuple(elems)
+    found = {0, *gens}
+    frontier = list(found)
+    for a in frontier:
+        for g in gens:
+            if t[a][g] not in found:
+                found.add(t[a][g])
+                frontier.append(t[a][g])
+    return frozenset(found)
+
+
+def has_element_of_order_4(G: FiniteGroup) -> bool:
+    """Some g with g^2 != 1 = g^4, read off the table's diagonal."""
+    t = G.table
+    return any(t[g][g] != 0 and t[t[g][g]][t[g][g]] == 0 for g in G.elements())
+
+
+def abelian_square_test(G: FiniteGroup, members) -> bool:
+    """H meets the squares G^2 exactly in its own squares H^2, read off the
+    table's diagonal: for abelian G, whether H is a perfect code."""
+    t = G.table
+    squares_of_g = {t[g][g] for g in G.elements()}
+    return {h for h in members if h in squares_of_g} == {t[h][h] for h in members}
 
 
 def brute_inverse_closed_transversal_exists(G: FiniteGroup, H: Subgroup) -> bool:
@@ -312,19 +361,17 @@ def reference_normalizer(G: FiniteGroup, K: Subgroup) -> Subgroup:
 
     if all(map(normalizes, G.elements())):
         return full_subgroup(G)
-    gens, elems = K.generators, list(K.members)
-    mask = decided = K.mask
+    N, decided = K, K.mask
     for g in G.elements():
         if decided >> g & 1:
             continue
         if normalizes(g):
-            mask, elems = join_element(G, mask, elems, gens, g)
-            gens += (g,)
-            decided |= mask
+            N = generate(G, (g,), N)
+            decided |= N.mask
         else:
-            for n in elems:
+            for n in N.members:
                 decided |= 1 << t[n][g]
-    return Subgroup(mask, elems, gens)
+    return N
 
 
 def brute_is_normal(G: FiniteGroup, members, within=None) -> bool:
@@ -594,30 +641,28 @@ def join_every_cyclic_lattice(G: FiniteGroup, within: Subgroup | None = None) ->
                     cyclic_bit[y] = 1 << len(cyclic_gens)
             cyclic_gens.append(g)
 
-    def cyclics_in(elems: list[int]) -> int:
+    def cyclics_in(elems: bytes) -> int:
         bits = 0
         for y in elems:
             bits |= cyclic_bit[y]
         return bits
 
-    subs: dict[int, tuple[list[int], tuple[int, ...]]] = {1: ([0], ())}
+    subs: dict[int, Subgroup] = {1: generate(G, ())}
     queue = [1]
     for m in queue:
-        elems, gens = subs[m]
-        todo = (1 << len(cyclic_gens)) - 1 & ~cyclics_in(elems)
+        K = subs[m]
+        todo = (1 << len(cyclic_gens)) - 1 & ~cyclics_in(K.members)
         while todo:
             i = (todo & -todo).bit_length() - 1
             todo ^= 1 << i
-            jm, joined = join_element(G, m, elems, gens, cyclic_gens[i])
-            index = len(joined) // len(elems)
+            J = generate(G, (cyclic_gens[i],), K)
+            index = len(J) // len(K)
             if _prime_factors(index) == [index]:
-                todo &= ~cyclics_in(joined)
-            if jm not in subs:
-                subs[jm] = (joined, gens + (cyclic_gens[i],))
-                queue.append(jm)
-    return tuple(
-        Subgroup(m, *subs[m]) for m in sorted(subs, key=lambda m: (m.bit_count(), m))
-    )
+                todo &= ~cyclics_in(J.members)
+            if J.mask not in subs:
+                subs[J.mask] = J
+                queue.append(J.mask)
+    return tuple(subs[m] for m in sorted(subs, key=lambda m: (m.bit_count(), m)))
 
 
 def element_order(G: FiniteGroup, g: int) -> int:
@@ -651,7 +696,7 @@ def as_subgroup(elems: Iterable[int], generators: tuple[int, ...] | None = None)
     members = frozenset(elems)
     if generators is None:
         generators = tuple(sorted(members))
-    return Subgroup(mask_of(members), members, generators)
+    return Subgroup(mask_of(members), bytes(sorted(members)), generators)
 
 
 def subgroup_from_elements(G: FiniteGroup, elems: Iterable[int]) -> Subgroup:
@@ -804,7 +849,7 @@ def symplectic_form(G: FiniteGroup) -> SymplecticForm:
     cls = is_extraspecial(G)
     if not cls.is_extraspecial:
         raise ValueError("symplectic form is only defined for extraspecial 2-groups")
-    basis = generate(G, (_central_involution(G), *G.elements()))[1][1:]
+    basis = generate(G, (_central_involution(G), *G.elements())).generators[1:]
     dim = len(basis)
     t = G.table
     matrix = tuple(
@@ -904,7 +949,7 @@ def isomorphic_small(
     sizes = Counter(sig_b)
     gens = generate(
         A, sorted(A.elements(), key=lambda g: (sizes[sig_a[g]], -A.element_orders[g], g))
-    )[1]
+    ).generators
 
     def search(images: list[int]) -> list[int] | None:
         k = len(images)

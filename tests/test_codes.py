@@ -9,9 +9,10 @@ from enum import IntEnum
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
+    abelian_square_test,
     as_subgroup,
     brute_double_coset_counterexample,
     brute_first_transversal,
@@ -19,8 +20,12 @@ from oracles import (
     brute_is_perfect_code,
     brute_right_cosets,
     brute_square_coset_counterexample,
+    brute_is_abelian,
     conjugate,
     conjugate_subgroup,
+    corpus_products,
+    has_element_of_order_4,
+    permutation_groups,
     reduction_statements,
     relabel_rows,
 )
@@ -650,3 +655,26 @@ def test_packing_zeros_and_finder(n):
     find = bytes([1, 0, 2, 0, 1]).translate(_lookup(bytes(range(n)))).find
     found = [find(0, 0, 5), find(0, 2, 5), find(0, 4, 5), find(1, 1, 4), find(2, 0, 2)]
     assert found == [1, 3, -1, -1, -1]
+
+
+@given(st.one_of(permutation_groups(), corpus_products()))
+@example(construct.alternating(5))
+@example(construct.symmetric(5))
+@settings(max_examples=24, deadline=None, derandomize=True)
+def test_every_subgroup_is_a_code_iff_no_element_has_order_4(G):
+    """Ma, Walls, Wang and Zhou (2020): every subgroup of G is a perfect
+    code exactly when G has no element of order 4.  (With one, g say, the
+    subgroup {1, g^2} is not: g squares into it and its coset {g, g^3}
+    holds no involution.)  A5 has none, S5 has one."""
+    every = all(decide(G, H).is_perfect_code for H in all_subgroups(G, None, G.order))
+    assert every == (not has_element_of_order_4(G))
+
+
+@given(st.one_of(permutation_groups(), corpus_products(abelian=True)))
+@settings(max_examples=24, deadline=None, derandomize=True)
+def test_abelian_codes_meet_the_squares_in_their_own_squares(G):
+    """In an abelian G, H is a perfect code exactly when H meets the
+    squares of G in the squares of H; a non-abelian draw checks nothing."""
+    if brute_is_abelian(G, G.elements()):
+        for H in all_subgroups(G, None, G.order):
+            assert decide(G, H).is_perfect_code == abelian_square_test(G, H.members), H.indices()

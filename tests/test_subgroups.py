@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from oracles import (
     abelian_invariants,
     brute_centralizer,
+    brute_closure,
     brute_grow_2_subgroup,
     brute_is_abelian,
     brute_is_normal,
@@ -36,12 +37,13 @@ from oracles import (
 )
 from perfcode import construct, subgroups
 from perfcode.codes import square_coset_condition
-from perfcode.corpus import cross_check, make_entry
+from perfcode.corpus import builtin_corpus, cross_check, make_entry
 from perfcode.group import (
     FiniteGroup,
     closure,
     closure_elements,
     full_subgroup,
+    generate,
     group_from_permutations,
     subgroup_as_group,
     trivial_subgroup,
@@ -147,6 +149,65 @@ def test_recorded_generators_close_to_the_subgroup(spec):
         assert closure_elements(G, H.generators) == H.elements, H.indices()
 
 
+GENERATE_CASES = {
+    "corpus": lambda: [entry.group for entry in builtin_corpus()],
+    "relabelled": lambda: [
+        _relabelled(construct.build_named(spec), 9)[0]
+        for spec in ("s4", "sl23", "dicyclic(32)", "product(gm1(2),cyclic(3))")
+    ],
+    "A5": lambda: [construct.alternating(5)],
+    "S5": lambda: [construct.symmetric(5)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATE_CASES))
+def test_generate_extends_a_subgroup(case):
+    """``generate(G, gens, K)`` is the closure of K and ``gens``, packed
+    increasing, recording K's generators and then each g of ``gens``
+    outside the span of those before it; K defaults to the trivial
+    subgroup.  The lattices of A5 and S5 come from the fallback round."""
+    for G in GENERATE_CASES[case]():
+        rng = random.Random(G.order)
+        for K in all_subgroups(G, None, G.order):
+            gens = rng.sample(range(G.order), min(3, G.order))
+            for J, start in ((generate(G, gens, K), K), (generate(G, gens), trivial_subgroup())):
+                label = (G.name, K.indices(), gens)
+                assert J.elements == brute_closure(G, [*start.members, *gens]), label
+                assert list(J.members) == sorted(J.elements) and J.mask == mask_of(J.members), label
+                recorded, span = list(start.generators), start.elements
+                for g in gens:
+                    if g not in span:
+                        recorded.append(g)
+                        span = brute_closure(G, [*span, g])
+                assert J.generators == tuple(recorded), label
+
+
+@pytest.mark.parametrize("G", [construct.symmetric(4), construct.alternating(5)], ids=["s4", "a5"])
+def test_every_subgroup_builder_packs_members_increasing(G):
+    """``Subgroup`` takes its members as given, so every builder must hand
+    them over strictly increasing, with the bitmask of exactly those."""
+    rng = random.Random(G.order)
+
+    def packed(K, label):
+        assert all(a < b for a, b in zip(K.members, K.members[1:])), label
+        assert K.mask == mask_of(K.members), label
+
+    packed(full_subgroup(G), "full")
+    for H in all_subgroups(G, None, G.order):
+        packed(H, H.indices())
+        made = {
+            "closure": closure(G, rng.sample(range(G.order), 2)),
+            "center": center(G, H),
+            "normalizer": normalizer(G, H),
+            "sylow_2_subgroup": sylow_2_subgroup(G, H),
+            "minimal_conjugate": minimal_conjugate(G, H),
+        }
+        if two_part(len(H)) == len(H):
+            made["sylow_2_overgroup"] = sylow_2_overgroup(G, H)
+        for op, K in made.items():
+            packed(K, (op, H.indices()))
+
+
 @given(permutation_groups(min_degree=4))
 @example(construct.alternating(5))
 @example(construct.symmetric(5))
@@ -244,19 +305,20 @@ def test_fallback_round_repeats_no_join(monkeypatch, name):
     """The fallback round joins a subgroup of the first round only with the
     cyclic subgroups that round passed over, so no (K, z) join repeats.
     First-round joins go through ``_normal_join``, whose right-multiplication
-    column for z has z at entry 0; fallback joins through ``join_element``."""
+    column for z has z at entry 0; fallback joins through ``generate``."""
     first, fallback = [], []
-    join, normal_join = subgroups.join_element, subgroups._normal_join
+    join, normal_join = subgroups.generate, subgroups._normal_join
 
-    def recording(G, mask, elems, gens, g):
-        fallback.append((mask, g))
-        return join(G, mask, elems, gens, g)
+    def recording(G, gens, K):
+        (g,) = gens
+        fallback.append((K.mask, g))
+        return join(G, gens, K)
 
     def recording_normal(members, column, p):
         first.append((mask_of(members), column[0]))
         return normal_join(members, column, p)
 
-    monkeypatch.setattr(subgroups, "join_element", recording)
+    monkeypatch.setattr(subgroups, "generate", recording)
     monkeypatch.setattr(subgroups, "_normal_join", recording_normal)
     G = NONSOLVABLE[name]()
     all_subgroups(G, None, G.order)
@@ -300,7 +362,7 @@ def test_lattice_joins_have_prime_index(monkeypatch, spec):
         return out
 
     monkeypatch.setattr(subgroups, "_normal_join", counted)
-    monkeypatch.setattr(subgroups, "join_element", None)  # the fallback round never runs
+    monkeypatch.setattr(subgroups, "generate", None)  # the fallback round never runs
     subs = all_subgroups(G)
     assert indices and all(_prime_factors(i) == [i] for i in indices)
     if spec == "dihedral(64)":
