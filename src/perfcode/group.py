@@ -35,11 +35,11 @@ class FiniteGroup:
     stride slice ``[c::n]``).  All are built at construction and never
     mutated.  Derived structure goes into a private store that ``per_group``
     functions fill lazily and that dies with the group: the squares,
-    inverses and non-involutions, the lattice and its least-conjugate class
-    map, one coset decomposition of G per subgroup, Sylow 2-subgroups and
-    overgroups, normalizers and the extraspecial classification.  Each
-    stored value is written once and never changes, so threads sharing a
-    group at worst compute one value twice.
+    inverses and non-involutions, the lattice, the bitmask of G' and the
+    least-conjugate class map, one coset decomposition of G per subgroup,
+    Sylow 2-subgroups and overgroups, normalizers and the extraspecial
+    classification.  Each stored value is written once and never changes,
+    so threads sharing a group at worst compute one value twice.
     """
 
     order: int

@@ -108,6 +108,18 @@ MUTANTS = (
     ),
     (
         "src/perfcode/subgroups.py",
+        "while not is_normal(G, D):",
+        "while False:",
+        "derived_mask",
+    ),
+    (
+        "src/perfcode/subgroups.py",
+        "derived & ~K.mask",
+        "K.mask & ~derived",
+        "least_conjugate or minimal_conjugate",
+    ),
+    (
+        "src/perfcode/subgroups.py",
         "t[k][h] for k in gens)",
         "t[k][h] for k in gens[:1])",
         "structure_operators_match_brute_force",

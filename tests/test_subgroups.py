@@ -868,6 +868,101 @@ def test_lattice_and_least_conjugates_match_oracles_on_random_groups(G):
         assert minimal_conjugate(G, H).elements == least.elements, H.indices()
 
 
+DERIVED_CASES = {
+    "corpus": lambda: [e.group for e in builtin_corpus(include_m3=True) if e.group.order <= 64],
+    "relabelled": lambda: [
+        _relabelled(e.group, 11)[0] for e in builtin_corpus(include_m3=True) if e.group.order <= 64
+    ],
+    "nonsolvable": lambda: [NONSOLVABLE[name]() for name in ("A5", "S5", "A5xZ2")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DERIVED_CASES))
+def test_derived_mask_matches_the_oracle(case):
+    """The stored G' is the subgroup that every commutator generates; in
+    A5 x Z2 it is A5."""
+    for G in DERIVED_CASES[case]():
+        derived = derived_subgroup(G, full_subgroup(G))
+        assert subgroups._derived_mask(G) == derived.mask, G.name
+        if G.name == "A5xZ2":
+            assert len(derived) == 60
+
+
+@given(permutation_groups(min_degree=3))
+@example(construct.alternating(5))
+@example(construct.symmetric(5))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_derived_mask_matches_the_oracle_on_random_groups(G):
+    assert subgroups._derived_mask(G) == derived_subgroup(G, full_subgroup(G)).mask
+
+
+@pytest.mark.parametrize("spec", ["a4", "sl23"])
+def test_derived_mask_takes_the_normal_closure(spec):
+    """In A4 and SL(2,3) the commutator of the two recorded generators
+    generates a subgroup of order 2 or 4 that is not normal; G' has order
+    4 or 8, its normal closure."""
+    G = construct.build_named(spec)
+    t, inv, gens = G.table, G.inverse, full_subgroup(G).generators
+    commutators = [t[t[inv[a]][inv[b]]][t[a][b]] for a in gens for b in gens]
+    assert not brute_is_normal(G, closure_elements(G, commutators))
+    derived = derived_subgroup(G, full_subgroup(G))
+    assert len(derived) == G.order // 3
+    assert subgroups._derived_mask(G) == derived.mask
+
+
+ARITHMETIC_CASES = {
+    "north_star": lambda: [e.group for e in builtin_corpus(include_m3=True)],
+    "nonsolvable": DERIVED_CASES["nonsolvable"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARITHMETIC_CASES))
+def test_class_map_counts_by_arithmetic(case):
+    """On every group of the north-star sweep and on A5, S5 and A5 x Z2: the
+    lattice runs from 1 to G; the classes the class map picks have sizes
+    |G : N_G(H)| that sum to the number of subgroups; and for each prime
+    power p^k dividing |G| the subgroups of order p^k number 1 mod p
+    (Frobenius)."""
+    groups = ARITHMETIC_CASES[case]()
+    assert len(groups) == (38 if case == "north_star" else 3)
+    for G in groups:
+        lattice = all_subgroups(G, None, G.order)
+        assert len(lattice[0]) == 1 and len(lattice[-1]) == G.order, G.name
+        representatives = [H for H in lattice if minimal_conjugate(G, H) is H]
+        classes = sum(G.order // len(normalizer(G, H)) for H in representatives)
+        assert classes == len(lattice), G.name
+        orders = [len(H) for H in lattice]
+        for p in _prime_factors(G.order):
+            q = p
+            while G.order % q == 0:
+                assert orders.count(q) % p == 1, (G.name, q)
+                q *= p
+
+
+@pytest.mark.parametrize("spec", ["gm2(2)", "product(gm1(2),cyclic(3))"])
+def test_least_conjugates_walk_no_orbit_from_a_subgroup_containing_g_prime(monkeypatch, spec):
+    """A subgroup that contains G' is normal, so the class map conjugates
+    only the others: one ``_distinct`` call per non-central conjugation table
+    for each subgroup that does not contain G'."""
+    G, _ = _relabelled(construct.build_named(spec), 12)
+    lattice = all_subgroups(G)
+    gens = full_subgroup(G).generators
+    tables = sum(any(G.table[x][g] != G.table[g][x] for g in gens) for x in gens)
+    derived = derived_subgroup(G, full_subgroup(G)).elements
+    walked = sum(not derived <= H.elements for H in lattice)
+    calls = []
+    distinct = subgroups._distinct
+
+    def counted(seq):
+        calls.append(seq)
+        return distinct(seq)
+
+    monkeypatch.setattr(subgroups, "_distinct", counted)
+    subgroups._least_conjugates(G)
+    assert tables and walked < len(lattice)
+    assert len(calls) == tables * walked
+
+
 def test_conjugacy_class_sizes_s4(s4):
     sizes = conjugacy_class_sizes(s4)
     assert sizes[0] == 1
