@@ -4,7 +4,6 @@ from .codes import (
     CodeVerdict,
     Criterion,
     connection_set,
-    connection_set_from_transversal,
     decide,
     double_coset_condition,
     find_inverse_closed_transversal,

@@ -12,7 +12,6 @@ import json
 import re
 import sys
 from functools import cache
-from itertools import islice
 from pathlib import Path
 
 from .codes import decide, verdict_to_json
@@ -108,9 +107,7 @@ def _cmd_cross_check(args: argparse.Namespace) -> int:
         max_order=args.max_order,
         dedupe_conjugates=args.dedupe_conjugates,
     )
-    chunks = report_chunks(report, fmt=args.format)
-    while batch := "".join(islice(chunks, 4096)):  # one write per batch of small chunks
-        sys.stdout.write(batch)
+    sys.stdout.writelines(report_chunks(report, fmt=args.format))
     return 2 if report.disagreements else 0
 
 

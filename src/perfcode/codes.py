@@ -185,19 +185,6 @@ def find_inverse_closed_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, .
     return tuple(g for g in chosen if g is not None)
 
 
-def connection_set_from_transversal(
-    G: FiniteGroup, H: Subgroup, T: Iterable[int]
-) -> frozenset[int]:
-    """S = T minus the identity, the Cayley graph admitting H as a code.  The
-    graph check proves T = T^-1, TH = G and |T| |H| = |G|, so HT = G too."""
-    reps = frozenset(_as_elements(G, T))
-    if 0 not in reps:
-        raise ValueError("transversal must contain the identity")
-    if not is_perfect_code_in_cayley_graph(G, reps - {0}, H):
-        raise ValueError("representatives do not form a right transversal")
-    return reps - {0}
-
-
 def _meet_size(G: FiniteGroup, H: Subgroup, x: int, coset: bytes) -> int:
     """|H meet H^x| for x in the packed right coset ``coset`` = Hx: x maps it
     onto xH meet Hx, so it is |H| less the number of xh outside Hx.  As

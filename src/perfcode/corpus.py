@@ -6,6 +6,8 @@ import json
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from json.encoder import c_make_encoder
 from typing import Iterator
 
 from . import construct
@@ -304,23 +306,52 @@ def report_emit(report: CrossCheckReport, fmt: str = "json") -> str:
     return "".join(report_chunks(report, fmt))
 
 
+_string = json.encoder.encode_basestring_ascii
+_LEAVES = {str: _string, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__}
+_SCALARS = {*_LEAVES, float, type(None)}
+_MD_CELL = str.maketrans({"|": "\\|", "\r": " ", "\n": " "})
+
+
+@cache
+def _flat_encoder(inner: str):
+    """``json.dumps``'s C encoder, no cycle check, items apart by a newline and ``inner``."""
+    return c_make_encoder(None, None, _string, None, ": ", ",\n" + inner, False, False, True)
+
+
+def _render(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` with ``pad`` after each newline: one C
+    call per leaf and per list or dict of scalars, one join per other dict
+    keyed by strings, and ``json.dumps`` for the rest (no JSON string holds a
+    raw newline)."""
+    kind = type(value)
+    if kind in _LEAVES:
+        return _LEAVES[kind](value)
+    inner = pad + "  "
+    if kind is list or kind is dict:
+        if _SCALARS.issuperset(map(type, value.values() if kind is dict else value)):
+            text = "".join(_flat_encoder(inner)(value, 0))
+            return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}" if value else text
+        if kind is dict and {*map(type, value)} == {str}:
+            items = [f"{_string(k)}: {_render(v, inner)}" for k, v in value.items()]
+            return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
 def report_chunks(report: CrossCheckReport, fmt: str = "json") -> Iterator[str]:
     """Render a report piece by piece, so a writer never holds the whole
-    text: JSON as ``JSONEncoder(indent=2).iterencode`` emits it (joined, it
-    is ``json.dumps(indent=2)``), markdown line by line.  Field order is
+    text: JSON as ``json.dumps(indent=2)`` plus a newline, in one chunk for
+    the schema and summary, one per row (built by ``_render`` from C-level
+    encoders) and one for the timings; markdown line by line, with ``|``
+    escaped and line breaks made spaces in the group cell.  Field order is
     stable and timings sit in their own (non-stable) trailing section."""
     if fmt == "json":
-        doc = {
-            "schema": "cross-check-report/v2",
-            "summary": report.summary,
-            "rows": list(report.rows),
-            "timings": {
-                "row_ms": [round(ms, 3) for ms in report.row_ms],
-                "total_ms": round(sum(report.row_ms), 3),
-            },
-        }
-        yield from json.JSONEncoder(indent=2).iterencode(doc)
-        yield "\n"
+        summary = _render(report.summary, "  ")
+        yield f'{{\n  "schema": "cross-check-report/v2",\n  "summary": {summary},\n  "rows": ['
+        for i, row in enumerate(report.rows):
+            yield (",\n    " if i else "\n    ") + _render(row, "    ")
+        row_ms = [round(ms, 3) for ms in report.row_ms]
+        timings = _render({"row_ms": row_ms, "total_ms": round(sum(report.row_ms), 3)}, "  ")
+        yield ("\n  ]" if report.rows else "]") + f',\n  "timings": {timings}\n}}\n'
     elif fmt in ("md", "markdown"):
         s = report.summary
         lines = [
@@ -351,7 +382,8 @@ def report_chunks(report: CrossCheckReport, fmt: str = "json") -> Iterator[str]:
             sub = ",".join(str(i) for i in row["subgroup"])
             checked = len(row["verdicts"]) - len(row["same_as"]) >= 2
             agree = str(row["agree"]).lower() if checked else "unchecked"
-            yield f"| {row['group']} | {{{sub}}} | {str(row['perfect_code']).lower()} | {agree} |\n"
+            code = str(row["perfect_code"]).lower()
+            yield f"| {row['group'].translate(_MD_CELL)} | {{{sub}}} | {code} | {agree} |\n"
         yield "\n## Timings (non-stable)\n\n"
         yield f"- total: {sum(report.row_ms):.1f} ms over {len(report.row_ms)} rows\n"
     else:

@@ -89,7 +89,7 @@ MUTANTS = (
         "coset_counterexamples_are_the_least_failing_x or scans",
     ),
     (
-        "src/perfcode/codes.py",
+        "tests/oracles.py",
         "if 0 not in reps:",
         "if False:",
         "connection_set_from_transversal_requires_identity",
@@ -141,6 +141,18 @@ MUTANTS = (
         "minimal_conjugate(G, H).mask == H.mask",
         "minimal_conjugate(G, H).mask != H.mask",
         "nonsolvable_groups_cross_check",
+    ),
+    (
+        "src/perfcode/corpus.py",
+        "{text[-1]}\" if value else text",
+        "{text[-1]}\" if True else text",
+        "json_dumps_with_indent_2",
+    ),
+    (
+        "src/perfcode/corpus.py",
+        '"\\r": " ", "\\n": " "',
+        '"\\r": " "',
+        "keeps_each_group_name_in_its_cell",
     ),
     (
         "src/perfcode/corpus.py",

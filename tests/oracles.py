@@ -33,6 +33,8 @@ not oracles in that sense:
 ``subgroup_as_group``, ``build_family`` and ``derived_subgroup``, and
 ``reduction_statements`` evaluates the Sylow reduction's four statements
 with ``square_coset_condition`` and ``omega_coset_sets``.
+``connection_set_from_transversal`` checks that T holds 1 and proves the
+rest by the library's graph check of H in Cay(G, T minus 1).
 ``reference_normalizer`` grows a normalizer by a walk of G with
 ``generate``, so that the generators it records are those the library
 must record.
@@ -56,7 +58,13 @@ from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
-from perfcode.codes import omega_coset_sets, square_coset_condition, sylow_reduction
+from perfcode.codes import (
+    _as_elements,
+    is_perfect_code_in_cayley_graph,
+    omega_coset_sets,
+    square_coset_condition,
+    sylow_reduction,
+)
 from perfcode.construct import direct_product
 from perfcode.corpus import builtin_corpus
 from perfcode.extraspecial import Family, _central_involution, build_family, is_extraspecial
@@ -187,6 +195,17 @@ def brute_first_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, ...] | No
         if all(inv[g] in chosen for g in chosen):
             return combo
     return None
+
+
+def connection_set_from_transversal(G: FiniteGroup, H: Subgroup, T: Iterable[int]) -> frozenset[int]:
+    """S = T minus the identity, the Cayley graph admitting H as a code.  The
+    graph check proves T = T^-1, TH = G and |T| |H| = |G|, so HT = G too."""
+    reps = frozenset(_as_elements(G, T))
+    if 0 not in reps:
+        raise ValueError("transversal must contain the identity")
+    if not is_perfect_code_in_cayley_graph(G, reps - {0}, H):
+        raise ValueError("representatives do not form a right transversal")
+    return reps - {0}
 
 
 def brute_is_perfect_code(G: FiniteGroup, S, C) -> bool:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from oracles import (
     abelian_invariants,
+    connection_set_from_transversal,
     derived_subgroup,
     frattini_subgroup,
     is_maximal_abelian,
@@ -17,7 +18,6 @@ from oracles import (
 )
 from perfcode import construct
 from perfcode.codes import (
-    connection_set_from_transversal,
     decide,
     double_coset_condition,
     find_inverse_closed_transversal,

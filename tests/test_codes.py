@@ -23,6 +23,7 @@ from oracles import (
     brute_is_abelian,
     conjugate,
     conjugate_subgroup,
+    connection_set_from_transversal,
     corpus_products,
     has_element_of_order_4,
     permutation_groups,
@@ -33,7 +34,6 @@ from perfcode import codes, construct
 from perfcode.codes import (
     Criterion,
     connection_set,
-    connection_set_from_transversal,
     decide,
     double_coset_condition,
     find_inverse_closed_transversal,

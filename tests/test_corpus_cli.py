@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import random
+import re
 import weakref
 
 import pytest
@@ -541,14 +542,80 @@ def test_cli_cross_check_json(capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "md"])
 def test_cli_cross_check_streams_the_report_emit_bytes(monkeypatch, capsys, s4, fmt):
-    """The CLI writes ``report_chunks`` in batches; the JSON report on two
-    copies of S4 runs to more chunks than one batch holds."""
+    """The CLI writes the chunks of ``report_chunks``; in JSON each row is
+    one chunk of its own, between the head and the timings."""
     report = cross_check([make_entry(s4), make_entry(s4)], max_order=24)
     monkeypatch.setattr(cli, "cross_check", lambda *a, **k: report)
     assert cli.main(["cross-check", "--max-order", "24", "--format", fmt]) == 0
     assert capsys.readouterr().out == report_emit(report, fmt)
     if fmt == "json":
-        assert len(list(corpus_module.report_chunks(report, fmt))) > 4096
+        chunks = list(corpus_module.report_chunks(report, fmt))
+        assert len(chunks) == len(report.rows) + 2
+        assert [json.loads(chunk.lstrip(",")) for chunk in chunks[1:-1]] == list(report.rows)
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\/\n\r\t\x00\x1f\x7f|\u00e9\u2028\U0001f600'), max_size=6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+_ROWS = st.fixed_dictionaries(
+    {
+        "group": _TEXT,
+        "order": st.integers(0, 256),
+        "subgroup": st.lists(st.integers(0, 255), max_size=8),
+        "verdicts": st.dictionaries(_TEXT, st.booleans(), max_size=4),
+        "same_as": st.dictionaries(_TEXT, _TEXT, max_size=3),
+        "perfect_code": st.booleans(),
+        "agree": st.booleans(),
+    },
+    optional={"extra": st.none() | st.lists(st.lists(st.integers(), max_size=2), min_size=1, max_size=2)},
+)
+
+
+@given(
+    rows=st.lists(
+        _ROWS
+        | st.dictionaries(_TEXT, _JSON, max_size=3)
+        | st.dictionaries(st.integers() | st.floats() | st.booleans() | st.none(), _JSON, max_size=2),
+        max_size=4,
+    ),
+    summary=st.dictionaries(_TEXT, _JSON, max_size=4),
+    row_ms=st.lists(st.floats(), max_size=4),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_report_emit_is_json_dumps_with_indent_2(rows, summary, row_ms):
+    """Byte for byte ``json.dumps(indent=2)`` of the report document on any
+    report: strings with quotes, backslashes, control and non-ASCII
+    characters, empty dicts and reports, None, floats, nested containers,
+    keys that are not strings and rows of other shapes; and one JSON chunk
+    per row."""
+    report = CrossCheckReport(rows=tuple(rows), summary=summary, row_ms=tuple(row_ms))
+    doc = {
+        "schema": "cross-check-report/v2",
+        "summary": summary,
+        "rows": rows,
+        "timings": {"row_ms": [round(ms, 3) for ms in row_ms], "total_ms": round(sum(row_ms), 3)},
+    }
+    assert report_emit(report, "json") == json.dumps(doc, indent=2) + "\n"
+    assert len(list(corpus_module.report_chunks(report, "json"))) == len(rows) + 2
+
+
+@pytest.mark.parametrize(
+    "name, cell", [("Z2|odd\nname", "Z2\\|odd name"), ("Z2|odd\r\nname", "Z2\\|odd  name")]
+)
+def test_cli_markdown_keeps_each_group_name_in_its_cell(tmp_path, capsys, name, cell):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"name": name, "order": 2, "table": [[0, 1], [1, 0]]}), encoding="utf-8")
+    argv = ["cross-check", "--max-order", "2", "--corpus", str(tmp_path), "--format", "md"]
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    table = text[text.index("| group |") : text.index("\n## Timings")].splitlines()
+    assert f"| {cell} | {{0,1}} | true | true |" in table
+    # the header, its rule and one line of four cells for each row of Z1, Z2 and the file's group
+    assert len(table) == 2 + 1 + 2 + 2
+    assert all(len(re.split(r"(?<!\\)\|", line)) == 6 for line in table)
 
 
 def test_cli_cross_check_exit_code_on_disagreement(monkeypatch, capsys):
