@@ -63,7 +63,6 @@ from .subgroups import (
     coset_decomposition,
     is_normal,
     normalizer,
-    sylow_2_overgroup,
     sylow_2_subgroup,
     two_part,
 )

@@ -288,10 +288,11 @@ def omega_criterion(G: FiniteGroup, H: Subgroup, N: Subgroup) -> CodeVerdict:
 
 def sylow_reduction(G: FiniteGroup, H: Subgroup) -> tuple[Subgroup, Subgroup, Subgroup]:
     """The chain (H2, N, N2): H2 a Sylow 2-subgroup of H, N = N_G(H2) and N2
-    a Sylow 2-subgroup of N.  With P = ``sylow_2_overgroup(G, N2)``, four
-    equivalent statements decide H on it: H2 a code of P, the involution
-    cosets of H2 in N2 and in N, and H a code of G.  In a 2-group H2 = H,
-    N2 = N and P = G, so they are two statements."""
+    a Sylow 2-subgroup of N.  With P the Sylow 2-subgroup of G grown from
+    N2 (``sylow_2_subgroup(G, full_subgroup(G), N2)``), four equivalent
+    statements decide H on it: H2 a code of P, the involution cosets of H2
+    in N2 and in N, and H a code of G.  In a 2-group H2 = H, N2 = N and
+    P = G, so they are two statements."""
     H2 = sylow_2_subgroup(G, H)
     N = normalizer(G, H2)
     return H2, N, sylow_2_subgroup(G, N)

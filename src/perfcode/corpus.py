@@ -32,7 +32,7 @@ from .extraspecial import (
     sylow_2_classification,
 )
 from .group import FiniteGroup, Subgroup, full_subgroup
-from .subgroups import all_subgroups, is_normal, minimal_conjugate, normalizer, sylow_2_overgroup
+from .subgroups import all_subgroups, is_normal, minimal_conjugate, normalizer, sylow_2_subgroup
 
 DEFAULT_CRITERIA = (
     "decide",
@@ -182,7 +182,7 @@ def _row_verdicts(
     if "omega-quotient" in criteria and (len(H) & (len(H) - 1) == 0 or is_normal(G, H)):
         ask("omega-quotient", omega_criterion, H, normalizer(G, H))
     if "sylow-reduction" in criteria:
-        ask("reduction-h2-in-p", square_coset_condition, H2, sylow_2_overgroup(G, N2))
+        ask("reduction-h2-in-p", square_coset_condition, H2, sylow_2_subgroup(G, full, N2))
         ask("reduction-omega-n2", omega_criterion, H2, N2)
         ask("reduction-omega-n", omega_criterion, H2, N)
         ask("reduction-h-in-g", square_coset_condition, H, full)

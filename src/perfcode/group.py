@@ -30,22 +30,20 @@ class FiniteGroup:
 
     ``table[a]`` is row a as ``bytes``, so ``table[a][b]`` is the product
     a*b; ``inverse`` is ``bytes`` too, ``inverse[a]`` the inverse of ``a``;
-    ``element_orders[a]`` is the least k >= 1 with a^k = identity; and
-    ``packed`` is the rows end to end, one ``bytes`` object (column c is its
-    stride slice ``[c::n]``).  All are built at construction and never
+    and ``packed`` is the rows end to end, one ``bytes`` object (column c is
+    its stride slice ``[c::n]``).  All are built at construction and never
     mutated.  Derived structure goes into a private store that ``per_group``
     functions fill lazily and that dies with the group: the squares,
-    inverses and non-involutions, the lattice, the bitmask of G' and the
-    least-conjugate class map, one coset decomposition of G per subgroup,
-    Sylow 2-subgroups and overgroups, normalizers and the extraspecial
-    classification.  Each stored value is written once and never changes,
-    so threads sharing a group at worst compute one value twice.
+    inverses and non-involutions, the lattice and the least-conjugate class
+    map, one coset decomposition of G per subgroup, Sylow 2-subgroups,
+    normalizers and the extraspecial classification.  Each stored value is
+    written once and never changes, so threads sharing a group at worst
+    compute one value twice.
     """
 
     order: int
     table: tuple[bytes, ...]
     inverse: bytes
-    element_orders: tuple[int, ...]
     packed: bytes
     name: str | None = None
     _store: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -64,9 +62,7 @@ class FiniteGroup:
             raise ValueError("group table must be non-empty")
         rows = _canonicalize_rows(_packed_rows(rows))
         inverse, packed = _validate_rows(rows)
-        table = tuple(rows)
-        orders = tuple(_order_of(table, g) for g in range(n))
-        return cls(n, table, inverse, orders, packed, name)
+        return cls(n, tuple(rows), inverse, packed, name)
 
     def elements(self) -> range:
         return range(self.order)
@@ -300,14 +296,6 @@ def _right_generators(rows: list) -> list[int]:
                     seen[y] = True
                     reached.append(y)
     return gens
-
-
-def _order_of(table: tuple[bytes, ...], g: int) -> int:
-    k, x = 1, g
-    while x != 0:
-        x = table[x][g]
-        k += 1
-    return k
 
 
 def load_group(source: str | Path | dict) -> FiniteGroup:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from math import gcd
 from operator import eq
 
 from .group import (
@@ -71,29 +72,33 @@ def _lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
     without the normalizing test: a subgroup the first round processed is
     joined only with the z that round passed over, so no join is repeated.
 
-    Each C is named by its least generator z, so K's mask holds the C inside
-    K; bit z of ``root_bit[y]`` is set when y = z^p, so K's ``root_bit`` sum
-    to the z with z^p in K.  Subgroups are keyed by their packed complement
-    in G, one ``translate`` of a join's members in any order, and kept as
-    they are found.  When a join has prime index over K no subgroup lies
-    strictly between them, so joining K with any other cyclic subgroup of
-    that join is skipped.  A join records K's generators outside <z>, then z.
-    The tables of the z last as long as this call.
+    Each C is named by its least generator z, whose powers, walked to the
+    identity, give k = |z| and cover the generators z^i, gcd(i, k) = 1, of
+    <z>.  So K's mask holds the C inside K; bit z of ``root_bit[y]`` is set
+    when y = z^p, so K's ``root_bit`` sum to the z with z^p in K.  Subgroups
+    are keyed by their packed complement in G, one ``translate`` of a join's
+    members in any order, and kept as they are found.  When a join has prime
+    index over K no subgroup lies strictly between them, so joining K with
+    any other cyclic subgroup of that join is skipped.  A join records K's
+    generators outside <z>, then z.  The tables of the z live in this call.
     """
-    n, t, inv, orders, flat = G.order, G.table, G.inverse, G.element_orders, G.packed
-    prime = [p[0] if len(p) == 1 else 0 for p in map(_prime_factors, orders)]
+    n, t, inv, flat = G.order, G.table, G.inverse, G.packed
     full, root_bit = _INDICES[:n], [0] * n
-    covered, cyclic_mask, columns, conjugation = 0, {}, {}, {}
+    covered, prime, cyclic_mask, columns, conjugation = 0, {}, {}, {}, {}
     for z in G.elements():
-        if prime[z] and not covered >> z & 1:
-            powers = [0]
-            for _ in range(orders[z] - 1):
-                powers.append(t[powers[-1]][z])
-            covered |= bitmask(y for y in powers if orders[y] == orders[z])
-            root_bit[powers[prime[z] % orders[z]]] |= 1 << z
-            cyclic_mask[z] = bitmask(powers)
-            columns[z] = _lookup(flat[z::n])
-            conjugation[z] = _lookup(t[inv[z]].translate(columns[z]))
+        if not covered >> z & 1:
+            powers, y = [0], z
+            while y:
+                powers.append(y)
+                y = t[y][z]
+            k, primes = len(powers), _prime_factors(len(powers))
+            covered |= bitmask(y for i, y in enumerate(powers) if gcd(i, k) == 1)
+            if len(primes) == 1:
+                prime[z] = p = primes[0]
+                root_bit[powers[p % k]] |= 1 << z
+                cyclic_mask[z] = bitmask(powers)
+                columns[z] = _lookup(flat[z::n])
+                conjugation[z] = _lookup(t[inv[z]].translate(columns[z]))
 
     subs = {full[1:]: trivial_subgroup()}
     queue = [(subs[full[1:]], root_bit[0])]
@@ -184,40 +189,23 @@ def center(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
 
 @per_group
-def sylow_2_subgroup(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """The Sylow 2-subgroup of H grown from the trivial subgroup inside H
-    by ``_grow_2_subgroup`` (H itself when H is a 2-group).  All Sylow
-    2-subgroups of H are conjugate in H (Sylow's theorem), so every criterion
-    decides H alike on each of them, and no other one is walked."""
+def sylow_2_subgroup(G: FiniteGroup, H: Subgroup, Q: Subgroup | None = None) -> Subgroup:
+    """A Sylow 2-subgroup of H containing Q, a 2-subgroup of H (default: the
+    trivial one; any other Q is a ValueError): H when H is a 2-group, else
+    Q grown by index-2 steps, each adjoining the least g of H outside it
+    that squares into it and normalizes it (one exists while it is below
+    the 2-part of |H|, by Sylow's theorem); the cheap tests go first, and
+    no normalizer is built.  All Sylow 2-subgroups of H are conjugate in H,
+    so every criterion decides H alike on each, and no other one is walked."""
+    if Q is not None and (len(Q) & (len(Q) - 1) or Q.mask & ~H.mask):
+        raise ValueError("starting subgroup must be a 2-subgroup of H")
     target = two_part(len(H))
     if target == len(H):
         return H
-    return _grow_2_subgroup(G, trivial_subgroup(), target, H)
-
-
-@per_group
-def sylow_2_overgroup(G: FiniteGroup, Q: Subgroup) -> Subgroup:
-    """The Sylow 2-subgroup of G grown from the 2-subgroup Q by ``_grow_2_subgroup``."""
-    if two_part(len(Q)) != len(Q):
-        raise ValueError("starting subgroup must be a 2-group")
-    return _grow_2_subgroup(G, Q, two_part(G.order), full_subgroup(G))
-
-
-def _grow_2_subgroup(G: FiniteGroup, start: Subgroup, target: int, within: Subgroup) -> Subgroup:
-    """Grow the 2-subgroup ``start`` to order ``target`` by index-2 steps,
-    each adjoining the least g of ``within`` that lies outside it, squares
-    into it and normalizes it (by Sylow's theorem one exists while it is
-    below the 2-part of ``within``).  The cheap tests go first, and no
-    normalizer is built.  ``start`` at order ``target`` is returned as it
-    is, and a result of order |G| is the stored ``full_subgroup(G)``."""
-    if target == G.order:
-        return full_subgroup(G)
-    t, K = G.table, start
+    t, K = G.table, trivial_subgroup() if Q is None else Q
     while len(K) < target:
         mask, normalizes = K.mask, _normalizes(G, K.mask, K.generators)
-        x = next(
-            g for g in within if not mask >> g & 1 and mask >> t[g][g] & 1 and normalizes(g)
-        )
+        x = next(g for g in H if not mask >> g & 1 and mask >> t[g][g] & 1 and normalizes(g))
         K = generate(G, (x,), K)
     return K
 
@@ -320,7 +308,6 @@ def _least_conjugates(G: FiniteGroup) -> dict[bytes, Subgroup]:
     return least
 
 
-@per_group
 def _derived_mask(G: FiniteGroup) -> int:
     """The bitmask of G': the normal closure N of the commutators of G's
     recorded generators, which commute modulo N, so G/N is abelian."""

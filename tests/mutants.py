@@ -137,6 +137,30 @@ MUTANTS = (
         "normalizer_matches_the_reference_walk",
     ),
     (
+        "src/perfcode/subgroups.py",
+        "(len(Q) & (len(Q) - 1) or Q.mask & ~H.mask)",
+        "(Q.mask & ~H.mask)",
+        "rejects_a_seed",
+    ),
+    (
+        "src/perfcode/subgroups.py",
+        "(len(Q) & (len(Q) - 1) or Q.mask & ~H.mask)",
+        "(len(Q) & (len(Q) - 1))",
+        "rejects_a_seed",
+    ),
+    (
+        "src/perfcode/subgroups.py",
+        "if gcd(i, k) == 1)",
+        "if gcd(i, k) < 3)",
+        "lattice",
+    ),
+    (
+        "src/perfcode/subgroups.py",
+        "_prime_factors(len(powers))",
+        "_prime_factors(len(powers) - 1)",
+        "lattice",
+    ),
+    (
         "src/perfcode/corpus.py",
         "minimal_conjugate(G, H).mask == H.mask",
         "minimal_conjugate(G, H).mask != H.mask",

@@ -6,7 +6,8 @@ from exhaustive subset scans, transversals from cartesian products over
 cosets, perfect codes from every pair of vertices, right cosets from every
 product, associativity from every triple, normalizers, centralizers,
 commutativity and maximal abelian subgroups from every member, elements of
-order at most 2 from the table's diagonal, Sylow growth steps from whole normalizers,
+order at most 2 from the table's diagonal, element orders from repeated
+products in the table, Sylow growth steps from whole normalizers,
 coset-criterion counterexamples from a scan of every x, permutation tables
 from composing every pair of a closure grown by squaring, the tables of
 the cyclic, dihedral and dicyclic groups and of direct and central
@@ -19,11 +20,11 @@ member and a generator; elements of order 4 and the squares of the
 closed-form test for abelian groups (H is a code iff H meets G^2 in H^2)
 are read off the table's diagonal.
 
-The helpers below them (the join-every-cyclic lattice, element orders,
-squares, bitmasks and ``Subgroup`` builds from element sets, checked and
-conjugate subgroups, conjugates and commutators, derived and Frattini
-subgroups, abelian invariants, the symplectic form of an extraspecial
-group, conjugacy class sizes and the small-order isomorphism search) are
+The helpers below them (the join-every-cyclic lattice, squares, bitmasks
+and ``Subgroup`` builds from element sets, checked and conjugate
+subgroups, conjugates and commutators, derived and Frattini subgroups,
+abelian invariants, the symplectic form of an extraspecial group,
+conjugacy class sizes and the small-order isomorphism search) are
 not oracles in that sense:
 ``join_every_cyclic_lattice`` calls ``generate``,
 ``derived_subgroup`` calls ``closure_elements``,
@@ -79,7 +80,7 @@ from perfcode.group import (
     per_group,
     subgroup_as_group,
 )
-from perfcode.subgroups import _prime_factors, all_subgroups, is_abelian_subgroup, sylow_2_overgroup
+from perfcode.subgroups import _prime_factors, all_subgroups, is_abelian_subgroup, sylow_2_subgroup
 
 DEFAULT_ISOMORPHISM_CAP = 64
 
@@ -461,10 +462,11 @@ def sylow_extraspecial_clause(G: FiniteGroup, members) -> str:
 
 def reduction_statements(G: FiniteGroup, H: Subgroup) -> tuple[bool, bool, bool, bool]:
     """The Sylow reduction's four statements on the chain (H2, N, N2) that
-    ``sylow_reduction`` returns and P = ``sylow_2_overgroup(G, N2)``: H2 a
-    code of P, the involution cosets of H2 in N2 and in N, and H a code of G."""
+    ``sylow_reduction`` returns and the Sylow 2-subgroup P of G grown from
+    N2: H2 a code of P, the involution cosets of H2 in N2 and in N, and H a
+    code of G."""
     H2, N, N2 = sylow_reduction(G, H)
-    P = sylow_2_overgroup(G, N2)
+    P = sylow_2_subgroup(G, full_subgroup(G), N2)
     q2, l2 = omega_coset_sets(G, N2, H2)
     qn, ln = omega_coset_sets(G, N, H2)
     return (
@@ -636,7 +638,7 @@ def subspace_count(n: int, q: int = 2) -> int:
 
 
 def element_order_multiset(G: FiniteGroup, elems) -> tuple[int, ...]:
-    return tuple(sorted(G.element_orders[g] for g in elems))
+    return tuple(sorted(element_order(G, g) for g in elems))
 
 
 def join_every_cyclic_lattice(G: FiniteGroup, within: Subgroup | None = None) -> tuple[Subgroup, ...]:
@@ -650,7 +652,7 @@ def join_every_cyclic_lattice(G: FiniteGroup, within: Subgroup | None = None) ->
     no subgroup lies strictly between them, so joining K with any other
     cyclic subgroup of that join is skipped.
     """
-    orders = G.element_orders
+    orders = element_orders(G)
     cyclic_gens: list[int] = []
     cyclic_bit = [0] * G.order
     for g in within.elements if within is not None else G.elements():
@@ -685,10 +687,19 @@ def join_every_cyclic_lattice(G: FiniteGroup, within: Subgroup | None = None) ->
 
 
 def element_order(G: FiniteGroup, g: int) -> int:
-    """Least k >= 1 with g^k = identity."""
+    """Least k >= 1 with g^k = identity, by repeated products in the table."""
     if not 0 <= g < G.order:
         raise ValueError(f"element index {g} out of range for order {G.order}")
-    return G.element_orders[g]
+    k, x = 1, g
+    while x != 0:
+        x = G.table[x][g]
+        k += 1
+    return k
+
+
+def element_orders(G: FiniteGroup) -> tuple[int, ...]:
+    """The order of every element of G, by index, from ``element_order``."""
+    return tuple(element_order(G, g) for g in G.elements())
 
 
 def squares(G: FiniteGroup) -> frozenset[int]:
@@ -803,6 +814,7 @@ def abelian_invariants(G: FiniteGroup, H: Subgroup) -> AbelianInvariants:
         raise ValueError("abelian invariants are only defined for abelian subgroups")
     n = len(H)
     elems = sorted(H.elements)
+    orders = {h: element_order(G, h) for h in elems}
     factors: list[int] = []
     for p in _prime_factors(n):
         p_part = 1
@@ -814,7 +826,7 @@ def abelian_invariants(G: FiniteGroup, H: Subgroup) -> AbelianInvariants:
         j = 1
         while True:
             pj = p**j
-            count = sum(1 for h in elems if pj % G.element_orders[h] == 0)
+            count = sum(1 for h in elems if pj % orders[h] == 0)
             a_j = 0
             c = count
             while c > 1:
@@ -895,8 +907,8 @@ def conjugacy_class_sizes(G: FiniteGroup) -> tuple[int, ...]:
 
 
 def _signatures(G: FiniteGroup) -> list[tuple[int, int]]:
-    cls = conjugacy_class_sizes(G)
-    return [(G.element_orders[g], cls[g]) for g in range(G.order)]
+    cls, orders = conjugacy_class_sizes(G), element_orders(G)
+    return [(orders[g], cls[g]) for g in range(G.order)]
 
 
 def _extend_homomorphism(
@@ -956,7 +968,8 @@ def isomorphic_small(
         )
     if A.order == 1:
         return [0]
-    if sorted(A.element_orders) != sorted(B.element_orders):
+    orders_a = element_orders(A)
+    if sorted(orders_a) != sorted(element_orders(B)):
         return None
     sig_a = _signatures(A)
     sig_b = _signatures(B)
@@ -967,7 +980,7 @@ def isomorphic_small(
         buckets.setdefault(s, []).append(h)
     sizes = Counter(sig_b)
     gens = generate(
-        A, sorted(A.elements(), key=lambda g: (sizes[sig_a[g]], -A.element_orders[g], g))
+        A, sorted(A.elements(), key=lambda g: (sizes[sig_a[g]], -orders_a[g], g))
     ).generators
 
     def search(images: list[int]) -> list[int] | None:

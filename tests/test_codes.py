@@ -59,7 +59,7 @@ from perfcode.subgroups import (
     all_subgroups,
     coset_decomposition,
     normalizer,
-    sylow_2_overgroup,
+    sylow_2_subgroup,
 )
 
 
@@ -447,7 +447,7 @@ def test_sylow_reduction_tower_containments(s4, sl23):
     for G in (s4, sl23):
         for H in all_subgroups(G):
             H2, N, N2 = sylow_reduction(G, H)
-            P = sylow_2_overgroup(G, N2)
+            P = sylow_2_subgroup(G, full_subgroup(G), N2)
             assert H2.elements <= N2.elements
             assert N2.elements <= N.elements
             assert N2.elements <= P.elements
@@ -574,7 +574,7 @@ def _check_scans(G: FiniteGroup, subgroups, double_max: int) -> None:
         assert omega_coset_sets(G, N, H) == _brute_omega_sets(G, N, H), H.indices()
         if len(H) % 2 == 0:
             H2, N1, N2 = sylow_reduction(G, H)
-            P = sylow_2_overgroup(G, N2)
+            P = sylow_2_subgroup(G, full_subgroup(G), N2)
             assert square_coset_condition(G, H2, P).counterexample == (
                 brute_square_coset_counterexample(G, H2.elements, P.elements)
             )

@@ -20,6 +20,7 @@ from oracles import (
     commutator,
     conjugate_subgroup,
     element_order,
+    element_orders,
     first_light_failure,
     is_associative,
     omega1,
@@ -56,7 +57,7 @@ def test_load_z2_table():
     G = load_group({"order": 2, "table": [[0, 1], [1, 0]]})
     assert G.order == 2
     assert tuple(G.inverse) == (0, 1)
-    assert G.element_orders == (1, 2)
+    assert element_orders(G) == (1, 2)
 
 
 def test_load_permutation_generators_s4():
@@ -332,7 +333,7 @@ def test_canonicalization_moves_identity_to_zero():
     G = load_group({"order": 3, "table": rows})
     assert tuple(G.table[0]) == (0, 1, 2)
     assert all(G.table[g][0] == g for g in range(3))
-    assert sorted(G.element_orders) == [1, 3, 3]
+    assert sorted(element_orders(G)) == [1, 3, 3]
 
 
 def test_single_swap_fuzz_is_rejected(d8):
@@ -503,8 +504,8 @@ def test_permutation_closure_yields_valid_group(data):
     G = group_from_permutations(gens, degree=degree)
     # validation ran inside from_table; check arithmetic facts on top
     assert tuple(G.table[0]) == tuple(range(G.order))
-    for g in G.elements():
-        assert G.order % G.element_orders[g] == 0
+    for g, k in enumerate(element_orders(G)):
+        assert G.order % k == 0
         assert G.table[g][G.inverse[g]] == 0
 
 
@@ -638,11 +639,12 @@ def test_relabelled_order_256_table_loads():
     pos = {p: i for i, p in enumerate(order)}
     phi = [pos[perm[a]] for a in range(G.order)]
     assert phi[0] == 0
+    orders, relabelled_orders = element_orders(G), element_orders(R)
     for a in range(G.order):
         row, image = G.table[a], R.table[phi[a]]
         assert all(image[phi[b]] == phi[row[b]] for b in range(G.order))
         assert R.inverse[phi[a]] == phi[G.inverse[a]]
-        assert R.element_orders[phi[a]] == G.element_orders[a]
+        assert relabelled_orders[phi[a]] == orders[a]
 
 
 def _sampled_near_group(G: FiniteGroup, rng: random.Random) -> list[list[int]]:
@@ -707,8 +709,9 @@ def test_tables_either_side_of_order_256_match_the_reference(spec, order):
     rows = relabel_rows(G, perm)
     assert isinstance(_assert_matches_reference(rows), tuple)
     R = FiniteGroup.from_table(rows)
-    assert R.element_orders == tuple(element_order(R, g) for g in range(order))
-    assert sorted(R.element_orders) == sorted(G.element_orders)
+    orders = element_orders(R)
+    assert sorted(orders) == sorted(element_orders(G))
+    assert orders.count(order) == order // 2  # the generators of Z256
     assert _assert_matches_reference(_corrupted(rows, "swap", rng)) == (
         "ValueError: some column is not a permutation of the elements"
     )

@@ -57,7 +57,6 @@ from perfcode.subgroups import (
     is_normal,
     minimal_conjugate,
     normalizer,
-    sylow_2_overgroup,
     sylow_2_subgroup,
     two_part,
 )
@@ -203,7 +202,7 @@ def test_every_subgroup_builder_packs_members_increasing(G):
             "minimal_conjugate": minimal_conjugate(G, H),
         }
         if two_part(len(H)) == len(H):
-            made["sylow_2_overgroup"] = sylow_2_overgroup(G, H)
+            made["sylow_2_subgroup from H"] = sylow_2_subgroup(G, full_subgroup(G), H)
         for op, K in made.items():
             packed(K, (op, H.indices()))
 
@@ -447,10 +446,24 @@ def test_sylow_choice_is_the_grown_one(s4):
 
 def test_sylow_overgroup_contains_seed(s4, s4_elem):
     Q = closure(s4, [s4_elem[(1, 0, 3, 2)]])
-    P = sylow_2_overgroup(s4, Q)
+    P = sylow_2_subgroup(s4, full_subgroup(s4), Q)
     assert Q.elements <= P.elements
     assert len(P) == 8
     subgroup_from_elements(s4, P.elements)
+
+
+def test_sylow_subgroup_rejects_a_seed_that_is_no_2_subgroup_of_h(s4, s4_elem):
+    """The seed Q must be a 2-group inside H, also when H is a 2-group:
+    otherwise the growth would return a wrong answer or find no step."""
+    full = full_subgroup(s4)
+    three = closure(s4, [s4_elem[(1, 2, 0, 3)]])  # a 3-cycle
+    six = closure(s4, [s4_elem[(1, 0, 2, 3)], s4_elem[(1, 2, 0, 3)]])  # S3 on {1,2,3}
+    outside = closure(s4, [s4_elem[(1, 0, 3, 2)]])  # moves 0, so not in S3 on {1,2,3}
+    sylow = sylow_2_subgroup(s4, full)
+    stray = next(Q for Q in all_subgroups(s4) if len(Q) == 2 and Q.mask & ~sylow.mask)
+    for H, Q in ((full, three), (full, six), (six, outside), (sylow, three), (sylow, stray)):
+        with pytest.raises(ValueError, match="2-subgroup of H"):
+            sylow_2_subgroup(s4, H, Q)
 
 
 @pytest.mark.parametrize(
@@ -459,31 +472,38 @@ def test_sylow_overgroup_contains_seed(s4, s4_elem):
 def test_sylow_growth_matches_brute_force(spec):
     """Each growth step adjoins the least element of the whole normalizer
     outside the current subgroup that squares into it: from every 2-subgroup
-    of G, and from the trivial subgroup inside every subgroup H."""
+    of G, from the trivial subgroup inside every subgroup H, and from every
+    subgroup of order 2 inside every H that is not a 2-group."""
     G, _ = _relabelled(construct.build_named(spec), 4)
-    target = two_part(G.order)
-    for H in all_subgroups(G):
+    full, target = full_subgroup(G), two_part(G.order)
+    lattice = all_subgroups(G)
+    for H in lattice:
         label = H.indices()
-        if len(H) & (len(H) - 1) == 0:
-            grown = brute_grow_2_subgroup(G, H.elements, target)
-            assert sylow_2_overgroup(G, H).elements == grown, label
         inside = brute_grow_2_subgroup(G, {0}, two_part(len(H)), H.elements)
         assert sylow_2_subgroup(G, H).elements == inside, label
+        if len(H) & (len(H) - 1) == 0:
+            grown = brute_grow_2_subgroup(G, H.elements, target)
+            assert sylow_2_subgroup(G, full, H).elements == grown, label
+            continue
+        for Q in lattice:
+            if len(Q) == 2 and not Q.mask & ~H.mask:
+                grown = brute_grow_2_subgroup(G, Q.elements, two_part(len(H)), H.elements)
+                assert sylow_2_subgroup(G, H, Q).elements == grown, (label, Q.indices())
 
 
 def test_sylow_overgroup_of_a_sylow_subgroup_is_itself(g21, s4):
-    # in a 2-group the overgroup is G's stored full subgroup, never a copy
+    # in a 2-group G the result is G's stored full subgroup, never a copy
     full = full_subgroup(g21)
-    assert all(sylow_2_overgroup(g21, Q) is full for Q in all_subgroups(g21))
+    assert all(sylow_2_subgroup(g21, full, Q) is full for Q in all_subgroups(g21))
     P = sylow_2_subgroup(s4, full_subgroup(s4))
-    assert len(P) == 8 and sylow_2_overgroup(s4, P) is P
+    assert len(P) == 8 and sylow_2_subgroup(s4, full_subgroup(s4), P) is P
 
 
 def test_sylow_growth_stores_no_normalizer():
     G = construct.build_named("product(gm1(2),cyclic(3))")
     sylow_2_subgroup(G, full_subgroup(G))
-    Q = closure(G, [next(g for g in G.elements() if G.element_orders[g] == 2)])
-    sylow_2_overgroup(G, Q)
+    Q = closure(G, [next(g for g in G.elements() if g and G.table[g][g] == 0)])
+    sylow_2_subgroup(G, full_subgroup(G), Q)
     assert not [key for key in G._store if key[0] is normalizer.__wrapped__]
 
 
@@ -660,20 +680,22 @@ def _assert_matches_brute_cosets(G, H, within=None):
 def test_band_sweep_stores_cosets_per_subgroup_and_overgroups_once():
     """After the sweep of the band's groups, every stored decomposition is
     one of G by a subgroup, keyed by that subgroup alone, and each Sylow
-    overgroup is stored: a second call returns the same object."""
+    2-subgroup of G grown from a 2-subgroup is stored: a second call
+    returns the same object."""
     groups = [construct.build_named(spec) for spec in SWEEP_BAND]
     cross_check([make_entry(G) for G in groups], max_order=96)
     for G in groups:
         keys = [args for fn, args in G._store if fn is subgroups._cosets.__wrapped__]
         assert keys and all(len(args) == 1 for args in keys), G.name
         two_subgroups = [Q for Q in all_subgroups(G) if two_part(len(Q)) == len(Q)]
+        full = full_subgroup(G)
         for Q in two_subgroups:
-            assert sylow_2_overgroup(G, Q) is sylow_2_overgroup(G, Q), (G.name, Q.indices())
+            assert sylow_2_subgroup(G, full, Q) is sylow_2_subgroup(G, full, Q), (G.name, Q.indices())
 
 
 def test_coset_decompositions_by_ambient_g_are_shared(g21):
     for H in all_subgroups(g21):
-        P = sylow_2_overgroup(g21, H)
+        P = sylow_2_subgroup(g21, full_subgroup(g21), H)
         assert len(P) == g21.order
         assert coset_decomposition(g21, H, full_subgroup(g21)) is coset_decomposition(g21, H)
         assert coset_decomposition(g21, H, P) is coset_decomposition(g21, H)
@@ -692,7 +714,7 @@ def test_structure_operators_return_lattice_members():
             assert member(center(G, H))
             assert member(minimal_conjugate(G, H))
             if two_part(len(H)) == len(H):
-                assert member(sylow_2_overgroup(G, H))
+                assert member(sylow_2_subgroup(G, full_subgroup(G), H))
 
 
 def test_lattice_adopts_subgroups_built_before_it(s4_elem):
