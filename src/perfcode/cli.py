@@ -108,7 +108,7 @@ def _cmd_cross_check(args: argparse.Namespace) -> int:
         dedupe_conjugates=args.dedupe_conjugates,
     )
     sys.stdout.writelines(report_chunks(report, fmt=args.format))
-    return 2 if report.disagreements else 0
+    return 2 if report.summary["disagreements"] else 0
 
 
 @cache

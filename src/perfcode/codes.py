@@ -153,23 +153,12 @@ def find_inverse_closed_transversal(G: FiniteGroup, H: Subgroup) -> tuple[int, .
             return True
         i = cosets[pos]
         for cand in order[i * size : i * size + size]:
-            partner, j = inverse[cand], mirror[cand]
-            if j == i:
-                if partner != cand:
-                    continue
-                forced = None
-            elif chosen[j] is None:
-                forced = j
-            else:
-                continue
-            chosen[i] = cand
-            if forced is not None:
-                chosen[forced] = partner
-            if search(cosets, pos + 1):
-                return True
-            chosen[i] = None
-            if forced is not None:
-                chosen[forced] = None
+            j = mirror[cand]
+            if chosen[j] is None and (j != i or inverse[cand] == cand):
+                chosen[i], chosen[j] = cand, inverse[cand]
+                if search(cosets, pos + 1):
+                    return True
+                chosen[i] = chosen[j] = None
         return False
 
     for start in range(k):
@@ -243,7 +232,7 @@ def double_coset_condition(G: FiniteGroup, H: Subgroup) -> CodeVerdict:
     # the coset of g^-1 for each member g, and the cosets of 1 and the involutions
     find_mirror = members.translate(inverse).translate(position).find
     lifted = _INDICES[: G.order].translate(None, others).translate(position)
-    for i in sorted(_INDICES[: len(members) // size].translate(None, lifted)):
+    for i in _INDICES[: len(members) // size].translate(None, lifted):
         start = i * size
         x, end = members[start], start + size
         if find_mirror(i, start, end) >= 0 and len(H) // _meet_size(G, H, x, members[start:end]) % 2:

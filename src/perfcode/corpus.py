@@ -124,10 +124,6 @@ class CrossCheckReport:
     summary: dict
     row_ms: tuple[float, ...]
 
-    @property
-    def disagreements(self) -> int:
-        return self.summary["disagreements"]
-
 
 def _row_verdicts(
     G: FiniteGroup, H: Subgroup, criteria: tuple[str, ...], tags: frozenset[str]

@@ -318,21 +318,15 @@ def load_group(source: str | Path | dict) -> FiniteGroup:
         if key in doc and type(doc[key]) is not int:
             raise ValueError(f"group {key} must be an integer, got {doc[key]!r}")
     if "table" in doc:
-        rows = _list_rows(doc["table"], "table row")
-        if "order" in doc and doc["order"] != len(rows):
-            raise ValueError(
-                f"declared order {doc['order']} does not match table size {len(rows)}"
-            )
-        return FiniteGroup.from_table(rows, name=name)
-    if "generators" in doc:
+        G = FiniteGroup.from_table(_list_rows(doc["table"], "table row"), name=name)
+    elif "generators" in doc:
         gens = _list_rows(doc["generators"], "generator")
         G = group_from_permutations(gens, degree=doc.get("degree"), name=name)
-        if "order" in doc and doc["order"] != G.order:
-            raise ValueError(
-                f"declared order {doc['order']} does not match group order {G.order}"
-            )
-        return G
-    raise ValueError("group document needs either a 'table' or 'generators' key")
+    else:
+        raise ValueError("group document needs either a 'table' or 'generators' key")
+    if "order" in doc and doc["order"] != G.order:
+        raise ValueError(f"declared order {doc['order']} does not match group order {G.order}")
+    return G
 
 
 def _list_rows(value, what: str) -> list[list]:

@@ -184,6 +184,24 @@ MUTANTS = (
         "is_perfect_code_in_cayley_graph(G, set(T[:-1]) - {0}, H)",
         "random_groups_cross_check",
     ),
+    (
+        "src/perfcode/codes.py",
+        "if chosen[j] is None and (j != i or inverse[cand] == cand):",
+        "if chosen[j] is None:",
+        "transversal_search_matches_brute_oracle",
+    ),
+    (
+        "src/perfcode/codes.py",
+        "chosen[i] = chosen[j] = None",
+        "chosen[i] = None",
+        "witness_is_the_first_transversal",
+    ),
+    (
+        "src/perfcode/group.py",
+        'if "order" in doc and doc["order"] != G.order:',
+        "if False:",
+        "load_checks_declared_order_of_table",
+    ),
 )
 
 

@@ -365,15 +365,6 @@ def test_report_rejects_unknown_format(d8):
         report_emit(report, "yaml")
 
 
-def test_exit_code_semantics_for_disagreements():
-    fake = CrossCheckReport(
-        rows=({"group": "X", "order": 2, "subgroup": [0], "verdicts": {}, "agree": False},),
-        summary={"groups": 1, "rows": 1, "perfect_codes": 0, "disagreements": 1, "criteria": ["decide"], "max_order": 8},
-        row_ms=(0.0,),
-    )
-    assert fake.disagreements == 1
-
-
 # --- CLI integration -------------------------------------------------------
 
 
@@ -413,6 +404,11 @@ def test_cli_validate_bad_file(tmp_path, capsys):
         '{"generators": [[1, 0.0]]}',
         '{"degree": -3, "generators": []}',
         '{"order": 5, "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}',
+        '[1, 2]',
+        '{"name": 5, "table": [[0]]}',
+        '{"order": 1}',
+        '{"degree": 2, "generators": [[0, 0]]}',
+        '{"table": []}',
     ],
 )
 def test_cli_validate_malformed_file(tmp_path, capsys, text):

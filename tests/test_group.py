@@ -103,6 +103,13 @@ def test_load_checks_declared_order_of_permutation_group():
         load_group({**doc, "order": 5})
 
 
+def test_load_checks_declared_order_of_table():
+    doc = {"table": [[0, 1], [1, 0]]}
+    assert load_group({**doc, "order": 2}).order == 2
+    with pytest.raises(ValueError, match="^declared order 3 does not match group order 2$"):
+        load_group({**doc, "order": 3})
+
+
 def test_empty_generator_list_is_trivial_at_any_degree():
     doc = {"degree": 10**12, "generators": []}
     assert tuple(map(tuple, load_group(doc).table)) == ((0,),)
@@ -757,11 +764,15 @@ def test_permutations_reject_entries_that_are_not_ints(gens, entry):
         group_from_permutations(gens)
 
 
-def test_import_loads_no_numpy():
+@pytest.mark.parametrize(
+    "module", ["cli", "codes", "construct", "corpus", "extraspecial", "group", "subgroups"]
+)
+def test_import_loads_no_numpy(module):
+    # each module alone in a fresh interpreter: the package imports none of them
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = (
-        "import sys, perfcode; "
+        f"import sys, perfcode.{module}; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
     )
     out = subprocess.run(
